@@ -13,7 +13,7 @@ implementation for both the traced training path and the untraced fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -141,6 +141,29 @@ def backward(output: Tensor, leaves: list[Tensor]) -> list[Array]:
     """
     output.backward()
     return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
+
+
+def traced(params):
+    """A copy of the parameter tree `params` whose arrays are Tensor leaves,
+    plus those leaves in field order.
+
+    The walk descends into dataclass fields and list items and keeps every
+    other value as it is. Each leaf wraps its array without copying it, so
+    ``leaf.data`` is the parameter array itself.
+    """
+    leaves: list[Tensor] = []
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            leaves.append(Tensor(x))
+            return leaves[-1]
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        if is_dataclass(x) and not isinstance(x, type):
+            return replace(x, **{f.name: walk(getattr(x, f.name)) for f in fields(x)})
+        return x
+
+    return walk(params), leaves
 
 
 def _accumulate(node: Tensor, grad: Array) -> None:
@@ -411,9 +434,7 @@ def gradient_check(f, point: Array, eps: float = 1e-6) -> float:
         raise ValueError("eps must lie in (0, 1e-2]")
     point = _as_f64(point)
     leaf = Tensor(point)
-    out = f(leaf)
-    out.backward()
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(point)
+    (analytic,) = backward(f(leaf), [leaf])
 
     numeric = np.zeros_like(point)
     flat = point.reshape(-1)

@@ -5,12 +5,15 @@ architecture (`SphereNetConfig`), both taken from the parameters
 themselves, and the run config echo as the caller passed it. Loading
 builds every array shape from the stored architecture, never from the
 echo, and returns the echo unchanged. Arrays are stored and restored
-bit-exactly."""
+bit-exactly. A checkpoint is written to a temporary file next to the
+target and renamed onto the exact path given (no ``.npz`` is appended), so
+a reader never sees a half-written file."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,19 +43,25 @@ def save_checkpoint(path, config: RunConfig, flow_params: FlowParams,
                                       dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        # a file handle keeps np.savez from appending .npz to the name
+        with tmp.open("wb") as fh:
+            np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _restore(params, data):
-    # the shapes already follow the stored architecture, so a mismatch here
-    # means a corrupt or hand-edited file
-    for name, arr in params.named_params():
+    # the shapes already follow the stored architecture, so set_param's
+    # shape error here means a corrupt or hand-edited file
+    for name, _ in params.named_params():
         if name not in data:
             raise ValueError(f"checkpoint lacks array {name}")
-        stored = data[name]
-        if stored.shape != arr.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}")
-        params.set_param(name, stored.astype(np.float64))
+        params.set_param(name, data[name])
     return params
 
 

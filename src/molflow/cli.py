@@ -27,10 +27,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .dataset import DataError, Dataset, ingest, synthetic_corpus, write_dataset
 from .docking import (
-    DockingRecord,
     ScoreCache,
     ScorerConfig,
     ScorerError,
+    WeightTable,
     compute_weights,
     score_batch,
 )
@@ -163,12 +163,23 @@ def cmd_dock_weights(args) -> int:
     return 0
 
 
-def _read_weight_table(path: Path, config: RunConfig):
-    records = []
-    with path.open() as fh:
-        for row in csv.DictReader(fh):
-            records.append(DockingRecord(row["smiles"], float(row["energy"])))
-    return compute_weights(records, floor=config.weight_floor)
+def _read_weight_table(path: Path, records, config: RunConfig) -> WeightTable:
+    """Each record's weight from a dock-weights `weights.csv`, used as the
+    file gives it (looked up by SMILES)."""
+    with path.open(newline="") as fh:
+        try:
+            by_smiles = {row["smiles"]: (float(row["alpha"]), float(row["weight"]))
+                         for row in csv.DictReader(fh)}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(path, 0, f"needs numeric alpha and weight columns ({exc})") from None
+    missing = [r.smiles for r in records if r.smiles not in by_smiles]
+    if missing:
+        raise DataError(path, 0, f"{len(missing)} records lack weights")
+    alphas, weights = zip(*(by_smiles[r.smiles] for r in records))
+    if not all(0.0 <= w <= 1.0 for w in weights):
+        raise DataError(path, 0, "weights must lie in [0, 1]")
+    return WeightTable(tuple(str(i) for i in range(len(records))), np.array(weights),
+                       min(alphas), max(alphas), config.weight_floor)
 
 
 def cmd_train_flow(args) -> int:
@@ -178,15 +189,7 @@ def cmd_train_flow(args) -> int:
     params = init_flow(config.flow_config(), rng.spawn("flow-init"))
     table = None
     if args.weights:
-        full = _read_weight_table(Path(args.weights), config)
-        by_id = dict(zip(full.ids, full.weights))
-        missing = [r.smiles for r in ds.records if r.smiles not in by_id]
-        if missing:
-            raise DataError(args.weights, 0, f"{len(missing)} records lack weights")
-        table = compute_weights(
-            [DockingRecord(f"{i}", -by_id[r.smiles]) for i, r in enumerate(ds.records)],
-            floor=config.weight_floor,
-        )
+        table = _read_weight_table(Path(args.weights), ds.records, config)
     result = train_flow(
         params, ds.records, epochs=config.epochs, rng=rng.spawn("flow-train"),
         lr=config.learning_rate, batch_size=config.batch_size,

@@ -66,6 +66,22 @@ class LatentVector:
         return LatentVector(z[: config.d_atom].copy(), z[config.d_atom:].copy())
 
 
+class ParamTree:
+    """Base of the parameter containers; each lists its arrays in
+    ``named_params()``."""
+
+    def set_param(self, name: str, value: Array) -> None:
+        """Copy `value` into the array called `name`, in place (the array
+        object is kept). Raises ValueError on an unknown name or wrong shape."""
+        arr = dict(self.named_params()).get(name)
+        if arr is None:
+            raise ValueError(f"unknown parameter {name!r}")
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != arr.shape:
+            raise ValueError(f"parameter {name} has shape {arr.shape}, got {value.shape}")
+        arr[...] = value
+
+
 @dataclass
 class Mlp:
     """Two-layer perceptron parameters (tanh hidden activation)."""
@@ -116,7 +132,7 @@ class CouplingLayer:
 
 
 @dataclass
-class FlowParams:
+class FlowParams(ParamTree):
     """Trainable state of both flow tracks (the reverse-generation
     parameters are these same arrays)."""
 
@@ -131,24 +147,6 @@ class FlowParams:
         for i, layer in enumerate(self.bond):
             out += layer.named(f"flow.bond.{i}")
         return out
-
-    def set_param(self, name: str, value: Array) -> None:
-        parts = name.split(".")
-        layer = getattr(self, parts[1])[int(parts[2])]
-        setattr(layer.mlp, parts[3], value)
-
-    def traced(self) -> tuple["FlowParams", list[Tensor]]:
-        """Copy with Tensor leaves, plus the leaf list in named order."""
-        leaves: list[Tensor] = []
-
-        def trace_mlp(m: Mlp) -> Mlp:
-            ts = [Tensor(a) for a in (m.w1, m.b1, m.w2, m.b2)]
-            leaves.extend(ts)
-            return Mlp(*ts)
-
-        atom = [CouplingLayer(l.kind, l.index, trace_mlp(l.mlp)) for l in self.atom]
-        bond = [CouplingLayer(l.kind, l.index, trace_mlp(l.mlp)) for l in self.bond]
-        return FlowParams(self.config, atom, bond), leaves
 
 
 def init_flow(config: FlowConfig, rng: SeededRng, zero_last: bool = True) -> FlowParams:
@@ -367,14 +365,13 @@ def decode_continuous(params: FlowParams, za: Array, zb: Array) -> tuple[Array, 
 
 def encode_tensors(params: FlowParams, atom: Array, bond: Array, rng: SeededRng,
                    noise_scale: float | None = None):
-    """Dequantize one-hot batches and encode; conditioning uses the discrete
-    bond tensor. Returns (za, zb, log_likelihood per sample)."""
+    """Dequantize one-hot batches and ``encode_continuous`` them; the atom
+    track's condition, the discretized bonds, is `bond` again for noise
+    scales up to 0.5. Returns (za, zb, log_likelihood per sample)."""
     cfg = params.config
     scale = cfg.noise_scale if noise_scale is None else noise_scale
-    xa = dequantize(atom, scale, rng)
-    xb = dequantize(bond, scale, rng)
-    zb, ld_b = bond_flow_forward(params, xb)
-    za, ld_a = atom_flow_forward(params, xa, bond)
+    za, zb, ld_a, ld_b = encode_continuous(params, dequantize(atom, scale, rng),
+                                           dequantize(bond, scale, rng))
     loglik = (gauss_log_density(za, cfg.d_atom) + ld_a
               + gauss_log_density(zb, cfg.d_bond) + ld_b)
     data_a = za.data if isinstance(za, Tensor) else za
@@ -435,7 +432,7 @@ def sample_prior(rng: SeededRng, config: FlowConfig,
 # ---------------------------------------------------------------------------
 
 
-def make_optimizer(params: FlowParams, lr: float = 1e-3) -> AdamState:
+def make_optimizer(params: ParamTree, lr: float = 1e-3) -> AdamState:
     return AdamState.for_params([a for _, a in params.named_params()], lr=lr)
 
 
@@ -448,27 +445,38 @@ def clip_gradients(grads: list[Array], max_norm: float) -> list[Array]:
     return [g * factor for g in grads]
 
 
-def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,
-               rng: SeededRng, clip_norm: float | None = None) -> float:
-    """One gradient step on mean negative log-likelihood over the batch.
-
-    Mutates `params` and `opt`; returns the step's mean NLL. A non-finite
-    loss aborts the step (parameters untouched).
+def fit_step(params: ParamTree, loss_of, opt: AdamState, clip_norm: float | None = None,
+             rates: Array | None = None) -> float:
+    """One Adam step on the scalar ``loss_of(ad.traced(params)[0])``; returns
+    the loss. Updates every array of `params` in place and advances `opt`; a
+    non-finite loss aborts with nothing changed. With `rates` (one per array,
+    in ``named_params()`` order) each array becomes arr + rate * (new - arr).
     """
-    if atom.shape[0] == 0:
-        raise ValueError("empty batch")
-    view, leaves = params.traced()
-    _, _, loglik = encode_tensors(view, atom, bond, rng)
-    loss = ad.tsum(loglik) * (-1.0 / atom.shape[0])
+    view, leaves = ad.traced(params)
+    loss = loss_of(view)
     if not np.isfinite(loss.data):
         raise FloatingPointError(f"non-finite training loss {loss.data}")
-    loss.backward()
-    grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-             for leaf in leaves]
+    grads = ad.backward(loss, leaves)
     if clip_norm is not None:
         grads = clip_gradients(grads, clip_norm)
-    names = [name for name, _ in params.named_params()]
-    updated = adam_step([leaf.data for leaf in leaves], grads, opt)
-    for name, arr in zip(names, updated):
-        params.set_param(name, arr)
+    arrays = [leaf.data for leaf in leaves]
+    updated = adam_step(arrays, grads, opt)
+    if rates is not None:
+        updated = [arr + rate * (new - arr) for arr, rate, new in zip(arrays, rates, updated)]
+    for arr, new in zip(arrays, updated):
+        arr[...] = new
     return float(loss.data)
+
+
+def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,
+               rng: SeededRng, clip_norm: float | None = None) -> float:
+    """One ``fit_step`` on mean negative log-likelihood over the batch
+    (parameters updated in place); returns the step's mean NLL."""
+    if atom.shape[0] == 0:
+        raise ValueError("empty batch")
+
+    def mean_nll(view: FlowParams):
+        _, _, loglik = encode_tensors(view, atom, bond, rng)
+        return ad.tsum(loglik) * (-1.0 / atom.shape[0])
+
+    return fit_step(params, mean_nll, opt, clip_norm=clip_norm)

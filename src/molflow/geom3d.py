@@ -105,6 +105,32 @@ def _reference_neighbors(g: Geometry, receiver: int, sender: int) -> list[int]:
     )
 
 
+def _edge_frame(g: Geometry, edge: int) -> tuple[SphericalTriple, int]:
+    """The edge's spherical triple and its frame rank (see the two public
+    functions below), from one scan for the reference neighbors."""
+    t = int(g.receivers[edge])
+    s = int(g.senders[edge])
+    d = g.coords[s] - g.coords[t]
+    r = float(np.linalg.norm(d))
+    refs = _reference_neighbors(g, t, s)
+    if not refs:
+        return SphericalTriple(r, 0.0, 0.0), 0
+    z_axis = g.coords[refs[0]] - g.coords[t]
+    z_hat = z_axis / np.linalg.norm(z_axis)
+    cos_theta = float(np.clip(np.dot(d, z_hat) / r, -1.0, 1.0))
+    theta = math.acos(cos_theta)
+    for cand in refs[1:]:
+        a2 = g.coords[cand] - g.coords[t]
+        perp = a2 - np.dot(a2, z_hat) * z_hat
+        norm = np.linalg.norm(perp)
+        if norm > 1e-9:
+            x_hat = perp / norm
+            y_hat = np.cross(z_hat, x_hat)
+            phi = math.atan2(float(np.dot(d, y_hat)), float(np.dot(d, x_hat)))
+            return SphericalTriple(r, theta, phi), 2
+    return SphericalTriple(r, theta, 0.0), 1
+
+
 def local_spherical(g: Geometry, edge: int) -> SphericalTriple:
     """Invariant spherical description of one directed edge.
 
@@ -114,51 +140,14 @@ def local_spherical(g: Geometry, edge: int) -> SphericalTriple:
     defaults to zero. Proper rigid motions leave the triple unchanged;
     reflections negate phi.
     """
-    t = int(g.receivers[edge])
-    s = int(g.senders[edge])
-    d = g.coords[s] - g.coords[t]
-    r = float(np.linalg.norm(d))
-    refs = _reference_neighbors(g, t, s)
-    if not refs:
-        return SphericalTriple(r, 0.0, 0.0)
-    z_axis = g.coords[refs[0]] - g.coords[t]
-    z_hat = z_axis / np.linalg.norm(z_axis)
-    cos_theta = float(np.clip(np.dot(d, z_hat) / r, -1.0, 1.0))
-    theta = math.acos(cos_theta)
-    x_hat = None
-    for cand in refs[1:]:
-        a2 = g.coords[cand] - g.coords[t]
-        perp = a2 - np.dot(a2, z_hat) * z_hat
-        norm = np.linalg.norm(perp)
-        if norm > 1e-9:
-            x_hat = perp / norm
-            break
-    if x_hat is None:
-        return SphericalTriple(r, theta, 0.0)
-    y_hat = np.cross(z_hat, x_hat)
-    phi = math.atan2(float(np.dot(d, y_hat)), float(np.dot(d, x_hat)))
-    return SphericalTriple(r, theta, phi)
+    return _edge_frame(g, edge)[0]
 
 
 def frame_rank(g: Geometry, edge: int) -> int:
     """How many reference neighbors the edge's frame has (0, 1, or 2).
     Rank 0 supports only the radial representation, rank 1 adds the polar
     one, rank 2 the full triple."""
-    t = int(g.receivers[edge])
-    s = int(g.senders[edge])
-    refs = _reference_neighbors(g, t, s)
-    if not refs:
-        return 0
-    if len(refs) == 1:
-        return 1
-    z_axis = g.coords[refs[0]] - g.coords[t]
-    z_hat = z_axis / np.linalg.norm(z_axis)
-    for cand in refs[1:]:
-        a2 = g.coords[cand] - g.coords[t]
-        perp = a2 - np.dot(a2, z_hat) * z_hat
-        if np.linalg.norm(perp) > 1e-9:
-            return 2
-    return 1
+    return _edge_frame(g, edge)[1]
 
 
 def envelope(d: np.ndarray | float, p: int = ENVELOPE_ORDER):
@@ -260,8 +249,7 @@ def edge_feature_matrix(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
     radial = np.zeros((g.num_edges, n_radial))
     full = np.zeros((g.num_edges, n_radial + n_radial * n_sph + n_radial * n_sph**2))
     for e in range(g.num_edges):
-        triple = local_spherical(g, e)
-        rank = frame_rank(g, e)
+        triple, rank = _edge_frame(g, e)
         psi_r, psi_rt, psi_rtp = edge_representation(triple, g.cutoff, n_radial, max_degree)
         radial[e] = psi_r.coefficients
         parts = [

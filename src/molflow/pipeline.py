@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, SeededRng, Tensor, adam_step
+# unused here, but perfbench's tracer patches pipeline.adam_step
+from .autodiff import SeededRng, Tensor, adam_step  # noqa: F401
 from .chem import (
     VALENCE,
     Molecule,
@@ -40,10 +41,12 @@ from .docking import WeightTable, sample_epoch
 from .flow import (
     FlowParams,
     Mlp,
+    ParamTree,
     apply_mlp,
     decode_batch,
     discretize_bonds,
     encode,
+    fit_step,
     make_optimizer,
     mlp_init,
     sample_prior,
@@ -400,7 +403,7 @@ class LinearHead:
 
 
 @dataclass
-class PropertyHead:
+class PropertyHead(ParamTree):
     """Two-layer perceptron from the flow latent to one property value."""
 
     mlp: Mlp
@@ -411,10 +414,9 @@ class PropertyHead:
 
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         leaf = Tensor(z.reshape(1, -1))
-        out = apply_mlp(self.mlp, leaf)
-        scalar = ad.reshape(out, ())
-        scalar.backward()
-        return float(scalar.data), leaf.grad.reshape(-1).copy()
+        scalar = ad.reshape(apply_mlp(self.mlp, leaf), ())
+        (grad,) = ad.backward(scalar, [leaf])
+        return float(scalar.data), grad.reshape(-1).copy()
 
     def named_params(self):
         return self.mlp.named("head")
@@ -437,8 +439,7 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
     hold, train = order[:n_hold], order[n_hold:]
     head = PropertyHead(mlp_init(rng.spawn("head"), latents.shape[1], hidden, 1,
                                  zero_last=False, w1_scale=0.1))
-    opt = AdamState.for_params([a for _, a in head.named_params()], lr=lr)
-    names = [n for n, _ in head.named_params()]
+    opt = make_optimizer(head, lr=lr)
     mu, sd = float(values[train].mean()), float(values[train].std())
     sd = sd if sd > 0 else 1.0
     shuffle = rng.spawn("shuffle")
@@ -446,18 +447,13 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
         perm = shuffle.permutation(len(train))
         for k in range(0, len(train), batch_size):
             idx = train[perm[k:k + batch_size]]
-            w1, b1, w2, b2 = (Tensor(a) for _, a in head.named_params())
-            view = Mlp(w1, b1, w2, b2)
-            pred = ad.reshape(apply_mlp(view, latents[idx]), (-1,))
-            target = (values[idx] - mu) / sd
-            diff = pred - target
-            loss = ad.tsum(diff * diff) * (1.0 / len(idx))
-            loss.backward()
-            leaves = [w1, b1, w2, b2]
-            grads = [l.grad if l.grad is not None else np.zeros_like(l.data) for l in leaves]
-            updated = adam_step([l.data for l in leaves], grads, opt)
-            for name, arr in zip(names, updated):
-                setattr(head.mlp, name.split(".")[1], arr)
+
+            def mse(view: PropertyHead):
+                pred = ad.reshape(apply_mlp(view.mlp, latents[idx]), (-1,))
+                diff = pred - (values[idx] - mu) / sd
+                return ad.tsum(diff * diff) * (1.0 / len(idx))
+
+            fit_step(head, mse, opt)
     # denormalize into the head by folding mu/sd into the output layer
     head.mlp.w2 = head.mlp.w2 * sd
     head.mlp.b2 = head.mlp.b2 * sd + mu
@@ -672,6 +668,8 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     likelihood are not perfectly aligned for contractive couplings, so the
     probe guards against late-training drift).
     """
+    if probe_every < 1:
+        raise ValueError(f"probe_every must be at least 1, got {probe_every}")
     cfg = params.config
     atoms, bonds = tensor_batches(records, cfg.n_max)
     opt = make_optimizer(params, lr=lr)

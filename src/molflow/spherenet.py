@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, SeededRng, Tensor, adam_step
+# unused here, but perfbench's tracer patches spherenet.adam_step
+from .autodiff import SeededRng, Tensor, adam_step  # noqa: F401
 from .chem import ELEMENTS
 from .dataset import DatasetRecord
-from .flow import FlowParams, Mlp, apply_mlp, encode, mlp_init
+from .flow import (FlowParams, Mlp, ParamTree, apply_mlp, encode, fit_step, make_optimizer,
+                   mlp_init)
 from .geom3d import Geometry, edge_feature_matrix
 
 Array = np.ndarray
@@ -59,7 +61,7 @@ class InteractionBlock:
 
 
 @dataclass
-class SphereNetParams:
+class SphereNetParams(ParamTree):
     config: SphereNetConfig
     embedding: Array                       # (len(ELEMENTS), hidden)
     input_mlp: Mlp                         # radial representation -> message
@@ -73,36 +75,6 @@ class SphereNetParams:
             out += blk.named(f"sphere.block{i}")
         out += self.output_mlp.named("sphere.output")
         return out
-
-    def set_param(self, name: str, value: Array) -> None:
-        parts = name.split(".")
-        if parts[1] == "embedding":
-            self.embedding = value
-        elif parts[1] == "input":
-            setattr(self.input_mlp, parts[2], value)
-        elif parts[1] == "output":
-            setattr(self.output_mlp, parts[2], value)
-        else:
-            blk = self.blocks[int(parts[1].removeprefix("block"))]
-            mlp = {"ge": blk.g_e, "gv": blk.g_v, "gu": blk.g_u}[parts[2]]
-            setattr(mlp, parts[3], value)
-
-    def traced(self) -> tuple["SphereNetParams", list[Tensor]]:
-        """Copy with Tensor leaves, in the same order as named_params()."""
-        leaves: list[Tensor] = []
-
-        def t_mlp(m: Mlp) -> Mlp:
-            ts = [Tensor(a) for a in (m.w1, m.b1, m.w2, m.b2)]
-            leaves.extend(ts)
-            return Mlp(*ts)
-
-        emb = Tensor(self.embedding)
-        leaves.append(emb)
-        input_mlp = t_mlp(self.input_mlp)
-        blocks = [InteractionBlock(t_mlp(b.g_e), t_mlp(b.g_v), t_mlp(b.g_u))
-                  for b in self.blocks]
-        output_mlp = t_mlp(self.output_mlp)
-        return SphereNetParams(self.config, emb, input_mlp, blocks, output_mlp), leaves
 
 
 def init_spherenet(config: SphereNetConfig, rng: SeededRng) -> SphereNetParams:
@@ -257,10 +229,11 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
     targets = fusion_targets(usable, flow_params, rng.spawn("targets"))
     if not params.output_mlp.b2.any():
         params.output_mlp.b2 = np.mean(targets, axis=0)
-    order_names = [n for n, _ in params.named_params()]
+    # Adam's direction is scale-free in the gradient, so the per-group rate
+    # scales each array's update instead
     lrs = np.array([lr if n.startswith("sphere.output") else lr * encoder_lr_scale
-                    for n in order_names])
-    opt = AdamState.for_params([a for _, a in params.named_params()], lr=1.0)
+                    for n, _ in params.named_params()])
+    opt = make_optimizer(params, lr=1.0)
     shuffle = rng.spawn("shuffle")
     epoch_losses: list[float] = []
     for _ in range(epochs):
@@ -268,21 +241,14 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
         losses: list[float] = []
         for start in range(0, len(usable), batch_size):
             idx = perm[start:start + batch_size]
-            view, leaves = params.traced()
-            total = None
-            for i in idx:
-                li = fusion_loss(targets[i], _encode_cached(view, caches[i]))
-                total = li if total is None else total + li
-            loss = total * (1.0 / len(idx))
-            loss.backward()
-            # fold the per-group rate into the gradient; Adam's direction is
-            # scale-free in the gradient, so rescale the update instead
-            old = [leaf.data for leaf in leaves]
-            grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-                     for leaf in leaves]
-            updated = adam_step(old, grads, opt)
-            for name, rate, before, after in zip(order_names, lrs, old, updated):
-                params.set_param(name, before + rate * (after - before))
-            losses.append(float(loss.data))
+
+            def batch_loss(view: SphereNetParams):
+                total = None
+                for i in idx:
+                    li = fusion_loss(targets[i], _encode_cached(view, caches[i]))
+                    total = li if total is None else total + li
+                return total * (1.0 / len(idx))
+
+            losses.append(fit_step(params, batch_loss, opt, rates=lrs))
         epoch_losses.append(float(np.mean(losses)))
     return FusionResult(epoch_losses, skipped)

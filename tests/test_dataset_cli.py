@@ -170,6 +170,13 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
             assert n1 == n2 and np.array_equal(a1, a2)
         for (n1, a1), (n2, a2) in zip(sphere.named_params(), sphere2.named_params()):
             assert n1 == n2 and np.array_equal(a1, a2)
+    # the file lands on the exact path given: no .npz appended, no temp left
+    bare = tmp_path / "runs" / "flow"
+    save_checkpoint(bare, config, flow)
+    assert [p.name for p in bare.parent.iterdir()] == ["flow"]
+    _, flow3, _ = load_checkpoint(bare)
+    for (n1, a1), (n2, a2) in zip(flow.named_params(), flow3.named_params()):
+        assert n1 == n2 and np.array_equal(a1, a2)
 
 
 def test_checkpoint_generation_identity(tmp_path):
@@ -312,6 +319,40 @@ def test_cli_pipeline_and_determinism(tmp_path, capsys):
                 "--out", str(tmp_path / "plot")]) == 0
     for name in ("fingerprints.csv", "properties.csv", "similarity_hist.csv"):
         assert (tmp_path / "plot" / name).exists()
+
+
+def test_cli_train_flow_rejects_probe_every_zero(tmp_path, capsys):
+    data = tmp_path / "d.smi"
+    data.write_text("CCO\nCC\nCCN\n")
+    code = cli(["train-flow", "--config", write_config(tmp_path, probe_every=0),
+                "--data", str(data), "--out", str(tmp_path / "flow.npz")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "probe_every" in err and "Traceback" not in err
+
+
+def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):
+    import molflow.cli as cli_module
+    from molflow.pipeline import FlowTrainResult
+
+    data = tmp_path / "d.smi"
+    data.write_text("CCO\nCC\nCCN\n")
+    smiles = [r.smiles for r in ingest([data]).records]
+    # min-max weights of these energies, as dock-weights writes them
+    rows = [(smiles[0], 0.0, 0.01), (smiles[1], -1.0, 0.1), (smiles[2], -10.0, 1.0)]
+    weights = tmp_path / "weights.csv"
+    weights.write_text("smiles,energy,alpha,weight\n" + "".join(
+        f"{s},{e!r},{-e!r},{w!r}\n" for s, e, w in rows))
+    seen = []
+
+    def fake_train_flow(params, records, **kwargs):
+        seen.append(kwargs["weight_table"])
+        return FlowTrainResult([], [], -1, -1.0)
+
+    monkeypatch.setattr(cli_module, "train_flow", fake_train_flow)
+    assert cli(["train-flow", "--config", write_config(tmp_path), "--data", str(data),
+                "--weights", str(weights), "--out", str(tmp_path / "flow.npz")]) == 0
+    assert seen[0].weights.tolist() == [0.01, 0.1, 1.0]
 
 
 def test_cli_train_fusion_config_differs_from_checkpoint(tmp_path, capsys):

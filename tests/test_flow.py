@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import molflow.autodiff as ad
 from molflow.autodiff import SeededRng, Tensor
 from molflow.chem import is_isomorphic, parse_smiles, to_tensors, valency_check
 from molflow.dataset import synthetic_corpus, tensor_batches
@@ -318,3 +319,47 @@ def test_gradient_check_full_coupling_layer():
 
     for _ in range(10):
         assert gradient_check(f, rng.uniform(0.05, 0.95, (2, 2))) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# parameter trees
+# ---------------------------------------------------------------------------
+
+
+def _param_trees():
+    from molflow.flow import mlp_init
+    from molflow.pipeline import PropertyHead
+    from molflow.spherenet import SphereNetConfig, init_spherenet
+
+    rng = SeededRng(34)
+    return [
+        init_flow(small_config(), rng.spawn("flow")),
+        init_spherenet(SphereNetConfig(hidden=6, n_blocks=2, n_radial=4, max_degree=1,
+                                       out_dim=5), rng.spawn("sphere")),
+        PropertyHead(mlp_init(rng.spawn("head"), 5, 6, 1, zero_last=False)),
+    ]
+
+
+def test_traced_leaves_follow_named_params():
+    for params in _param_trees():
+        view, leaves = ad.traced(params)
+        named = params.named_params()
+        assert type(view) is type(params)
+        assert len(leaves) == len(named)
+        for leaf, (name, arr) in zip(leaves, named):
+            assert isinstance(leaf, Tensor), name
+            assert leaf.data is arr, name
+
+
+def test_set_param_copies_in_place_and_rejects_bad_input():
+    for params in _param_trees():
+        name, arr = params.named_params()[-1]
+        value = np.arange(arr.size, dtype=np.float64).reshape(arr.shape)
+        params.set_param(name, value)
+        assert params.named_params()[-1][1] is arr
+        assert np.array_equal(arr, value)
+        with pytest.raises(ValueError):
+            params.set_param(name, np.zeros(arr.shape + (1,)))
+        with pytest.raises(ValueError):
+            params.set_param(name + "x", value)
+        assert np.array_equal(arr, value)

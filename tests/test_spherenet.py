@@ -136,6 +136,23 @@ def test_train_fusion_zero_epochs_keeps_params():
     assert changed in ([], ["sphere.output.b2"])
 
 
+def test_train_fusion_zero_encoder_rate_trains_only_the_output_block():
+    rng = SeededRng(75)
+    corpus = synthetic_corpus(8, rng.spawn("c"), with_geometry=True)
+    flow_cfg = FlowConfig(atom_hidden=16, bond_hidden=16)
+    flow = init_flow(flow_cfg, rng.spawn("f"))
+    cfg = SphereNetConfig(hidden=16, out_dim=flow_cfg.d_total)
+    sphere = init_spherenet(cfg, rng.spawn("s"))
+    before = {n: a.copy() for n, a in sphere.named_params()}
+    train_fusion(corpus.records, flow, sphere, epochs=2, rng=rng.spawn("t"),
+                 batch_size=4, encoder_lr_scale=0.0)
+    for name, arr in sphere.named_params():
+        if name.startswith("sphere.output"):
+            assert not np.array_equal(arr, before[name]), name
+        else:
+            assert np.array_equal(arr, before[name]), name
+
+
 def test_train_fusion_deterministic():
     def run():
         rng = SeededRng(70)
