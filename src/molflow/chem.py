@@ -9,7 +9,7 @@ fingerprints, and the similarity metrics built on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,6 +89,31 @@ class Molecule:
             adj[i].append((j, order))
             adj[j].append((i, order))
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def cyclic_bonds(self) -> frozenset[tuple[int, int]]:
+        """Bonds ``(i, j)`` lying on some cycle: the non-bridge edges."""
+        out = set()
+        for i, j, _ in self.bonds:
+            # edge is cyclic iff endpoints stay connected without it
+            seen = {i}
+            queue = [i]
+            while queue:
+                cur = queue.pop()
+                for nb, _ in self.adjacency[cur]:
+                    if (min(cur, nb), max(cur, nb)) == (i, j):
+                        continue
+                    if nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+            if j in seen:
+                out.add((i, j))
+        return frozenset(out)
+
+    @cached_property
+    def ring_sizes(self) -> frozenset[int]:
+        """Length of the shortest cycle through each cyclic bond."""
+        return frozenset(_shortest_cycle_through(self, i, j) for i, j in self.cyclic_bonds)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -489,24 +514,10 @@ def valency_check(m: Molecule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cyclic_bonds(m: Molecule) -> set[tuple[int, int]]:
-    """Bonds lying on some cycle: the non-bridge edges."""
-    out = set()
-    for i, j, _ in m.bonds:
-        # edge is cyclic iff endpoints stay connected without it
-        seen = {i}
-        queue = [i]
-        while queue:
-            cur = queue.pop()
-            for nb, _ in m.adjacency[cur]:
-                if (min(cur, nb), max(cur, nb)) == (i, j):
-                    continue
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if j in seen:
-            out.add((i, j))
-    return out
+def cyclic_bonds(m: Molecule) -> frozenset[tuple[int, int]]:
+    """Bonds lying on some cycle: the non-bridge edges (computed once per
+    molecule)."""
+    return m.cyclic_bonds
 
 
 def ring_count(m: Molecule) -> int:
@@ -531,13 +542,10 @@ def _shortest_cycle_through(m: Molecule, i: int, j: int) -> int:
     return dist[j] + 1 if j in dist else 0
 
 
-def ring_sizes(m: Molecule) -> set[int]:
+def ring_sizes(m: Molecule) -> frozenset[int]:
     """Ring sizes present: length of the shortest cycle through each cyclic
     bond. Fused systems report their small rings."""
-    return {
-        _shortest_cycle_through(m, i, j)
-        for i, j in cyclic_bonds(m)
-    }
+    return m.ring_sizes
 
 
 def largest_ring_size(m: Molecule) -> int:
@@ -631,6 +639,10 @@ class Fingerprint:
         return buf.hex()
 
 
+# distinct canonical paths seen by `_path_hash`; a few thousand cover a corpus
+PATH_HASH_CACHE_SIZE = 1 << 16
+
+
 def _hash_tuple(obj) -> int:
     """FNV-1a over a canonical byte serialization of nested int/str tuples."""
 
@@ -651,6 +663,12 @@ def _hash_tuple(obj) -> int:
     buf = bytearray()
     encode(obj, buf)
     return fnv1a_64(bytes(buf))
+
+
+@lru_cache(maxsize=PATH_HASH_CACHE_SIZE)
+def _path_hash(canon: tuple) -> int:
+    """``_hash_tuple(("path", canon))``, memoized: molecules share paths."""
+    return _hash_tuple(("path", canon))
 
 
 def morgan_fingerprint(m: Molecule, radius: int = 2, bits: int = 2048) -> Fingerprint:
@@ -684,8 +702,8 @@ def path_fingerprint(m: Molecule, max_bonds: int = 5, bits: int = 2048) -> Finge
     lexicographically smaller of its two directions.
     """
     on: set[int] = set()
-    for i, el in enumerate(m.elements):
-        on.add(_hash_tuple(("path", (el,))) % bits)
+    for el in m.elements:
+        on.add(_path_hash((el,)) % bits)
 
     def extend(path_atoms: list[int], path_repr: tuple) -> None:
         if len(path_atoms) - 1 >= max_bonds:
@@ -696,7 +714,7 @@ def path_fingerprint(m: Molecule, max_bonds: int = 5, bits: int = 2048) -> Finge
                 continue
             rep = path_repr + (order, m.elements[nb])
             canon = min(rep, rep[::-1])
-            on.add(_hash_tuple(("path", canon)) % bits)
+            on.add(_path_hash(canon) % bits)
             extend(path_atoms + [nb], rep)
 
     for i in range(m.num_atoms):
@@ -829,7 +847,7 @@ def maccs_similarity(a: Molecule, b: Molecule) -> float:
 # ---------------------------------------------------------------------------
 
 
-def subgraph(m: Molecule, atoms: set[int]) -> Molecule:
+def subgraph(m: Molecule, atoms: set[int] | frozenset[int]) -> Molecule:
     keep = sorted(atoms)
     remap = {a: k for k, a in enumerate(keep)}
     bonds = [
@@ -842,7 +860,8 @@ def subgraph(m: Molecule, atoms: set[int]) -> Molecule:
 
 def _fragment_candidates(m: Molecule) -> list[Molecule]:
     """Fragments from single and double cuts of acyclic single bonds,
-    keeping pieces with at least 60% of the heavy atoms."""
+    keeping pieces with at least 60% of the heavy atoms; an atom set left
+    by several cuts is kept once."""
     cyc = cyclic_bonds(m)
     cuttable = [
         (i, j) for i, j, o in m.bonds if o == 1 and (i, j) not in cyc
@@ -854,7 +873,7 @@ def _fragment_candidates(m: Molecule) -> list[Molecule]:
         for b in range(a + 1, len(cuttable))
     ]
     n = m.num_atoms
-    out = []
+    kept: dict[frozenset[int], None] = {}
     for cuts in cut_sets:
         # components of the graph without the cut bonds
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -877,8 +896,8 @@ def _fragment_candidates(m: Molecule) -> list[Molecule]:
                         queue.append(nb)
             seen |= comp
             if 10 * len(comp) >= 6 * n:
-                out.append(subgraph(m, comp))
-    return out
+                kept[frozenset(comp)] = None
+    return [subgraph(m, comp) for comp in kept]
 
 
 def fraggle_similarity(a: Molecule, b: Molecule) -> float:
@@ -890,11 +909,13 @@ def fraggle_similarity(a: Molecule, b: Molecule) -> float:
     kept fragment (or the whole molecule) and the second molecule.
     """
 
-    def one_way(x: Molecule, y: Molecule) -> float:
-        fp_y = path_fingerprint(y)
-        best = tanimoto(path_fingerprint(x), fp_y)
+    fp_a, fp_b = path_fingerprint(a), path_fingerprint(b)
+    whole = tanimoto(fp_a, fp_b)
+
+    def one_way(x: Molecule, fp_y: Fingerprint) -> float:
+        best = whole
         for frag in _fragment_candidates(x):
             best = max(best, tanimoto(path_fingerprint(frag), fp_y))
         return best
 
-    return max(one_way(a, b), one_way(b, a))
+    return max(one_way(a, fp_b), one_way(b, fp_a))

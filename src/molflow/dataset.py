@@ -1,7 +1,8 @@
 """Dataset records, file ingestion, and the synthetic desk-scale corpus.
 
-Two input formats are read: plain SMILES lists (one molecule per line, `#`
-starts a comment) and extended-XYZ frames (atom count line, free-form
+Two input formats are read: plain SMILES lists (one molecule per line; a
+`#` at the start of a line or after whitespace starts a comment, elsewhere
+it is the triple bond) and extended-XYZ frames (atom count line, free-form
 comment line, then `El x y z` rows, optionally followed by a SMILES line
 that is adopted when parseable). Hydrogens in XYZ frames are dropped; the
 heavy-atom element multiset must match the SMILES. Molecules that do not
@@ -16,6 +17,7 @@ in for QM9-style data at desk scale.
 from __future__ import annotations
 
 import collections
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,9 +85,13 @@ def _admit(mol: Molecule, n_max: int, skipped: collections.Counter) -> bool:
     return True
 
 
+# a comment opens a line or follows whitespace; `#` inside a SMILES is a bond
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def _ingest_smiles_lines(path: Path, n_max: int, records, skipped) -> None:
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for raw in path.read_text().splitlines():
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         try:

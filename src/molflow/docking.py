@@ -11,6 +11,7 @@ being selected per epoch" either as independent Bernoulli inclusion
 from __future__ import annotations
 
 import csv
+import os
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,7 @@ from .chem import (
     ring_count,
     write_smiles,
 )
+from .dataset import DataError
 
 
 @dataclass(frozen=True)
@@ -209,13 +211,29 @@ class ScoreCache:
 
     @classmethod
     def load(cls, path) -> "ScoreCache":
+        """Read the cache. A last row cut short by a crash (no line end, or
+        not parseable) is dropped and the file truncated back to the last
+        complete row; a malformed earlier row raises ``DataError``."""
         cache = cls(Path(path))
-        if cache.path.exists():
-            with cache.path.open() as fh:
-                for row in csv.reader(fh):
-                    if not row or row[0] == "id":
-                        continue
+        if not cache.path.exists():
+            return cache
+        lines = cache.path.read_bytes().splitlines(keepends=True)
+        complete = 0  # bytes up to the end of the last complete row
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                if not line.endswith((b"\n", b"\r")):
+                    raise ValueError("row has no line end")
+                row = next(csv.reader([line.decode("utf-8")]), [])
+                if row and row[0] != "id":
+                    if len(row) != 3:
+                        raise ValueError(f"expected 3 fields, got {len(row)}")
                     cache.entries[row[0]] = float(row[2])
+            except ValueError as exc:
+                if line_no < len(lines):
+                    raise DataError(cache.path, line_no, f"malformed score cache row ({exc})")
+                os.truncate(cache.path, complete)
+                break
+            complete += len(line)
         return cache
 
     def add(self, molecule_id: str, smiles: str, energy: float) -> None:
@@ -223,7 +241,7 @@ class ScoreCache:
             if molecule_id in self.entries:
                 return
             self.entries[molecule_id] = energy
-            new = not self.path.exists()
+            new = not self.path.exists() or self.path.stat().st_size == 0
             with self.path.open("a") as fh:
                 writer = csv.writer(fh)
                 if new:

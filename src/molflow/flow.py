@@ -178,10 +178,14 @@ def init_flow(config: FlowConfig, rng: SeededRng, zero_last: bool = True) -> Flo
 
 
 def dequantize(onehot: Array, noise_scale: float, rng: SeededRng) -> Array:
-    """x = onehot * (1 - noise_scale) + U(0, noise_scale); argmax recovers
-    the one-hot input."""
-    if not 0.0 < noise_scale < 1.0:
-        raise ValueError("noise_scale must lie in (0, 1)")
+    """x = onehot * (1 - noise_scale) + U(0, noise_scale).
+
+    The hot channel lands in [1 - s, 1) and the others in [0, s), so argmax
+    recovers the one-hot input exactly when s <= 0.5; larger scales are
+    refused.
+    """
+    if not 0.0 < noise_scale <= 0.5:
+        raise ValueError(f"noise_scale must lie in (0, 0.5], got {noise_scale}")
     return onehot * (1.0 - noise_scale) + rng.uniform(0.0, noise_scale, onehot.shape)
 
 

@@ -19,7 +19,6 @@ from .chem import (
     VALENCE,
     Molecule,
     connected_components,
-    cyclic_bonds,
     fraggle_similarity,
     fusion_atoms,
     h_acceptor_count,
@@ -339,7 +338,8 @@ def generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
                 ])
                 attempts += n_draw
                 for cand in decode_batch(flow_params, zs):
-                    if valency_check(cand) and safe_canonical(cand) is not None:
+                    smiles = safe_canonical(cand) if valency_check(cand) else None
+                    if smiles is not None:
                         mol = cand
                         break
             out.append(mol)
@@ -347,7 +347,7 @@ def generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
                 failures += 1
                 continue
             t, f, mk = similarity_triple(mol, rec.molecule)
-            rows.append((idx, write_smiles(mol), t, f, mk))
+            rows.append((idx, smiles, t, f, mk))
             idx += 1
     report = SimilarityReport(
         seed_smiles=[r.smiles for r in seeds],

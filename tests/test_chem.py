@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from molflow.autodiff import SeededRng
 from molflow.chem import (
+    PATH_HASH_CACHE_SIZE,
     Fingerprint,
     Molecule,
     SmilesError,
     STRUCTURAL_KEYS,
+    _hash_tuple,
+    _path_hash,
     canonical_rank,
     canonical_smiles,
     connected_components,
@@ -406,6 +410,81 @@ def test_fraggle_matches_brute_force_fuzz(seed):
     got = fraggle_similarity(a, b)
     assert got == pytest.approx(brute_force_fraggle(a, b), abs=1e-12)
     assert got == pytest.approx(fraggle_similarity(b, a), abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_fraggle_equals_oracle_exactly(seed):
+    rng = SeededRng(seed)
+    a, b = random_molecule(rng), random_molecule(rng)
+    assert fraggle_similarity(a, b) == oracles.brute_force_fraggle(a, b)
+
+
+def reference_path_fingerprint(m: Molecule, max_bonds: int = 5, bits: int = 2048) -> Fingerprint:
+    """Every simple path of 0..max_bonds bonds, read atom by atom and hashed
+    uncached under its smaller direction."""
+    orders = {(i, j): o for i, j, o in m.bonds}
+    on = set()
+
+    def walk(path: list[int]) -> None:
+        rep = [m.elements[path[0]]]
+        for a, b in zip(path, path[1:]):
+            rep += [orders[min(a, b), max(a, b)], m.elements[b]]
+        rep = tuple(rep)
+        on.add(_hash_tuple(("path", min(rep, rep[::-1]))) % bits)
+        if len(path) - 1 < max_bonds:
+            for nb, _ in m.adjacency[path[-1]]:
+                if nb not in path:
+                    walk(path + [nb])
+
+    for i in range(m.num_atoms):
+        walk([i])
+    return Fingerprint("path", bits, frozenset(on))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_path_fingerprint_matches_uncached_reference(seed):
+    m = random_molecule(SeededRng(seed))
+    assert path_fingerprint(m) == reference_path_fingerprint(m)
+    ring = parse_smiles("C1CC2CCC12C#N")
+    assert path_fingerprint(ring, max_bonds=3, bits=64) == reference_path_fingerprint(ring, 3, 64)
+
+
+def test_path_hash_cache_is_bounded():
+    info = _path_hash.cache_info()
+    assert info.maxsize == PATH_HASH_CACHE_SIZE
+    assert 0 < info.maxsize < 2**20
+
+
+def brute_force_cyclic_bonds(m: Molecule) -> set[tuple[int, int]]:
+    """A bond is cyclic iff a BFS from one end, the bond removed, reaches
+    the other."""
+    out = set()
+    for i, j, _ in m.bonds:
+        adj = {a: set() for a in range(m.num_atoms)}
+        for p, q, _ in m.bonds:
+            if (p, q) != (i, j):
+                adj[p].add(q)
+                adj[q].add(p)
+        seen, frontier = {i}, [i]
+        while frontier:
+            frontier = [nb for cur in frontier for nb in adj[cur] - seen]
+            seen.update(frontier)
+        if j in seen:
+            out.add((i, j))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cyclic_bonds_cached_and_match_brute_force(seed):
+    for m in (random_molecule(SeededRng(seed)), parse_smiles("C1CC2CCC12CC1CO1")):
+        first = cyclic_bonds(m)
+        assert isinstance(first, frozenset)
+        assert first == brute_force_cyclic_bonds(m)
+        assert cyclic_bonds(m) is first
+        assert ring_sizes(m) is ring_sizes(m)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,18 @@ def test_dump_round_trip(tmp_path):
         assert np.array_equal(np.asarray(a.coords, dtype=float), b.coords)
 
 
+def test_dump_round_trip_keeps_triple_bonds(tmp_path):
+    src = tmp_path / "in.smi"
+    src.write_text("# nitriles and alkynes\nC#N\nCC#CC  # but-2-yne\nCCO\n")
+    ds = ingest([src])
+    assert [r.smiles for r in ds.records] == ["C#N", "CC#CC", "CCO"]
+    assert not ds.skipped
+    smi, xyz = write_dataset(ds, tmp_path / "dump")
+    assert xyz is None
+    back = ingest([smi])
+    assert [r.smiles for r in back.records] == ["C#N", "CC#CC", "CCO"]
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------
@@ -329,6 +341,17 @@ def test_cli_train_flow_rejects_probe_every_zero(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "probe_every" in err and "Traceback" not in err
+
+
+def test_cli_train_flow_rejects_noise_scale_above_half(tmp_path, capsys):
+    data = tmp_path / "d.smi"
+    data.write_text("CCO\nCC\nCCN\n")
+    code = cli(["train-flow", "--config", write_config(tmp_path, noise_scale=0.7),
+                "--data", str(data), "--out", str(tmp_path / "flow.npz")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "noise_scale" in err and "Traceback" not in err
+    assert not (tmp_path / "flow.npz").exists()
 
 
 def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):

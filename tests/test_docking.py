@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from molflow.autodiff import SeededRng
 from molflow.chem import parse_smiles
+from molflow.dataset import DataError
 from molflow.docking import (
     BatchScoreResult,
     DockingRecord,
@@ -229,3 +230,39 @@ def test_failing_scorer_never_corrupts_cache(tmp_path):
     assert [r.molecule_id for r in result.records] == ["C"]  # cached survives
     reloaded = ScoreCache.load(tmp_path / "cache.csv")
     assert reloaded.entries == {"C": -0.3}
+
+
+def test_score_cache_survives_torn_last_row(tmp_path):
+    path = tmp_path / "cache.csv"
+    cache = ScoreCache.load(path)
+    mols = [(s, parse_smiles(s)) for s in ("C", "CC", "C1CC1")]
+    energies = [r.energy for r in score_batch(mols, None, cache).records]
+    whole = path.read_bytes()
+    # a crash while appending the third row leaves part of it behind
+    row_start = whole.index(b"C1CC1,")
+    path.write_bytes(whole[: row_start + 8])
+    reloaded = ScoreCache.load(path)
+    assert reloaded.entries == {"C": energies[0], "CC": energies[1]}
+    assert path.read_bytes() == whole[:row_start]
+    again = score_batch(mols, None, reloaded)
+    assert [r.energy for r in again.records] == energies
+    assert path.read_bytes() == whole
+    assert ScoreCache.load(path).entries == cache.entries
+
+
+def test_score_cache_torn_header_and_malformed_rows(tmp_path):
+    path = tmp_path / "cache.csv"
+    path.write_bytes(b"id,smi")
+    cache = ScoreCache.load(path)
+    assert cache.entries == {} and path.read_bytes() == b""
+    cache.add("C", "C", -0.5)
+    assert ScoreCache.load(path).entries == {"C": -0.5}
+    assert path.read_text().splitlines()[0] == "id,smiles,energy"
+
+    path.write_text("id,smiles,energy\nC,C\nCC,CC,-1.0\n")
+    with pytest.raises(DataError) as err:
+        ScoreCache.load(path)
+    assert err.value.line_no == 2
+    path.write_text("id,smiles,energy\nC,C,oops\nCC,CC,-1.0\n")
+    with pytest.raises(DataError):
+        ScoreCache.load(path)

@@ -65,9 +65,12 @@ def test_dequantize_small_scale_approaches_identity():
 
 def test_dequantize_scale_domain():
     rng = SeededRng(5)
-    for bad in (0.0, 1.0, -0.1, 1.5):
+    # above 0.5 a cold channel can outgrow the hot one
+    for bad in (0.0, 1.0, -0.1, 1.5, 0.5 + 1e-9, 0.7, 0.9):
         with pytest.raises(ValueError):
             dequantize(np.eye(2), bad, rng)
+    x = dequantize(np.eye(2), 0.5, rng)
+    assert np.array_equal(x.argmax(axis=1), [0, 1])
 
 
 # ---------------------------------------------------------------------------

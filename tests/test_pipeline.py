@@ -3,6 +3,7 @@ import pytest
 
 from molflow.autodiff import SeededRng
 from molflow.chem import (
+    Molecule,
     is_isomorphic,
     parse_smiles,
     valency_check,
@@ -20,6 +21,7 @@ from molflow.pipeline import (
     evaluate_similarity_baseline,
     excise_fragment,
     generate_random,
+    generate_similar,
     moving_average,
     novelty_pct,
     optimize_property,
@@ -31,6 +33,7 @@ from molflow.pipeline import (
     train_property_head,
     uniqueness_pct,
 )
+from molflow.spherenet import SphereNetConfig, init_spherenet
 
 C = CRIPPEN_CONTRIB
 
@@ -342,6 +345,29 @@ def test_generate_random_with_check_returns_only_valid():
     if report.returned:
         assert report.validity_pct == 100.0
     assert report.cap_exhausted == (report.returned < 20)
+
+
+def test_generate_similar_canonicalizes_each_accepted_molecule_once(monkeypatch):
+    import molflow.pipeline as pipeline_module
+
+    cfg = FlowConfig(atom_hidden=8, bond_hidden=8, atom_layers=2, bond_layers=2)
+    flow = init_flow(cfg, SeededRng(1))
+    sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=cfg.d_total), SeededRng(2))
+    seeds = synthetic_corpus(2, SeededRng(3), with_geometry=True).records
+    over = Molecule.build(("C",) + ("F",) * 5, [(0, k, 1) for k in range(1, 6)])
+    good = parse_smiles("CC(=O)N")
+    # each decoded batch: one over-valent candidate, then accepted ones
+    monkeypatch.setattr(pipeline_module, "decode_batch",
+                        lambda params, zs: [over] + [good] * (len(zs) - 1))
+    written = []
+    real_write = pipeline_module.write_smiles
+    monkeypatch.setattr(pipeline_module, "write_smiles",
+                        lambda m: written.append(m) or real_write(m))
+    out, report = generate_similar(flow, sphere, seeds, 0.2, SeededRng(4),
+                                   per_seed=2, batch_size=4)
+    assert out == [good] * 4 and report.failures == 0
+    assert [row[1] for row in report.rows] == [real_write(good)] * 4
+    assert written == [good] * 4
 
 
 def test_moving_average_window():
