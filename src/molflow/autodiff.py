@@ -286,26 +286,6 @@ def tanh(x):
     return out
 
 
-def exp(x):
-    if not _is_traced(x):
-        return np.exp(_as_f64(x))
-    y = np.exp(x.data)
-    out = Tensor(y, (x,), op="exp")
-    out._backward = lambda g: _accumulate(x, g * y)
-    return out
-
-
-def log(x):
-    data = x.data if isinstance(x, Tensor) else _as_f64(x)
-    if np.any(data <= 0.0):
-        raise ValueError("log of non-positive value")
-    if not _is_traced(x):
-        return np.log(data)
-    out = Tensor(np.log(data), (x,), op="log")
-    out._backward = lambda g: _accumulate(x, g / data)
-    return out
-
-
 def sqrt(x):
     if not _is_traced(x):
         return np.sqrt(_as_f64(x))
@@ -333,30 +313,12 @@ def tsum(x, axis=None, keepdims=False):
     return out
 
 
-def mean(x, axis=None, keepdims=False):
-    if isinstance(x, Tensor):
-        n = x.data.size if axis is None else x.data.shape[axis]
-    else:
-        x = _as_f64(x)
-        n = x.size if axis is None else x.shape[axis]
-    return tsum(x, axis=axis, keepdims=keepdims) / n if isinstance(x, Tensor) else x.mean(axis=axis, keepdims=keepdims)
-
-
 def reshape(x, shape):
     if not _is_traced(x):
         return _as_f64(x).reshape(shape)
     old = x.data.shape
     out = Tensor(x.data.reshape(shape), (x,), op="reshape")
     out._backward = lambda g: _accumulate(x, g.reshape(old))
-    return out
-
-
-def transpose(x, axes):
-    if not _is_traced(x):
-        return _as_f64(x).transpose(axes)
-    inv = np.argsort(axes)
-    out = Tensor(x.data.transpose(axes), (x,), op="transpose")
-    out._backward = lambda g: _accumulate(x, g.transpose(inv))
     return out
 
 
@@ -394,28 +356,6 @@ def concat(xs, axis=0):
 
     out._backward = bwd
     return out
-
-
-PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "sum": tsum,
-    "concat": concat,
-    "slice": gather,
-    "reshape": reshape,
-}
-
-
-def apply_primitive(kind: str, *inputs, **kwargs):
-    if kind not in PRIMITIVES:
-        raise KeyError(f"unknown primitive {kind!r}")
-    return PRIMITIVES[kind](*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

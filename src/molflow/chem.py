@@ -379,10 +379,6 @@ def write_smiles(m: Molecule) -> str:
     return "".join(out)
 
 
-def canonical_smiles(text: str) -> str:
-    return write_smiles(parse_smiles(text))
-
-
 # ---------------------------------------------------------------------------
 # graph isomorphism (exact, for molecules of QM9 scale)
 # ---------------------------------------------------------------------------

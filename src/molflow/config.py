@@ -86,9 +86,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in dataclasses.fields(cls)}

@@ -50,9 +50,6 @@ class WeightTable:
     alpha_max: float
     floor: float
 
-    def weight_of(self, molecule_id: str) -> float:
-        return float(self.weights[self.ids.index(molecule_id)])
-
 
 def compute_weights(records: list[DockingRecord], floor: float = 0.01) -> WeightTable:
     """Min-max normalized selection weights, clamped below at `floor`.
@@ -97,12 +94,6 @@ def sample_epoch(table: WeightTable, rng: SeededRng, mode: str = "bernoulli") ->
     if mode == "categorical":
         return [int(rng.choice_index(table.weights)) for _ in range(n)]
     raise ValueError(f"unknown sampler mode {mode!r}")
-
-
-def epoch_stream(table: WeightTable, rng: SeededRng, mode: str = "bernoulli"):
-    """Endless generator of per-epoch selections."""
-    while True:
-        yield sample_epoch(table, rng, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +161,10 @@ def external_score(molecule: Molecule, config: ScorerConfig, coords=None) -> flo
 
     The request goes to the child's standard input as a SMILES line plus an
     optional XYZ block; the child answers with one line "SCORE <decimal>".
-    Timeouts are retried up to `config.retries` times.
+    A timeout or a non-zero exit is retried up to `config.retries` times,
+    so the scorer runs at most `config.retries + 1` times; the last such
+    failure is raised. A missing program or an unparseable answer is raised
+    at once.
     """
     request = _scorer_request(molecule, coords)
     last: ScorerError | None = None
@@ -259,8 +253,10 @@ def score_batch(molecules: list[tuple[str, Molecule]], config: ScorerConfig | No
                 cache: ScoreCache | None = None) -> BatchScoreResult:
     """Score molecules, preferring cached energies.
 
-    With `config` None the synthetic oracle runs in-process. Failures are
-    collected per molecule and never corrupt previously cached results.
+    With `config` None the synthetic oracle runs in-process. Each score goes
+    into `cache` as soon as it arrives, so an interrupted batch keeps the
+    scores it finished. Failures are collected per molecule and never
+    corrupt previously cached results.
     """
     records: dict[str, DockingRecord] = {}
     failures: dict[str, str] = {}
@@ -278,9 +274,11 @@ def score_batch(molecules: list[tuple[str, Molecule]], config: ScorerConfig | No
                 energy = synthetic_score(mol)
             else:
                 energy = external_score(mol, config)
-            return mid, mol, energy, None
         except ScorerError as exc:
-            return mid, mol, None, exc.reason
+            return mid, None, exc.reason
+        if cache is not None:
+            cache.add(mid, write_smiles(mol), energy)
+        return mid, energy, None
 
     workers = 1 if config is None else max(1, config.parallelism)
     if workers == 1:
@@ -288,12 +286,10 @@ def score_batch(molecules: list[tuple[str, Molecule]], config: ScorerConfig | No
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, todo))
-    for mid, mol, energy, err in results:
+    for mid, energy, err in results:
         if err is not None:
             failures[mid] = err
             continue
         records[mid] = DockingRecord(mid, energy)
-        if cache is not None:
-            cache.add(mid, write_smiles(mol), energy)
     ordered = [records[mid] for mid, _ in molecules if mid in records]
     return BatchScoreResult(ordered, failures)

@@ -114,38 +114,21 @@ def apply_mlp(p: Mlp, x):
 
 
 @dataclass
-class CouplingLayer:
-    """One affine coupling step.
-
-    ``kind`` selects the masking scheme: atom layers keep rows of one
-    parity and transform the rest; bond layers keep channels of one parity.
-    ``index`` parity decides which half is kept, so stacking layers with
-    consecutive indices transforms every coordinate.
-    """
-
-    kind: str   # "atom" | "bond"
-    index: int
-    mlp: Mlp
-
-    def named(self, prefix: str):
-        return self.mlp.named(prefix)
-
-
-@dataclass
 class FlowParams(ParamTree):
     """Trainable state of both flow tracks (the reverse-generation
-    parameters are these same arrays)."""
+    parameters are these same arrays): one scale/translation network per
+    coupling layer. Layer i of a track keeps the half of parity i."""
 
     config: FlowConfig
-    atom: list[CouplingLayer] = field(default_factory=list)
-    bond: list[CouplingLayer] = field(default_factory=list)
+    atom: list[Mlp] = field(default_factory=list)
+    bond: list[Mlp] = field(default_factory=list)
 
     def named_params(self) -> list[tuple[str, Array]]:
         out = []
-        for i, layer in enumerate(self.atom):
-            out += layer.named(f"flow.atom.{i}")
-        for i, layer in enumerate(self.bond):
-            out += layer.named(f"flow.bond.{i}")
+        for i, mlp in enumerate(self.atom):
+            out += mlp.named(f"flow.atom.{i}")
+        for i, mlp in enumerate(self.bond):
+            out += mlp.named(f"flow.bond.{i}")
         return out
 
 
@@ -156,19 +139,13 @@ def init_flow(config: FlowConfig, rng: SeededRng, zero_last: bool = True) -> Flo
     m = config.n_bond_types
     n_channels = m - 1  # bond-order channels used for conditioning
     atom_in = l + 2 * n_channels * l
-    atom = [
-        CouplingLayer("atom", i, mlp_init(rng.spawn(f"atom{i}"), atom_in,
-                                          config.atom_hidden, 2 * l, zero_last))
-        for i in range(config.atom_layers)
-    ]
+    atom = [mlp_init(rng.spawn(f"atom{i}"), atom_in, config.atom_hidden, 2 * l, zero_last)
+            for i in range(config.atom_layers)]
     kept = (m + 1) // 2
     bond_in = config.n_max * config.n_max * kept
     bond_out = 2 * config.n_max * config.n_max * (m - kept)
-    bond = [
-        CouplingLayer("bond", i, mlp_init(rng.spawn(f"bond{i}"), bond_in,
-                                          config.bond_hidden, bond_out, zero_last))
-        for i in range(config.bond_layers)
-    ]
+    bond = [mlp_init(rng.spawn(f"bond{i}"), bond_in, config.bond_hidden, bond_out, zero_last)
+            for i in range(config.bond_layers)]
     return FlowParams(config, atom, bond)
 
 
@@ -225,53 +202,31 @@ def _atom_masks(n: int, index: int) -> tuple[Array, Array]:
     return keep, 1.0 - keep
 
 
-def _bond_channel_split(m: int, index: int) -> tuple[list[int], list[int]]:
-    kept = [q for q in range(m) if q % 2 == index % 2]
-    trans = [q for q in range(m) if q % 2 != index % 2]
-    return kept, trans
-
-
-def coupling_forward(x, layer: CouplingLayer, condition=None):
-    """Forward coupling: identity on the kept half, x*sigmoid(s)+t on the
-    rest. Returns (z, per-sample logdet)."""
-    if layer.kind == "atom":
-        if condition is None:
-            raise ValueError("atom coupling layers require the bond tensor as condition")
-        return _atom_coupling(x, layer, condition, inverse=False)
-    return _bond_coupling(x, layer, inverse=False)
-
-
-def coupling_inverse(z, layer: CouplingLayer, condition=None):
-    """Exact algebraic inverse of ``coupling_forward``."""
-    if layer.kind == "atom":
-        if condition is None:
-            raise ValueError("atom coupling layers require the bond tensor as condition")
-        x, _ = _atom_coupling(z, layer, condition, inverse=True)
-        return x
-    x, _ = _bond_coupling(z, layer, inverse=True)
-    return x
-
-
-def _atom_st(x_masked, layer: CouplingLayer, channels: list[Array]):
+def _atom_st(x_masked, mlp: Mlp, channels: list[Array]):
     l = (x_masked.shape if isinstance(x_masked, np.ndarray) else x_masked.data.shape)[2]
     h1 = ad.concat([adj @ x_masked for adj in channels], axis=2)
     adj_sum = sum(channels[1:], channels[0])
     h2 = adj_sum @ h1
     feats = ad.concat([x_masked, h1, h2], axis=2)
-    st = apply_mlp(layer.mlp, feats)
+    st = apply_mlp(mlp, feats)
     s_raw = ad.gather(st, range(l), axis=2)
     t = ad.gather(st, range(l, 2 * l), axis=2)
     return s_raw, t
 
 
-def _atom_coupling(x, layer: CouplingLayer, bond_disc: Array, inverse: bool):
+def atom_coupling(x, mlp: Mlp, index: int, bond_disc: Array, inverse: bool = False):
+    """Atom-track coupling layer `index` on a (batch, n, l) tensor: rows of
+    parity `index` are kept, the others become x*sigmoid(s)+t with (s, t)
+    from `mlp` over the kept rows and their neighbourhoods in `bond_disc`.
+    Returns (z, per-sample logdet); with `inverse` the exact inverse (numpy
+    only) and logdet None."""
     if inverse and not isinstance(x, np.ndarray):
         raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
     n = x.shape[1] if isinstance(x, np.ndarray) else x.data.shape[1]
-    keep, trans = _atom_masks(n, layer.index)
+    keep, trans = _atom_masks(n, index)
     channels = _bond_channels(bond_disc)
     x_masked = x * keep
-    s_raw, t = _atom_st(x_masked, layer, channels)
+    s_raw, t = _atom_st(x_masked, mlp, channels)
     scale = ad.sigmoid(s_raw)
     if inverse:
         return x * keep + ((x - t) / scale) * trans, None
@@ -280,13 +235,18 @@ def _atom_coupling(x, layer: CouplingLayer, bond_disc: Array, inverse: bool):
     return z, logdet
 
 
-def _bond_coupling(x, layer: CouplingLayer, inverse: bool):
+def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
+    """Bond-track coupling layer `index` on a (batch, n, n, m) tensor:
+    channels of parity `index` are kept, the others become x*sigmoid(s)+t
+    with (s, t) from `mlp` over the kept channels. Returns (z, per-sample
+    logdet); with `inverse` the exact inverse and logdet None."""
     shape = x.shape if isinstance(x, np.ndarray) else x.data.shape
     batch, n, _, m = shape
-    kept_ch, trans_ch = _bond_channel_split(m, layer.index)
+    kept_ch = list(range(index % 2, m, 2))
+    trans_ch = list(range(1 - index % 2, m, 2))
     kept = ad.gather(x, kept_ch, axis=3)
     flat = ad.reshape(kept, (batch, n * n * len(kept_ch)))
-    st = apply_mlp(layer.mlp, flat)
+    st = apply_mlp(mlp, flat)
     half = n * n * len(trans_ch)
     s_raw = ad.reshape(ad.gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
     t = ad.reshape(ad.gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
@@ -298,14 +258,9 @@ def _bond_coupling(x, layer: CouplingLayer, inverse: bool):
     else:
         new_trans = trans * scale + t
         logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2, 3))
-    pieces = []
-    pos = {q: k for k, q in enumerate(trans_ch)}
-    for q in range(m):
-        if q in pos:
-            pieces.append(ad.gather(new_trans, [pos[q]], axis=3))
-        else:
-            pieces.append(ad.gather(x, [q], axis=3))
-    return ad.concat(pieces, axis=3), logdet
+    # kept || transformed, put back in channel order
+    order = np.argsort(kept_ch + trans_ch)
+    return ad.gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
 
 
 # ---------------------------------------------------------------------------
@@ -315,29 +270,29 @@ def _bond_coupling(x, layer: CouplingLayer, inverse: bool):
 
 def atom_flow_forward(params: FlowParams, x, bond_disc: Array):
     logdet = None
-    for layer in params.atom:
-        x, ld = _atom_coupling(x, layer, bond_disc, inverse=False)
+    for i, mlp in enumerate(params.atom):
+        x, ld = atom_coupling(x, mlp, i, bond_disc)
         logdet = ld if logdet is None else logdet + ld
     return x, logdet
 
 
 def atom_flow_inverse(params: FlowParams, z: Array, bond_disc: Array) -> Array:
-    for layer in reversed(params.atom):
-        z, _ = _atom_coupling(z, layer, bond_disc, inverse=True)
+    for i in reversed(range(len(params.atom))):
+        z, _ = atom_coupling(z, params.atom[i], i, bond_disc, inverse=True)
     return z
 
 
 def bond_flow_forward(params: FlowParams, x):
     logdet = None
-    for layer in params.bond:
-        x, ld = _bond_coupling(x, layer, inverse=False)
+    for i, mlp in enumerate(params.bond):
+        x, ld = bond_coupling(x, mlp, i)
         logdet = ld if logdet is None else logdet + ld
     return x, logdet
 
 
 def bond_flow_inverse(params: FlowParams, z: Array) -> Array:
-    for layer in reversed(params.bond):
-        z, _ = _bond_coupling(z, layer, inverse=True)
+    for i in reversed(range(len(params.bond))):
+        z, _ = bond_coupling(z, params.bond[i], i, inverse=True)
     return z
 
 
@@ -397,14 +352,20 @@ def encode(params: FlowParams, molecule: Molecule, rng: SeededRng,
     )
 
 
-def decode_batch(params: FlowParams, z: Array) -> list[Molecule]:
-    """Invert a (batch, d_total) latent block into raw molecules (no
-    valency screening)."""
+def decode_tensors(params: FlowParams, z: Array) -> tuple[Array, Array]:
+    """Invert a (batch, d_total) latent block into the continuous atom
+    tensor and the discretized bond tensor that ``from_tensors`` reads."""
     cfg = params.config
     za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
     zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
     xa, xb = decode_continuous(params, za, zb)
-    bond_disc = discretize_bonds(xb)
+    return xa, discretize_bonds(xb)
+
+
+def decode_batch(params: FlowParams, z: Array) -> list[Molecule]:
+    """Invert a (batch, d_total) latent block into raw molecules (no
+    valency screening)."""
+    xa, bond_disc = decode_tensors(params, z)
     return [from_tensors(xa[i], bond_disc[i]) for i in range(z.shape[0])]
 
 

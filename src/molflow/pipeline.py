@@ -43,7 +43,7 @@ from .flow import (
     ParamTree,
     apply_mlp,
     decode_batch,
-    discretize_bonds,
+    decode_tensors,
     encode,
     fit_step,
     make_optimizer,
@@ -230,61 +230,45 @@ def generate_random(params: FlowParams, count: int, check: bool, temperature: fl
     passes the valency check by construction. Validity-without-check is
     measured on all raw decodes either way.
     """
-    from .chem import from_tensors
-    from .flow import decode_continuous
+    from .chem import from_tensors  # per call: perfbench's tracer patches chem.from_tensors
 
     training = training or set()
     cfg = params.config
     molecules: list[Molecule] = []
+    valid: list[bool] = []   # valency_check of each kept molecule
     raw_attempts = 0
     raw_valid = 0
     cap = count * max_attempts_per
     while len(molecules) < count:
-        if check:
-            take = min(batch_size, cap - raw_attempts)
-            if take <= 0:
-                break
-        else:
-            take = count - len(molecules)
+        take = min(batch_size, cap - raw_attempts if check else count - len(molecules))
+        if take <= 0:
+            break
         z = sample_prior(rng, cfg, temperature=temperature, count=take)
-        za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
-        zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
-        xa, xb = decode_continuous(params, za, zb)
-        bond_disc = discretize_bonds(xb)
+        xa, bond_disc = decode_tensors(params, z)
         raw_attempts += take
-        if check:
-            for i in np.nonzero(_valence_prescreen(xa, bond_disc))[0]:
-                mol = from_tensors(xa[i], bond_disc[i])
-                if valency_check(mol):
-                    raw_valid += 1
-                    if len(molecules) < count:
-                        molecules.append(mol)
-        else:
-            for i in range(take):
-                mol = from_tensors(xa[i], bond_disc[i])
-                if valency_check(mol):
-                    raw_valid += 1
+        rows = np.nonzero(_valence_prescreen(xa, bond_disc))[0] if check else range(take)
+        for i in rows:
+            mol = from_tensors(xa[i], bond_disc[i])
+            ok = valency_check(mol)
+            raw_valid += ok
+            if (ok or not check) and len(molecules) < count:
                 molecules.append(mol)
+                valid.append(ok)
     cap_exhausted = check and len(molecules) < count
 
     entries = []
     valid_smiles = []
-    n_valid = 0
-    for idx, mol in enumerate(molecules):
-        ok = valency_check(mol)
+    for idx, (mol, ok) in enumerate(zip(molecules, valid)):
         smi = safe_canonical(mol) if ok else None
-        if smi is None:
-            ok = False
-        if ok:
-            n_valid += 1
+        if smi is not None:
             valid_smiles.append(smi)
-        entries.append((idx, ok, smi or ""))
+        entries.append((idx, smi is not None, smi or ""))
     returned = len(molecules)
     report = GenerationReport(
         requested=count,
         returned=returned,
         raw_attempts=raw_attempts,
-        validity_pct=100.0 * n_valid / returned if returned else 0.0,
+        validity_pct=100.0 * len(valid_smiles) / returned if returned else 0.0,
         validity_wo_check_pct=100.0 * raw_valid / raw_attempts if raw_attempts else 0.0,
         novelty_pct=novelty_pct(valid_smiles, training),
         uniqueness_pct=uniqueness_pct(valid_smiles),
@@ -640,16 +624,6 @@ class FlowTrainResult:
     probe_history: list[tuple[int, float]]
     best_epoch: int
     best_validity: float
-    epochs_with_empty_selection: int = 0
-
-
-def moving_average(xs: list[float], window: int) -> list[float]:
-    if window <= 1:
-        return list(xs)
-    out = []
-    for i in range(len(xs) - window + 1):
-        out.append(float(np.mean(xs[i:i + window])))
-    return out
 
 
 def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
@@ -670,6 +644,9 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     """
     if probe_every < 1:
         raise ValueError(f"probe_every must be at least 1, got {probe_every}")
+    if weight_table is not None and len(weight_table.ids) != len(records):
+        raise ValueError(f"weight table has {len(weight_table.ids)} entries "
+                         f"for {len(records)} records")
     cfg = params.config
     atoms, bonds = tensor_batches(records, cfg.n_max)
     opt = make_optimizer(params, lr=lr)
@@ -681,7 +658,6 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     epoch_nll: list[float] = []
     probe_history: list[tuple[int, float]] = []
     best = (-1.0, -1, None)
-    empty_selections = 0
 
     def probe(epoch: int) -> float:
         mols = decode_batch(params, probe_z)
@@ -690,9 +666,6 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     for epoch in range(epochs):
         if weight_table is not None:
             selected = sample_epoch(weight_table, sampler_rng, sampler_mode)
-            if not selected:
-                empty_selections += 1
-                selected = list(range(len(records)))
         else:
             selected = list(range(len(records)))
         idx = np.asarray(selected)[order_rng.permutation(len(selected))]
@@ -715,5 +688,4 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
         probe_history=probe_history,
         best_epoch=best[1],
         best_validity=best[0],
-        epochs_with_empty_selection=empty_selections,
     )

@@ -16,6 +16,14 @@ from molflow.chem import (
 )
 
 
+def moving_average(xs: list[float], window: int) -> list[float]:
+    """Means of every `window` consecutive values (the list itself for a
+    window of at most 1)."""
+    if window <= 1:
+        return list(xs)
+    return [float(np.mean(xs[i:i + window])) for i in range(len(xs) - window + 1)]
+
+
 def tanimoto_sets(a: set, b: set) -> float:
     if not a and not b:
         return 1.0

@@ -33,7 +33,8 @@ from molflow.dataset import synthetic_corpus
 from molflow.docking import DockingRecord, compute_weights, sample_epoch
 from molflow.flow import (
     FlowConfig,
-    coupling_forward,
+    atom_coupling,
+    bond_coupling,
     decode_continuous,
     discretize_bonds,
     encode_continuous,
@@ -47,7 +48,6 @@ from molflow.pipeline import (
     generate_random,
     generate_similar,
     maccs_similarity,
-    moving_average,
     optimize_property,
     similarity_triple,
     uniqueness_pct,
@@ -122,26 +122,26 @@ def test_03_gradient_fidelity():
 
         # atom coupling layer (scale, translation, and logdet path)
         def atom_fn(x):
-            z, logdet = coupling_forward(ad.reshape(x, (1, 2, 2)), params.atom[0], bond_disc)
+            z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, bond_disc)
             return ad.tsum(z * z) + ad.tsum(logdet)
 
         check(atom_fn, (2, 2))
 
         # bond coupling layer
         def bond_fn(x):
-            z, logdet = coupling_forward(ad.reshape(x, (1, 2, 2, 2)), params.bond[1])
+            z, logdet = bond_coupling(ad.reshape(x, (1, 2, 2, 2)), params.bond[1], 1)
             return ad.tsum(z * z) + ad.tsum(logdet)
 
         check(bond_fn, (2, 2, 2))
 
         # atom coupling parameters
-        mlp = params.atom[0].mlp
+        mlp = params.atom[0]
 
         def atom_w1_fn(w):
             saved = mlp.w1
             mlp.w1 = w
             try:
-                z, logdet = coupling_forward(rng_point, params.atom[0], bond_disc)
+                z, logdet = atom_coupling(rng_point, mlp, 0, bond_disc)
                 return ad.tsum(z * z) + ad.tsum(logdet)
             finally:
                 mlp.w1 = saved
@@ -249,7 +249,7 @@ def test_06_desk_training_signal(desk):
     with criterion(6, "desk-scale training signal (NLL descent + validity gain)"):
         nll = desk["train_result"].epoch_nll
         assert len(nll) >= 30
-        smoothed = moving_average(nll[:30], 5)
+        smoothed = oracles.moving_average(nll[:30], 5)
         assert all(b < a for a, b in zip(smoothed, smoothed[1:])), smoothed
         _, trained_report = generate_random(desk["flow"], 1000, check=False,
                                             temperature=0.12, rng=SeededRng(207))

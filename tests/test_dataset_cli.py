@@ -241,7 +241,7 @@ def test_checkpoint_rejects_old_format(tmp_path, capsys):
 def test_config_round_trip_and_overrides(tmp_path):
     config = RunConfig(seed=3, epochs=7)
     path = tmp_path / "c.json"
-    path.write_text(config.to_json())
+    path.write_text(json.dumps(config.to_dict()))
     again = RunConfig.from_file(path)
     assert again == config
     assert again.with_overrides({"epochs": 9}).epochs == 9

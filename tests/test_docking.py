@@ -17,7 +17,6 @@ from molflow.docking import (
     ScorerError,
     WeightTable,
     compute_weights,
-    epoch_stream,
     external_score,
     sample_epoch,
     score_batch,
@@ -49,7 +48,7 @@ def test_weights_all_equal_alpha():
 
 def test_weight_of_max_alpha_is_one():
     table = compute_weights(records([1.0, 9.0]))
-    assert table.weight_of("m1") == 1.0
+    assert table.weights[table.ids.index("m1")] == 1.0
 
 
 def test_weights_require_unique_ids():
@@ -122,9 +121,12 @@ def test_sampler_categorical_mode():
 
 
 def test_epoch_stream_yields_epochs():
-    table = compute_weights(records([1.0, 2.0]))
-    stream = epoch_stream(table, SeededRng(85))
-    assert len([next(stream) for _ in range(5)]) == 5
+    # successive epochs drawn from one stream, as train_flow draws them; an
+    # epoch whose draws all miss falls back to every molecule, never to none
+    table = WeightTable(("a", "b", "c"), np.full(3, 1e-3), 0.0, 1.0, 0.0)
+    rng = SeededRng(85)
+    epochs = [sample_epoch(table, rng) for _ in range(5)]
+    assert all(epoch and set(epoch) <= {0, 1, 2} for epoch in epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +190,16 @@ def test_external_score_nonzero_exit():
     assert err.value.reason == "nonzero_exit"
 
 
+def test_external_score_retries_nonzero_exit(tmp_path):
+    runs = tmp_path / "runs.txt"
+    script = f"open({str(runs)!r}, 'a').write('x'); raise SystemExit(1)"
+    cfg = ScorerConfig([sys.executable, "-c", script], timeout=30.0, retries=2)
+    with pytest.raises(ScorerError) as err:
+        external_score(parse_smiles("C"), cfg)
+    assert err.value.reason == "nonzero_exit"
+    assert runs.read_text() == "x" * (cfg.retries + 1)
+
+
 def test_external_score_not_found():
     cfg = ScorerConfig(["/nonexistent/scorer"], timeout=5.0, retries=0)
     with pytest.raises(ScorerError) as err:
@@ -218,6 +230,25 @@ def test_score_batch_synthetic_and_cache_resume(tmp_path):
     assert cache2.entries == cache.entries
     again = score_batch(mols, None, cache2)
     assert [r.energy for r in again.records] == [r.energy for r in result.records]
+
+
+def test_interrupted_batch_keeps_finished_scores(tmp_path, monkeypatch):
+    import molflow.docking as docking
+
+    calls = []
+
+    def interrupted_on_third(m):
+        calls.append(m)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return synthetic_score(m)
+
+    monkeypatch.setattr(docking, "synthetic_score", interrupted_on_third)
+    mols = [(s, parse_smiles(s)) for s in ("C", "CC", "C1CC1", "CCO")]
+    with pytest.raises(KeyboardInterrupt):
+        score_batch(mols, None, ScoreCache.load(tmp_path / "cache.csv"))
+    reloaded = ScoreCache.load(tmp_path / "cache.csv")
+    assert reloaded.entries == {s: synthetic_score(m) for s, m in mols[:2]}
 
 
 def test_failing_scorer_never_corrupts_cache(tmp_path):

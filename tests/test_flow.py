@@ -10,8 +10,8 @@ from molflow.dataset import synthetic_corpus, tensor_batches
 from molflow.flow import (
     FlowConfig,
     LatentVector,
-    coupling_forward,
-    coupling_inverse,
+    atom_coupling,
+    bond_coupling,
     decode,
     decode_batch,
     decode_continuous,
@@ -83,8 +83,7 @@ def test_zero_initialized_coupling_halves_the_transformed_coordinates():
     params = init_flow(cfg, SeededRng(6))  # zero_last: s == 0, t == 0
     rng = SeededRng(7)
     x = rng.uniform(0.0, 1.0, (3, 9, 9, 4))
-    layer = params.bond[0]
-    z, logdet = coupling_forward(x, layer)
+    z, logdet = bond_coupling(x, params.bond[0], 0)
     kept = [0, 2]
     assert np.array_equal(z[..., kept], x[..., kept])        # identity half untouched
     assert np.allclose(z[..., [1, 3]], 0.5 * x[..., [1, 3]])  # sigma(0) = 0.5
@@ -97,15 +96,9 @@ def test_zero_initialized_inverse_doubles():
     params = init_flow(cfg, SeededRng(8))
     rng = SeededRng(9)
     z = rng.normal((2, 9, 9, 4))
-    x = coupling_inverse(z, params.bond[0])
+    x, _ = bond_coupling(z, params.bond[0], 0, inverse=True)
     assert np.allclose(x[..., [1, 3]], 2.0 * z[..., [1, 3]])
     assert np.array_equal(x[..., [0, 2]], z[..., [0, 2]])
-
-
-def test_atom_coupling_requires_condition():
-    params = init_flow(FlowConfig(), SeededRng(10))
-    with pytest.raises(ValueError):
-        coupling_forward(np.zeros((1, 9, 5)), params.atom[0])
 
 
 def test_coupling_round_trip_random_layer():
@@ -114,9 +107,8 @@ def test_coupling_round_trip_random_layer():
     rng = SeededRng(12)
     bond_disc = discretize_bonds(rng.uniform(0, 1, (4, 9, 9, 4)))
     x = rng.uniform(0, 1, (4, 9, 5))
-    layer = params.atom[2]
-    z, _ = coupling_forward(x, layer, bond_disc)
-    back = coupling_inverse(z, layer, bond_disc)
+    z, _ = atom_coupling(x, params.atom[2], 2, bond_disc)
+    back, _ = atom_coupling(z, params.atom[2], 2, bond_disc, inverse=True)
     assert np.abs(back - x).max() < 1e-12
 
 
@@ -317,7 +309,7 @@ def test_gradient_check_full_coupling_layer():
     bond_disc = discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2)))
 
     def f(x):
-        z, logdet = coupling_forward(ad.reshape(x, (1, 2, 2)), params.atom[0], bond_disc)
+        z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, bond_disc)
         return ad.tsum(z * z) + ad.tsum(logdet)
 
     for _ in range(10):

@@ -22,7 +22,6 @@ from molflow.pipeline import (
     excise_fragment,
     generate_random,
     generate_similar,
-    moving_average,
     novelty_pct,
     optimize_property,
     qed_descriptors,
@@ -334,6 +333,10 @@ def test_generate_random_without_check_counts_raw_validity():
     assert report.returned == 50 and len(mols) == 50
     assert report.raw_attempts == 50
     assert report.validity_pct == pytest.approx(report.validity_wo_check_pct)
+    # decoding in batches of 16 draws the same latents as one batch of 50
+    _, chunked = generate_random(flow, 50, check=False, temperature=0.7,
+                                 rng=SeededRng(100), batch_size=16)
+    assert chunked == report
 
 
 def test_generate_random_with_check_returns_only_valid():
@@ -371,8 +374,23 @@ def test_generate_similar_canonicalizes_each_accepted_molecule_once(monkeypatch)
 
 
 def test_moving_average_window():
+    from oracles import moving_average
+
     assert moving_average([4.0, 2.0, 0.0], 1) == [4.0, 2.0, 0.0]
     assert moving_average([4.0, 2.0, 0.0], 2) == [3.0, 1.0]
+
+
+def test_train_flow_rejects_weight_table_of_other_length():
+    from molflow.docking import DockingRecord, compute_weights
+
+    rng = SeededRng(104)
+    records = synthetic_corpus(10, rng.spawn("c"), with_geometry=False).records
+    flow = init_flow(FlowConfig(atom_hidden=8, bond_hidden=8), rng.spawn("i"))
+    for n in (len(records) - 1, len(records) + 1):
+        table = compute_weights([DockingRecord(str(i), -1.0 - i) for i in range(n)])
+        with pytest.raises(ValueError, match="weight table"):
+            train_flow(flow, records, epochs=1, rng=rng.spawn("t"), weight_table=table,
+                       probe_count=4)
 
 
 def test_train_flow_with_weight_table_is_deterministic():
