@@ -359,39 +359,6 @@ def concat(xs, axis=0):
 
 
 # ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def gradient_check(f, point: Array, eps: float = 1e-6) -> float:
-    """Max relative error between tape and central-difference gradients.
-
-    `f` maps one Tensor to a scalar Tensor. The error at coordinate i is
-    |analytic_i - numeric_i| / max(1, |analytic_i|) and the maximum over
-    coordinates is returned.
-    """
-    if not 0.0 < eps <= 1e-2:
-        raise ValueError("eps must lie in (0, 1e-2]")
-    point = _as_f64(point)
-    leaf = Tensor(point)
-    (analytic,) = backward(f(leaf), [leaf])
-
-    numeric = np.zeros_like(point)
-    flat = point.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[i] = eps
-        hi = f(Tensor((flat + bump).reshape(point.shape))).item()
-        lo = f(Tensor((flat - bump).reshape(point.shape))).item()
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("non-finite function value near point")
-        num_flat[i] = (hi - lo) / (2.0 * eps)
-    err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(err.max()) if err.size else 0.0
-
-
-# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
@@ -409,10 +376,8 @@ class AdamState:
     v: list[Array] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[Array], lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                   m=[np.zeros_like(p) for p in params],
+    def for_params(cls, params: list[Array], lr: float = 1e-3) -> "AdamState":
+        return cls(lr=lr, m=[np.zeros_like(p) for p in params],
                    v=[np.zeros_like(p) for p in params])
 
 

@@ -91,29 +91,20 @@ class Molecule:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _cycle_lengths(self) -> dict[tuple[int, int], int]:
+        """Length of the shortest cycle through each bond ``(i, j)``; 0 for
+        a bridge."""
+        return {(i, j): _shortest_cycle_through(self, i, j) for i, j, _ in self.bonds}
+
+    @cached_property
     def cyclic_bonds(self) -> frozenset[tuple[int, int]]:
         """Bonds ``(i, j)`` lying on some cycle: the non-bridge edges."""
-        out = set()
-        for i, j, _ in self.bonds:
-            # edge is cyclic iff endpoints stay connected without it
-            seen = {i}
-            queue = [i]
-            while queue:
-                cur = queue.pop()
-                for nb, _ in self.adjacency[cur]:
-                    if (min(cur, nb), max(cur, nb)) == (i, j):
-                        continue
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-            if j in seen:
-                out.add((i, j))
-        return frozenset(out)
+        return frozenset(b for b, length in self._cycle_lengths.items() if length)
 
     @cached_property
     def ring_sizes(self) -> frozenset[int]:
         """Length of the shortest cycle through each cyclic bond."""
-        return frozenset(_shortest_cycle_through(self, i, j) for i, j in self.cyclic_bonds)
+        return frozenset(length for length in self._cycle_lengths.values() if length)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -380,57 +371,6 @@ def write_smiles(m: Molecule) -> str:
 
 
 # ---------------------------------------------------------------------------
-# graph isomorphism (exact, for molecules of QM9 scale)
-# ---------------------------------------------------------------------------
-
-
-def is_isomorphic(a: Molecule, b: Molecule) -> bool:
-    """Exact isomorphism by backtracking over element/degree-compatible maps."""
-    if a.num_atoms != b.num_atoms or len(a.bonds) != len(b.bonds):
-        return False
-    if sorted(a.elements) != sorted(b.elements):
-        return False
-
-    def signature(m: Molecule, i: int):
-        return (m.elements[i], m.degree(i), tuple(sorted(o for _, o in m.adjacency[i])))
-
-    sig_a = [signature(a, i) for i in range(a.num_atoms)]
-    sig_b = [signature(b, i) for i in range(b.num_atoms)]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
-
-    order = sorted(range(a.num_atoms), key=lambda i: (-a.degree(i), sig_a[i]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in range(b.num_atoms):
-            if j in used or sig_b[j] != sig_a[i]:
-                continue
-            ok = True
-            for nb, bond_order in a.adjacency[i]:
-                if nb in mapping:
-                    want = [o for t, o in b.adjacency[j] if t == mapping[nb]]
-                    if want != [bond_order]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[i] = j
-            used.add(j)
-            if extend(k + 1):
-                return True
-            del mapping[i]
-            used.remove(j)
-        return False
-
-    return extend(0)
-
-
-# ---------------------------------------------------------------------------
 # tensor encoding
 # ---------------------------------------------------------------------------
 
@@ -667,8 +607,12 @@ def _path_hash(canon: tuple) -> int:
     return _hash_tuple(("path", canon))
 
 
-def morgan_fingerprint(m: Molecule, radius: int = 2, bits: int = 2048) -> Fingerprint:
-    """Circular fingerprint: hashed atom environments for radius 0..`radius`.
+MORGAN_RADIUS = 2
+
+
+def morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
+    """Circular fingerprint: hashed atom environments for radius
+    0..``MORGAN_RADIUS``.
 
     The radius-0 invariant is (element, heavy degree, total bond order,
     implicit hydrogens); each refinement hashes the previous invariant with
@@ -682,7 +626,7 @@ def morgan_fingerprint(m: Molecule, radius: int = 2, bits: int = 2048) -> Finger
         for i in range(m.num_atoms)
     ]
     on: set[int] = {h % bits for h in env}
-    for _ in range(radius):
+    for _ in range(MORGAN_RADIUS):
         env = [
             _hash_tuple(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
             for i in range(m.num_atoms)

@@ -63,8 +63,10 @@ def log(**kv) -> None:
     print(" ".join(f"{k}={v}" for k, v in kv.items()), file=sys.stderr)
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+def _load_config(args, default: RunConfig | None = None) -> RunConfig:
+    """The --config file, else `default` or the defaults, plus the
+    command-line overrides."""
+    config = RunConfig.from_file(args.config) if args.config else default or RunConfig()
     overrides = {}
     for key in ("seed", "epochs", "temperature", "fusion_epochs"):
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -209,11 +211,7 @@ def cmd_train_flow(args) -> int:
 
 def cmd_train_fusion(args) -> int:
     config_ckpt, flow_params, _ = load_checkpoint(args.checkpoint)
-    config = RunConfig.from_file(args.config) if args.config else config_ckpt
-    config = config.with_overrides({
-        k: getattr(args, k) for k in ("seed", "fusion_epochs")
-        if getattr(args, k, None) is not None
-    })
+    config = _load_config(args, default=config_ckpt)
     ds = _load_dataset(args.data, config)
     usable = ds.with_geometry()
     if args.subset:
@@ -230,8 +228,6 @@ def cmd_train_fusion(args) -> int:
                           batch_size=config.fusion_batch_size)
     for epoch, loss in enumerate(result.epoch_losses):
         log(event="fusion-epoch", epoch=epoch, loss=f"{loss:.4f}")
-    if result.skipped_no_geometry:
-        log(event="fusion-skipped", count=result.skipped_no_geometry)
     save_checkpoint(args.out, config, flow_params, sphere)
     log(event="train-fusion", checkpoint=args.out)
     return 0
@@ -338,8 +334,7 @@ def cmd_optimize_property(args) -> int:
     enc_rng = rng.spawn("latents")
     latents, values = [], []
     for i, rec in enumerate(ds.records):
-        lat, _ = encode(flow_params, rec.molecule, enc_rng.spawn(f"m{i}"))
-        latents.append(lat.z)
+        latents.append(encode(flow_params, rec.molecule, enc_rng.spawn(f"m{i}"))[0])
         values.append(prop_fn(rec.molecule))
     latents = np.stack(latents)
     values = np.asarray(values)
@@ -375,12 +370,11 @@ def cmd_optimize_property(args) -> int:
 
 
 def cmd_optimize_fragment(args) -> int:
-    config, flow_params, sphere = load_checkpoint(args.checkpoint)
+    config, flow_params, _ = load_checkpoint(args.checkpoint)
     host = parse_smiles(args.host)
     atoms = {int(a) for a in args.fragment_atoms.split(",")}
     rng = SeededRng(config.seed).spawn("optimize-fragment")
-    result = optimize_substructure(host, atoms, flow_params, sphere, rng,
-                                   lam=config.noise_fraction)
+    result = optimize_substructure(host, atoms, flow_params, rng, lam=config.noise_fraction)
     payload = {
         "config": config.to_dict(),
         "seed": config.seed,

@@ -57,10 +57,10 @@ class DatasetRecord:
     def has_geometry(self) -> bool:
         return self.coords is not None
 
-    def geometry(self, cutoff: float = 5.0, d_u: int = 32) -> Geometry:
+    def geometry(self, cutoff: float = 5.0) -> Geometry:
         if not self.has_geometry:
             raise ValueError(f"record {self.smiles} has no geometry")
-        return build_geometry(self.elements, self.coords, cutoff=cutoff, d_u=d_u)
+        return build_geometry(self.elements, self.coords, cutoff=cutoff)
 
 
 @dataclass
@@ -336,13 +336,13 @@ def layout_coordinates(mol: Molecule, rng: SeededRng, steps: int = 400) -> np.nd
 
 
 def synthetic_corpus(count: int, rng: SeededRng, n_max: int = 9,
-                     with_geometry: bool = True, max_attempts: int | None = None) -> Dataset:
+                     with_geometry: bool = True) -> Dataset:
     """Deterministic corpus of distinct valid molecules with optional 3D
-    coordinates."""
+    coordinates; gives up after 60 random molecules per requested one."""
     seen: set[str] = set()
     records: list[DatasetRecord] = []
     attempts = 0
-    cap = max_attempts if max_attempts is not None else count * 60
+    cap = count * 60
     while len(records) < count and attempts < cap:
         attempts += 1
         mol = random_molecule(rng, n_max)

@@ -48,24 +48,6 @@ class FlowConfig:
         return self.d_atom + self.d_bond
 
 
-@dataclass(frozen=True)
-class LatentVector:
-    """Flow latent, atoms first: z = z_atom || z_bond."""
-
-    z_atom: Array
-    z_bond: Array
-
-    @property
-    def z(self) -> Array:
-        return np.concatenate([self.z_atom, self.z_bond])
-
-    @staticmethod
-    def split(z: Array, config: FlowConfig) -> "LatentVector":
-        if z.shape != (config.d_total,):
-            raise ValueError(f"latent length {z.shape} != ({config.d_total},)")
-        return LatentVector(z[: config.d_atom].copy(), z[config.d_atom:].copy())
-
-
 class ParamTree:
     """Base of the parameter containers; each lists its arrays in
     ``named_params()``."""
@@ -141,11 +123,12 @@ def init_flow(config: FlowConfig, rng: SeededRng, zero_last: bool = True) -> Flo
     atom_in = l + 2 * n_channels * l
     atom = [mlp_init(rng.spawn(f"atom{i}"), atom_in, config.atom_hidden, 2 * l, zero_last)
             for i in range(config.atom_layers)]
-    kept = (m + 1) // 2
-    bond_in = config.n_max * config.n_max * kept
-    bond_out = 2 * config.n_max * config.n_max * (m - kept)
-    bond = [mlp_init(rng.spawn(f"bond{i}"), bond_in, config.bond_hidden, bond_out, zero_last)
-            for i in range(config.bond_layers)]
+    nn = config.n_max * config.n_max
+    bond = []
+    for i in range(config.bond_layers):
+        kept = len(range(i % 2, m, 2))  # channels of layer i's parity
+        bond.append(mlp_init(rng.spawn(f"bond{i}"), nn * kept, config.bond_hidden,
+                             2 * nn * (m - kept), zero_last))
     return FlowParams(config, atom, bond)
 
 
@@ -322,15 +305,14 @@ def decode_continuous(params: FlowParams, za: Array, zb: Array) -> tuple[Array, 
     return xa, xb
 
 
-def encode_tensors(params: FlowParams, atom: Array, bond: Array, rng: SeededRng,
-                   noise_scale: float | None = None):
-    """Dequantize one-hot batches and ``encode_continuous`` them; the atom
-    track's condition, the discretized bonds, is `bond` again for noise
-    scales up to 0.5. Returns (za, zb, log_likelihood per sample)."""
+def encode_tensors(params: FlowParams, atom: Array, bond: Array, rng: SeededRng):
+    """Dequantize one-hot batches at the config's noise scale and
+    ``encode_continuous`` them; the atom track's condition, the discretized
+    bonds, is `bond` again for noise scales up to 0.5. Returns (za, zb,
+    log_likelihood per sample)."""
     cfg = params.config
-    scale = cfg.noise_scale if noise_scale is None else noise_scale
-    za, zb, ld_a, ld_b = encode_continuous(params, dequantize(atom, scale, rng),
-                                           dequantize(bond, scale, rng))
+    za, zb, ld_a, ld_b = encode_continuous(params, dequantize(atom, cfg.noise_scale, rng),
+                                           dequantize(bond, cfg.noise_scale, rng))
     loglik = (gauss_log_density(za, cfg.d_atom) + ld_a
               + gauss_log_density(zb, cfg.d_bond) + ld_b)
     data_a = za.data if isinstance(za, Tensor) else za
@@ -340,16 +322,12 @@ def encode_tensors(params: FlowParams, atom: Array, bond: Array, rng: SeededRng,
     return za, zb, loglik
 
 
-def encode(params: FlowParams, molecule: Molecule, rng: SeededRng,
-           noise_scale: float | None = None) -> tuple[LatentVector, float]:
-    """Encode one molecule; returns its latent and exact log-likelihood."""
-    cfg = params.config
-    atom, bond = to_tensors(molecule, cfg.n_max)
-    za, zb, loglik = encode_tensors(params, atom[None], bond[None], rng, noise_scale)
-    return (
-        LatentVector(za.reshape(-1), zb.reshape(-1)),
-        float(loglik[0]),
-    )
+def encode(params: FlowParams, molecule: Molecule, rng: SeededRng) -> tuple[Array, float]:
+    """Encode one molecule; returns its (d_total,) latent, atoms first
+    (z_atom || z_bond), and its exact log-likelihood."""
+    atom, bond = to_tensors(molecule, params.config.n_max)
+    za, zb, loglik = encode_tensors(params, atom[None], bond[None], rng)
+    return np.concatenate([za.reshape(-1), zb.reshape(-1)]), float(loglik[0])
 
 
 def decode_tensors(params: FlowParams, z: Array) -> tuple[Array, Array]:
@@ -369,15 +347,13 @@ def decode_batch(params: FlowParams, z: Array) -> list[Molecule]:
     return [from_tensors(xa[i], bond_disc[i]) for i in range(z.shape[0])]
 
 
-def decode(params: FlowParams, z: LatentVector | Array,
-           check_valency: bool = True) -> Molecule | None:
-    """Invert one latent into a molecule.
+def decode(params: FlowParams, z: Array, check_valency: bool = True) -> Molecule | None:
+    """Invert one (d_total,) latent into a molecule.
 
     With the valency check on, a chemically invalid sample is rejected and
     None is returned so the caller can resample.
     """
-    vec = z.z if isinstance(z, LatentVector) else np.asarray(z)
-    mol = decode_batch(params, vec[None])[0]
+    mol = decode_batch(params, np.asarray(z)[None])[0]
     if check_valency and not valency_check(mol):
         return None
     return mol
@@ -402,7 +378,10 @@ def make_optimizer(params: ParamTree, lr: float = 1e-3) -> AdamState:
 
 
 def clip_gradients(grads: list[Array], max_norm: float) -> list[Array]:
-    """Scale the gradient list so its global L2 norm is at most max_norm."""
+    """Scale the gradient list so its global L2 norm is at most max_norm,
+    which must be positive."""
+    if not max_norm > 0.0:
+        raise ValueError(f"clip norm must be positive, got {max_norm}")
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if total <= max_norm or total == 0.0:
         return grads

@@ -1,7 +1,8 @@
 """3D molecular geometry and rotation/translation-invariant edge features.
 
-A molecule's geometry is a 4-tuple: a global feature vector, per-atom
-feature vectors, directed edges, and Cartesian coordinates. Each directed
+A molecule's geometry holds per-atom feature vectors, directed edges, and
+Cartesian coordinates; the encoder's global feature is not part of it and
+starts at zero (``spherenet``). Each directed
 edge is described in a local spherical frame (r, theta, phi) anchored at the
 receiving atom, then expanded in a spherical Bessel radial basis and real
 spherical harmonics to give the three physical representations used for
@@ -26,16 +27,15 @@ ENVELOPE_ORDER = 5
 
 @dataclass(frozen=True)
 class Geometry:
-    """4-tuple geometry: global feature u, atom features v, directed edges
-    (receiver, sender), and coordinates in Angstrom. Edges always come in
-    both directions for each neighbor pair."""
+    """Atom features v, directed edges (receiver, sender), and coordinates
+    in Angstrom. Edges always come in both directions for each neighbor
+    pair."""
 
     elements: tuple[str, ...]
     coords: np.ndarray          # (n, 3)
     receivers: np.ndarray       # (n_edges,) int
     senders: np.ndarray         # (n_edges,) int
     v: np.ndarray               # (n, len(ELEMENTS)) one-hot atom features
-    u: np.ndarray               # (d_u,) global feature, initialized to zeros
     cutoff: float
 
     @property
@@ -54,13 +54,7 @@ class SphericalTriple:
     phi: float    # azimuthal angle in [-pi, pi]
 
 
-@dataclass(frozen=True)
-class BasisVector:
-    kind: str  # "r" | "rt" | "rtp"
-    coefficients: np.ndarray
-
-
-def build_geometry(elements, coords, cutoff: float = DEFAULT_CUTOFF, d_u: int = 32) -> Geometry:
+def build_geometry(elements, coords, cutoff: float = DEFAULT_CUTOFF) -> Geometry:
     """Connect all atom pairs closer than `cutoff` with directed edges both
     ways. Raises on coincident atoms (distance < 1e-6 A)."""
     elements = tuple(elements)
@@ -88,7 +82,6 @@ def build_geometry(elements, coords, cutoff: float = DEFAULT_CUTOFF, d_u: int = 
         receivers=np.asarray(receivers, dtype=np.int64),
         senders=np.asarray(senders, dtype=np.int64),
         v=v,
-        u=np.zeros(d_u),
         cutoff=cutoff,
     )
 
@@ -209,8 +202,8 @@ def spherical_harmonics(theta: float, phi: float, max_degree: int = DEFAULT_MAX_
 
 def edge_representation(triple: SphericalTriple, cutoff: float = DEFAULT_CUTOFF,
                         n_radial: int = DEFAULT_N_RADIAL,
-                        max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[BasisVector, BasisVector, BasisVector]:
-    """The three physical representations of one edge.
+                        max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three physical representations of one edge, in this order.
 
     Psi(r) is the radial basis alone; Psi(r,theta) the outer product of the
     radial basis with the zonal (m = 0) harmonics; Psi(r,theta,phi) the
@@ -219,21 +212,13 @@ def edge_representation(triple: SphericalTriple, cutoff: float = DEFAULT_CUTOFF,
     """
     n_sph = max_degree + 1
     if triple.r >= cutoff:
-        return (
-            BasisVector("r", np.zeros(n_radial)),
-            BasisVector("rt", np.zeros(n_radial * n_sph)),
-            BasisVector("rtp", np.zeros(n_radial * n_sph**2)),
-        )
+        return np.zeros(n_radial), np.zeros(n_radial * n_sph), np.zeros(n_radial * n_sph**2)
     radial = bessel_basis(triple.r, cutoff, n_radial)
     harm = spherical_harmonics(triple.theta, triple.phi, max_degree)
     zonal = np.array([harm[l * l + l] for l in range(n_sph)])
     psi_rt = np.outer(radial, zonal).reshape(-1)
     psi_rtp = np.outer(radial, harm).reshape(-1)
-    return (
-        BasisVector("r", radial),
-        BasisVector("rt", psi_rt),
-        BasisVector("rtp", psi_rtp),
-    )
+    return radial, psi_rt, psi_rtp
 
 
 def edge_feature_matrix(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
@@ -251,22 +236,12 @@ def edge_feature_matrix(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
     for e in range(g.num_edges):
         triple, rank = _edge_frame(g, e)
         psi_r, psi_rt, psi_rtp = edge_representation(triple, g.cutoff, n_radial, max_degree)
-        radial[e] = psi_r.coefficients
+        radial[e] = psi_r
         parts = [
-            psi_r.coefficients,
-            psi_rt.coefficients if rank >= 1 else np.zeros_like(psi_rt.coefficients),
-            psi_rtp.coefficients if rank >= 2 else np.zeros_like(psi_rtp.coefficients),
+            psi_r,
+            psi_rt if rank >= 1 else np.zeros_like(psi_rt),
+            psi_rtp if rank >= 2 else np.zeros_like(psi_rtp),
         ]
         full[e] = np.concatenate(parts)
     return radial, full
 
-
-def random_rigid_motion(rng) -> tuple[np.ndarray, np.ndarray]:
-    """A uniformly random proper rotation plus a translation, for tests."""
-    a = rng.normal((3, 3))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    t = rng.normal((3,), scale=5.0)
-    return q, t

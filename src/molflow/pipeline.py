@@ -8,7 +8,7 @@ Set metrics follow the canonical-SMILES set semantics: uniqueness is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -295,51 +295,49 @@ def similarity_triple(mol: Molecule, seed: Molecule) -> tuple[float, float, floa
     return t, f, k
 
 
+# noise mixes of one latent are decoded MIX_BATCH at a time, MAX_MIXES at most
+MIX_BATCH = 32
+MAX_MIXES = 100
+
+
+def _mixed_decodes(flow_params: FlowParams, u_star: np.ndarray, lam: float, rng: SeededRng):
+    """Decode noise mixes of `u_star` (``mix_noise`` draws from `rng`) and
+    yield (mixes drawn so far, molecule) for each decode that passes the
+    valency check, until MAX_MIXES mixes have been drawn."""
+    drawn = 0
+    while drawn < MAX_MIXES:
+        n_draw = min(MIX_BATCH, MAX_MIXES - drawn)
+        zs = np.stack([mix_noise(u_star, lam, rng) for _ in range(n_draw)])
+        drawn += n_draw
+        for cand in decode_batch(flow_params, zs):
+            if valency_check(cand):
+                yield drawn, cand
+
+
 def generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
-                     seeds: list[DatasetRecord], lam: float, rng: SeededRng,
-                     per_seed: int = 1, max_attempts: int = 100,
-                     batch_size: int = 32) -> tuple[list[Molecule | None], SimilarityReport]:
-    """Seed-conditioned generation: geometry -> joint representation ->
-    noise mixing -> valency-checked decode, scored against each seed."""
-    cfg = sphere_params.config
+                     seeds: list[DatasetRecord], lam: float,
+                     rng: SeededRng) -> tuple[list[Molecule | None], SimilarityReport]:
+    """Seed-conditioned generation, one molecule per seed: geometry ->
+    joint representation -> noise mixing -> the first valency-checked,
+    canonicalizable decode, scored against its seed (None and a failure
+    when ``_mixed_decodes`` runs out)."""
     rows = []
     out: list[Molecule | None] = []
-    failures = 0
-    idx = 0
     for s_i, rec in enumerate(seeds):
-        if not rec.has_geometry:
-            raise ValueError(f"seed {rec.smiles} lacks geometry")
-        g = rec.geometry(cutoff=cfg.cutoff, d_u=cfg.hidden)
-        u_star = encode_geometry(g, sphere_params)
-        seed_rng = rng.spawn(f"seed{s_i}")
-        for k in range(per_seed):
-            mol = None
-            attempts = 0
-            while attempts < max_attempts and mol is None:
-                n_draw = min(batch_size, max_attempts - attempts)
-                zs = np.stack([
-                    mix_noise(u_star, lam, seed_rng).vector for _ in range(n_draw)
-                ])
-                attempts += n_draw
-                for cand in decode_batch(flow_params, zs):
-                    smiles = safe_canonical(cand) if valency_check(cand) else None
-                    if smiles is not None:
-                        mol = cand
-                        break
-            out.append(mol)
-            if mol is None:
-                failures += 1
-                continue
-            t, f, mk = similarity_triple(mol, rec.molecule)
-            rows.append((idx, smiles, t, f, mk))
-            idx += 1
+        u_star = encode_geometry(rec.geometry(cutoff=sphere_params.config.cutoff), sphere_params)
+        decodes = _mixed_decodes(flow_params, u_star, lam, rng.spawn(f"seed{s_i}"))
+        mol, smiles = next(((m, smi) for _, m in decodes
+                            if (smi := safe_canonical(m)) is not None), (None, None))
+        out.append(mol)
+        if mol is not None:
+            rows.append((len(rows), smiles, *similarity_triple(mol, rec.molecule)))
     report = SimilarityReport(
         seed_smiles=[r.smiles for r in seeds],
         rows=rows,
         mean_tanimoto=float(np.mean([r[2] for r in rows])) if rows else 0.0,
         mean_fraggle=float(np.mean([r[3] for r in rows])) if rows else 0.0,
         mean_maccs=float(np.mean([r[4] for r in rows])) if rows else 0.0,
-        failures=failures,
+        failures=len(seeds) - len(rows),
     )
     return out, report
 
@@ -373,19 +371,6 @@ def evaluate_similarity_baseline(records: list[DatasetRecord], rng: SeededRng,
 # ---------------------------------------------------------------------------
 
 
-class LinearHead:
-    """y = c . z; exact closed-form ascent behavior, used by tests."""
-
-    def __init__(self, c: np.ndarray):
-        self.c = np.asarray(c, dtype=np.float64)
-
-    def value(self, z: np.ndarray) -> float:
-        return float(self.c @ z)
-
-    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.value(z), self.c.copy()
-
-
 @dataclass
 class PropertyHead(ParamTree):
     """Two-layer perceptron from the flow latent to one property value."""
@@ -408,10 +393,10 @@ class PropertyHead(ParamTree):
 
 def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
                         hidden: int = 64, epochs: int = 200, lr: float = 3e-3,
-                        batch_size: int = 32, holdout_frac: float = 0.2):
+                        batch_size: int = 32):
     """MSE regression from latents to property values; returns the head and
-    its holdout R^2. The first layer starts small so the hidden tanh units
-    operate near their linear range."""
+    its R^2 on a holdout of a fifth of the pairs. The first layer starts
+    small so the hidden tanh units operate near their linear range."""
     latents = np.asarray(latents, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if len(latents) < 50:
@@ -419,7 +404,7 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
     if float(values.std()) == 0.0:
         raise ValueError("degenerate (constant) property targets")
     order = rng.permutation(len(latents))
-    n_hold = max(1, int(len(latents) * holdout_frac))
+    n_hold = max(1, int(len(latents) * 0.2))
     hold, train = order[:n_hold], order[n_hold:]
     head = PropertyHead(mlp_init(rng.spawn("head"), latents.shape[1], hidden, 1,
                                  zero_last=False, w1_scale=0.1))
@@ -578,39 +563,23 @@ class SubstructureResult:
     replaced_ok: bool
 
 
-def optimize_substructure(host: Molecule, fragment_atoms: set[int],
-                          flow_params: FlowParams,
-                          sphere_params: SphereNetParams | None,
-                          rng: SeededRng, lam: float = 0.2,
-                          fragment_geometry=None,
-                          max_candidates: int = 100) -> SubstructureResult:
+def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params: FlowParams,
+                          rng: SeededRng, lam: float = 0.2) -> SubstructureResult:
     """Replace a connected substructure with a structurally similar
     generated fragment.
 
-    The excised fragment seeds similar generation: through the geometry
-    encoder when coordinates are available, otherwise in 2D mode through
-    the flow's own latent. Candidates are attached under the valence-fit
-    rule until one yields a chemically valid molecule.
+    The excised fragment's flow latent seeds similar generation
+    (``_mixed_decodes``). Candidates are attached under the valence-fit rule
+    until one yields a chemically valid molecule; `candidates_tried` counts
+    the noise mixes drawn.
     """
     pieces = excise_fragment(host, fragment_atoms)
-    if sphere_params is not None and fragment_geometry is not None:
-        u_star = encode_geometry(fragment_geometry, sphere_params)
-    else:
-        lat, _ = encode(flow_params, pieces.fragment, rng.spawn("embed"))
-        u_star = lat.z
-    tried = 0
-    noise = rng.spawn("mix")
-    while tried < max_candidates:
-        batch = min(32, max_candidates - tried)
-        zs = np.stack([mix_noise(u_star, lam, noise).vector for _ in range(batch)])
-        tried += batch
-        for cand in decode_batch(flow_params, zs):
-            if not valency_check(cand):
-                continue
-            merged = attach_fragment(pieces.remainder, pieces.attachments, cand)
-            if merged is not None and safe_canonical(merged) is not None:
-                return SubstructureResult(merged, tried, True)
-    return SubstructureResult(None, tried, False)
+    u_star, _ = encode(flow_params, pieces.fragment, rng.spawn("embed"))
+    for tried, cand in _mixed_decodes(flow_params, u_star, lam, rng.spawn("mix")):
+        merged = attach_fragment(pieces.remainder, pieces.attachments, cand)
+        if merged is not None and safe_canonical(merged) is not None:
+            return SubstructureResult(merged, tried, True)
+    return SubstructureResult(None, MAX_MIXES, False)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +601,12 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
                weight_table: WeightTable | None = None,
                sampler_mode: str = "bernoulli",
                probe_every: int = 5, probe_count: int = 400,
-               probe_temperature: float = 0.12,
-               keep_best: bool = True) -> FlowTrainResult:
+               probe_temperature: float = 0.12) -> FlowTrainResult:
     """Epoch loop over the corpus with optional docking-weighted selection.
 
     Every `probe_every` epochs a fixed batch of prior samples is decoded and
-    raw validity recorded; with `keep_best` the parameters snapshot with the
-    best probe validity is restored at the end (sample quality and exact
+    raw validity recorded; the parameters snapshot with the best probe
+    validity is restored at the end (sample quality and exact
     likelihood are not perfectly aligned for contractive couplings, so the
     probe guards against late-training drift).
     """
@@ -678,9 +646,9 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
         if (epoch + 1) % probe_every == 0 or epoch == epochs - 1:
             v = probe(epoch)
             probe_history.append((epoch, v))
-            if keep_best and v > best[0]:
+            if v > best[0]:
                 best = (v, epoch, {n: a.copy() for n, a in params.named_params()})
-    if keep_best and best[2] is not None:
+    if best[2] is not None:
         for name, arr in best[2].items():
             params.set_param(name, arr)
     return FlowTrainResult(

@@ -98,7 +98,6 @@ class GeometryCache:
     """Constant per-molecule matrices reused across training epochs."""
 
     v0: Array            # (n, n_elements) one-hot
-    u0: Array            # (hidden,)
     radial: Array        # (E, n_radial)
     full: Array          # (E, geom_dim)
     recv_onehot: Array   # (E, n) picks v[receiver]
@@ -119,11 +118,8 @@ class GeometryCache:
             agg[g.receivers[j], j] = 1.0
         # sender_pool[j, k] = 1 if edge k is received by the sender of edge j
         pool = send @ agg
-        u0 = np.zeros(config.hidden)
-        if len(g.u) == config.hidden:
-            u0 = np.asarray(g.u, dtype=np.float64)
         return GeometryCache(
-            v0=g.v.copy(), u0=u0, radial=radial, full=full,
+            v0=g.v.copy(), radial=radial, full=full,
             recv_onehot=recv, send_onehot=send, agg_recv=agg, sender_pool=pool,
         )
 
@@ -131,7 +127,7 @@ class GeometryCache:
 def _encode_cached(params: SphereNetParams, cache: GeometryCache):
     has_edges = cache.radial.shape[0] > 0
     v = cache.v0 @ params.embedding
-    u = cache.u0.reshape(1, -1)
+    u = np.zeros((1, params.config.hidden))  # the global feature starts at zero
     e = apply_mlp(params.input_mlp, cache.radial) if has_edges else None
     for blk in params.blocks:
         if has_edges:
@@ -168,35 +164,25 @@ def fusion_loss(z_m, u_star):
     return ad.sqrt(ad.tsum(diff * diff))
 
 
-@dataclass(frozen=True)
-class JointRepresentation:
-    vector: Array
-    noise_fraction: float
-
-
-def mix_noise(u_star: Array, lam: float, rng: SeededRng) -> JointRepresentation:
+def mix_noise(u_star: Array, lam: float, rng: SeededRng) -> Array:
     """Convex mix with unit Gaussian noise: z' = (1 - lam) u* + lam eps."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("noise fraction must lie in [0, 1]")
     eps = rng.normal(np.shape(u_star))
-    return JointRepresentation((1.0 - lam) * np.asarray(u_star) + lam * eps, lam)
+    return (1.0 - lam) * np.asarray(u_star) + lam * eps
 
 
 @dataclass
 class FusionResult:
     epoch_losses: list[float]
-    skipped_no_geometry: int
 
 
 def fusion_targets(records: list[DatasetRecord], flow_params: FlowParams,
                    rng: SeededRng) -> list[Array]:
     """Fixed regression targets: each molecule's flow latent under one
     dequantization draw."""
-    out = []
-    for i, rec in enumerate(records):
-        lat, _ = encode(flow_params, rec.molecule, rng.spawn(f"target{i}"))
-        out.append(lat.z)
-    return out
+    return [encode(flow_params, rec.molecule, rng.spawn(f"target{i}"))[0]
+            for i, rec in enumerate(records)]
 
 
 def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
@@ -210,23 +196,16 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
     drives the whole network into predicting the target mean (feature-rank
     collapse), whereas the split rate keeps the encoder's molecule
     separation intact while the readout fits it. The output bias starts at
-    the target mean for the same reason. Records without geometry are
-    skipped (counted). Returns the per-epoch mean loss trace; the epoch
-    count is the knob trading 2D against 3D structure in the joint
-    representation.
+    the target mean for the same reason. Every record must carry geometry
+    (``DatasetRecord.geometry`` raises ValueError otherwise). Returns the
+    per-epoch mean loss trace; the epoch count is the knob trading 2D
+    against 3D structure in the joint representation.
     """
-    usable = [r for r in records if r.has_geometry]
-    skipped = len(records) - len(usable)
-    if not usable:
-        raise ValueError("no records carry geometry")
-    caches = [
-        GeometryCache.from_geometry(
-            r.geometry(cutoff=params.config.cutoff, d_u=params.config.hidden),
-            params.config,
-        )
-        for r in usable
-    ]
-    targets = fusion_targets(usable, flow_params, rng.spawn("targets"))
+    if not records:
+        raise ValueError("no records to fuse")
+    caches = [GeometryCache.from_geometry(r.geometry(cutoff=params.config.cutoff), params.config)
+              for r in records]
+    targets = fusion_targets(records, flow_params, rng.spawn("targets"))
     if not params.output_mlp.b2.any():
         params.output_mlp.b2 = np.mean(targets, axis=0)
     # Adam's direction is scale-free in the gradient, so the per-group rate
@@ -237,9 +216,9 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
     shuffle = rng.spawn("shuffle")
     epoch_losses: list[float] = []
     for _ in range(epochs):
-        perm = shuffle.permutation(len(usable))
+        perm = shuffle.permutation(len(records))
         losses: list[float] = []
-        for start in range(0, len(usable), batch_size):
+        for start in range(0, len(records), batch_size):
             idx = perm[start:start + batch_size]
 
             def batch_loss(view: SphereNetParams):
@@ -251,4 +230,4 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
 
             losses.append(fit_step(params, batch_loss, opt, rates=lrs))
         epoch_losses.append(float(np.mean(losses)))
-    return FusionResult(epoch_losses, skipped)
+    return FusionResult(epoch_losses)

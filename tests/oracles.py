@@ -7,6 +7,7 @@ library implementations are checked against a second, simpler path.
 
 import numpy as np
 
+import molflow.autodiff as ad
 from molflow.chem import (
     Molecule,
     cyclic_bonds,
@@ -89,3 +90,101 @@ def numerical_jacobian(f, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         lo[i] -= eps
         out[:, i] = (f(hi) - f(lo)) / (2 * eps)
     return out
+
+
+def gradient_check(f, point: np.ndarray, eps: float = 1e-6) -> float:
+    """Max relative error between tape and central-difference gradients.
+
+    `f` maps one Tensor to a scalar Tensor. The error at coordinate i is
+    |analytic_i - numeric_i| / max(1, |analytic_i|) and the maximum over
+    coordinates is returned.
+    """
+    if not 0.0 < eps <= 1e-2:
+        raise ValueError("eps must lie in (0, 1e-2]")
+    point = np.asarray(point, dtype=np.float64)
+    leaf = ad.Tensor(point)
+    (analytic,) = ad.backward(f(leaf), [leaf])
+
+    numeric = np.zeros_like(point)
+    flat = point.reshape(-1)
+    num_flat = numeric.reshape(-1)
+    for i in range(flat.size):
+        bump = np.zeros_like(flat)
+        bump[i] = eps
+        hi = f(ad.Tensor((flat + bump).reshape(point.shape))).item()
+        lo = f(ad.Tensor((flat - bump).reshape(point.shape))).item()
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError("non-finite function value near point")
+        num_flat[i] = (hi - lo) / (2.0 * eps)
+    err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
+    return float(err.max()) if err.size else 0.0
+
+
+def is_isomorphic(a: Molecule, b: Molecule) -> bool:
+    """Exact isomorphism by backtracking over element/degree-compatible maps."""
+    if a.num_atoms != b.num_atoms or len(a.bonds) != len(b.bonds):
+        return False
+    if sorted(a.elements) != sorted(b.elements):
+        return False
+
+    def signature(m: Molecule, i: int):
+        return (m.elements[i], m.degree(i), tuple(sorted(o for _, o in m.adjacency[i])))
+
+    sig_a = [signature(a, i) for i in range(a.num_atoms)]
+    sig_b = [signature(b, i) for i in range(b.num_atoms)]
+    if sorted(sig_a) != sorted(sig_b):
+        return False
+
+    order = sorted(range(a.num_atoms), key=lambda i: (-a.degree(i), sig_a[i]))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        i = order[k]
+        for j in range(b.num_atoms):
+            if j in used or sig_b[j] != sig_a[i]:
+                continue
+            ok = True
+            for nb, bond_order in a.adjacency[i]:
+                if nb in mapping:
+                    want = [o for t, o in b.adjacency[j] if t == mapping[nb]]
+                    if want != [bond_order]:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            mapping[i] = j
+            used.add(j)
+            if extend(k + 1):
+                return True
+            del mapping[i]
+            used.remove(j)
+        return False
+
+    return extend(0)
+
+
+class LinearHead:
+    """y = c . z; exact closed-form ascent behavior."""
+
+    def __init__(self, c: np.ndarray):
+        self.c = np.asarray(c, dtype=np.float64)
+
+    def value(self, z: np.ndarray) -> float:
+        return float(self.c @ z)
+
+    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.value(z), self.c.copy()
+
+
+def random_rigid_motion(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A uniformly random proper rotation plus a translation."""
+    a = rng.normal((3, 3))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    t = rng.normal((3,), scale=5.0)
+    return q, t

@@ -15,12 +15,12 @@ import pytest
 
 import molflow.autodiff as ad
 import oracles
-from molflow.autodiff import SeededRng, Tensor, gradient_check
+from oracles import LinearHead, gradient_check, is_isomorphic, random_rigid_motion
+from molflow.autodiff import SeededRng, Tensor
 from molflow.chem import (
     Fingerprint,
     Molecule,
     SmilesError,
-    is_isomorphic,
     morgan_fingerprint,
     parse_smiles,
     structural_keys,
@@ -41,9 +41,8 @@ from molflow.flow import (
     init_flow,
     mlp_init,
 )
-from molflow.geom3d import build_geometry, edge_feature_matrix, local_spherical, random_rigid_motion
+from molflow.geom3d import build_geometry, edge_feature_matrix, local_spherical
 from molflow.pipeline import (
-    LinearHead,
     fraggle_similarity,
     generate_random,
     generate_similar,
@@ -155,8 +154,7 @@ def test_03_gradient_fidelity():
         sp_cfg = SphereNetConfig(hidden=6, n_blocks=1, n_radial=4, max_degree=1, out_dim=5)
         sphere = init_spherenet(sp_cfg, rng.spawn("sphere"))
         geom = build_geometry(("C", "O", "N"),
-                              [[0.0, 0, 0], [1.2, 0, 0], [0.4, 1.1, 0.3]],
-                              d_u=sp_cfg.hidden)
+                              [[0.0, 0, 0], [1.2, 0, 0], [0.4, 1.1, 0.3]])
         cache = GeometryCache.from_geometry(geom, sp_cfg)
         leaves = {
             "embedding": lambda: sphere.embedding,
@@ -212,13 +210,13 @@ def test_04_rigid_motion_invariance(desk, corpus):
         assert len(records) == 20
         for rec in records:
             coords = np.asarray(rec.coords, dtype=float)
-            g0 = build_geometry(rec.elements, coords, d_u=hidden)
+            g0 = build_geometry(rec.elements, coords)
             triples0 = [local_spherical(g0, e) for e in range(g0.num_edges)]
             _, feats0 = edge_feature_matrix(g0)
             u0 = encode_geometry(g0, sphere)
             for _ in range(100):
                 q, t = random_rigid_motion(rng)
-                g1 = build_geometry(rec.elements, coords @ q.T + t, d_u=hidden)
+                g1 = build_geometry(rec.elements, coords @ q.T + t)
                 for e in range(g0.num_edges):
                     t1 = local_spherical(g1, e)
                     t0 = triples0[e]

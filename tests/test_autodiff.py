@@ -11,8 +11,8 @@ from molflow.autodiff import (
     adam_step,
     backward,
     fnv1a_64,
-    gradient_check,
 )
+from oracles import gradient_check
 
 
 def test_matmul_hand_arithmetic():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import is_isomorphic
 from molflow.autodiff import SeededRng
 from molflow.chem import (
     PATH_HASH_CACHE_SIZE,
@@ -21,7 +22,6 @@ from molflow.chem import (
     fusion_atoms,
     h_acceptor_count,
     h_donor_count,
-    is_isomorphic,
     largest_ring_size,
     longest_chain,
     maccs_similarity,

@@ -354,6 +354,19 @@ def test_cli_train_flow_rejects_noise_scale_above_half(tmp_path, capsys):
     assert not (tmp_path / "flow.npz").exists()
 
 
+@pytest.mark.parametrize("clip_norm", [-5, 0])
+def test_cli_train_flow_rejects_non_positive_clip_norm(tmp_path, capsys, clip_norm):
+    # a negative clip norm negated every gradient, so training ran uphill
+    data = tmp_path / "d.smi"
+    data.write_text("CCO\nCC\nCCN\n")
+    code = cli(["train-flow", "--config", write_config(tmp_path, clip_norm=clip_norm),
+                "--data", str(data), "--out", str(tmp_path / "flow.npz")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "clip norm must be positive" in err and "Traceback" not in err
+    assert not (tmp_path / "flow.npz").exists()
+
+
 def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):
     import molflow.cli as cli_module
     from molflow.pipeline import FlowTrainResult

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from molflow.autodiff import SeededRng
-from molflow.chem import ELEMENTS, is_isomorphic, to_tensors, valency_check
+from molflow.chem import ELEMENTS, to_tensors, valency_check
 from molflow.flow import decode, encode_tensors
 from molflow.pipeline import optimize_substructure
 from molflow.spherenet import encode_geometry
+from oracles import is_isomorphic
 
 
 def test_training_molecules_outscore_random_tensors(desk, corpus):
@@ -41,8 +42,7 @@ def test_noise_free_conditioning_frequently_reconstructs_seed(desk):
     measured rate is well above it)."""
     hits = 0
     for rec in desk["fusion_set"]:
-        g = rec.geometry(cutoff=desk["sphere_config"].cutoff,
-                         d_u=desk["sphere_config"].hidden)
+        g = rec.geometry(cutoff=desk["sphere_config"].cutoff)
         u_star = encode_geometry(g, desk["sphere"])
         mol = decode(desk["flow"], u_star, check_valency=False)
         if mol.num_atoms and is_isomorphic(mol, rec.molecule):
@@ -57,8 +57,7 @@ def test_substructure_replacement_on_desk_model(desk):
     if host.num_atoms < 4:
         pytest.skip("fixture molecule too small")
     fragment = {host.num_atoms - 1}
-    result = optimize_substructure(host, fragment, desk["flow"], None,
-                                   SeededRng(302), lam=0.2)
+    result = optimize_substructure(host, fragment, desk["flow"], SeededRng(302), lam=0.2)
     if result.replaced_ok:
         assert valency_check(result.molecule)
     assert result.candidates_tried <= 100

@@ -4,7 +4,6 @@ import pytest
 from molflow.autodiff import SeededRng
 from molflow.chem import (
     Molecule,
-    is_isomorphic,
     parse_smiles,
     valency_check,
     write_smiles,
@@ -13,7 +12,6 @@ from molflow.dataset import DatasetRecord, synthetic_corpus
 from molflow.flow import FlowConfig, init_flow
 from molflow.pipeline import (
     CRIPPEN_CONTRIB,
-    LinearHead,
     attach_fragment,
     compute_plogp,
     compute_qed_lite,
@@ -24,6 +22,7 @@ from molflow.pipeline import (
     generate_similar,
     novelty_pct,
     optimize_property,
+    optimize_substructure,
     qed_descriptors,
     ring_penalty,
     sa_proxy,
@@ -33,6 +32,7 @@ from molflow.pipeline import (
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet
+from oracles import LinearHead, is_isomorphic
 
 C = CRIPPEN_CONTRIB
 
@@ -366,11 +366,28 @@ def test_generate_similar_canonicalizes_each_accepted_molecule_once(monkeypatch)
     real_write = pipeline_module.write_smiles
     monkeypatch.setattr(pipeline_module, "write_smiles",
                         lambda m: written.append(m) or real_write(m))
-    out, report = generate_similar(flow, sphere, seeds, 0.2, SeededRng(4),
-                                   per_seed=2, batch_size=4)
+    out, report = generate_similar(flow, sphere, seeds + seeds, 0.2, SeededRng(4))
     assert out == [good] * 4 and report.failures == 0
     assert [row[1] for row in report.rows] == [real_write(good)] * 4
     assert written == [good] * 4
+
+
+def test_noise_mix_sampling_is_pinned():
+    # values recorded before generate_similar and optimize_substructure were
+    # merged onto one sampling loop: same spawn streams, same draw order
+    cfg = FlowConfig(atom_hidden=8, bond_hidden=8, atom_layers=2, bond_layers=2)
+    flow = init_flow(cfg, SeededRng(5), zero_last=False)
+    sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=cfg.d_total), SeededRng(1005))
+    seeds = synthetic_corpus(2, SeededRng(3), with_geometry=True).records
+    _, report = generate_similar(flow, sphere, seeds, 0.5, SeededRng(3005))
+    assert [row[1] for row in report.rows] == ["CCC", "CC"]
+    host = parse_smiles("CC(C)CO")
+    found = optimize_substructure(host, {3, 4}, flow, SeededRng(18), lam=0.5)
+    assert (write_smiles(found.molecule), found.candidates_tried) == ("CC(C)C#C", 64)
+    # a flow that never fits draws all 100 mixes (batches of 32, 32, 32, 4)
+    other = init_flow(cfg, SeededRng(2), zero_last=False)
+    missed = optimize_substructure(host, {3, 4}, other, SeededRng(2002), lam=0.2)
+    assert (missed.molecule, missed.candidates_tried, missed.replaced_ok) == (None, 100, False)
 
 
 def test_moving_average_window():

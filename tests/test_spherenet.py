@@ -5,7 +5,7 @@ import molflow.autodiff as ad
 from molflow.autodiff import SeededRng, Tensor
 from molflow.dataset import synthetic_corpus
 from molflow.flow import FlowConfig, decode, init_flow
-from molflow.geom3d import build_geometry, random_rigid_motion
+from molflow.geom3d import build_geometry
 from molflow.spherenet import (
     SphereNetConfig,
     encode_geometry,
@@ -14,6 +14,7 @@ from molflow.spherenet import (
     mix_noise,
     train_fusion,
 )
+from oracles import random_rigid_motion
 
 
 def small_sphere(out_dim=24, hidden=16):
@@ -23,7 +24,7 @@ def small_sphere(out_dim=24, hidden=16):
 
 def test_single_atom_encoding_finite_and_deterministic():
     cfg, params = small_sphere()
-    g = build_geometry(("C",), [[0.0, 0.0, 0.0]], d_u=cfg.hidden)
+    g = build_geometry(("C",), [[0.0, 0.0, 0.0]])
     u1 = encode_geometry(g, params)
     u2 = encode_geometry(g, params)
     assert u1.shape == (cfg.out_dim,)
@@ -35,10 +36,10 @@ def test_rigid_motion_invariance_of_encoding(rng):
     cfg, params = small_sphere()
     coords = rng.normal((6, 3), scale=1.5)
     elements = ("C", "N", "O", "C", "F", "C")
-    base = encode_geometry(build_geometry(elements, coords, d_u=cfg.hidden), params)
+    base = encode_geometry(build_geometry(elements, coords), params)
     for _ in range(50):
         q, t = random_rigid_motion(rng)
-        moved = encode_geometry(build_geometry(elements, coords @ q.T + t, d_u=cfg.hidden), params)
+        moved = encode_geometry(build_geometry(elements, coords @ q.T + t), params)
         assert np.abs(moved - base).max() < 1e-6
 
 
@@ -46,11 +47,11 @@ def test_relabeling_invariance_of_encoding(rng):
     cfg, params = small_sphere()
     coords = rng.normal((6, 3), scale=1.5)
     elements = ["C", "N", "O", "C", "F", "C"]
-    base = encode_geometry(build_geometry(elements, coords, d_u=cfg.hidden), params)
+    base = encode_geometry(build_geometry(elements, coords), params)
     for _ in range(20):
         perm = [int(i) for i in rng.permutation(6)]
         moved = encode_geometry(
-            build_geometry([elements[i] for i in perm], coords[perm], d_u=cfg.hidden),
+            build_geometry([elements[i] for i in perm], coords[perm]),
             params,
         )
         assert np.abs(moved - base).max() < 1e-6
@@ -67,7 +68,7 @@ def test_fusion_loss_length_mismatch():
 
 
 def test_fusion_loss_gradient_matches_finite_differences():
-    from molflow.autodiff import gradient_check
+    from oracles import gradient_check
 
     rng = SeededRng(62)
     target = rng.normal((12,))
@@ -79,7 +80,7 @@ def test_dimension_contract_with_flow_decode():
     cfg = SphereNetConfig(out_dim=flow_cfg.d_total)
     sphere = init_spherenet(cfg, SeededRng(63))
     flow = init_flow(flow_cfg, SeededRng(64), zero_last=False)
-    g = build_geometry(("C", "O"), [[0, 0, 0], [1.2, 0, 0]], d_u=cfg.hidden)
+    g = build_geometry(("C", "O"), [[0, 0, 0], [1.2, 0, 0]])
     u = encode_geometry(g, sphere)
     assert u.shape == (flow_cfg.d_total,)
     decode(flow, u, check_valency=False)  # no shape errors
@@ -88,22 +89,21 @@ def test_dimension_contract_with_flow_decode():
 def test_mix_noise_identity_at_zero():
     u = np.arange(6.0)
     out = mix_noise(u, 0.0, SeededRng(65))
-    assert np.array_equal(out.vector, u)
-    assert out.noise_fraction == 0.0
+    assert np.array_equal(out, u)
 
 
 def test_mix_noise_pure_noise_at_one():
     u = np.full(2000, 7.0)
     out = mix_noise(u, 1.0, SeededRng(66))
-    assert abs(out.vector.mean()) < 0.1          # independent of u
-    assert out.vector.std() == pytest.approx(1.0, rel=0.1)
+    assert abs(out.mean()) < 0.1          # independent of u
+    assert out.std() == pytest.approx(1.0, rel=0.1)
 
 
 def test_mix_noise_variance_scaling():
     u = np.ones(5)
     lam = 0.2
     draws = np.stack([
-        mix_noise(u, lam, SeededRng(67).spawn(f"d{i}")).vector - (1 - lam) * u
+        mix_noise(u, lam, SeededRng(67).spawn(f"d{i}")) - (1 - lam) * u
         for i in range(20000)
     ])
     assert draws.var() == pytest.approx(lam * lam, rel=0.05)
@@ -116,8 +116,8 @@ def test_mix_noise_rejects_bad_fraction():
 
 def test_mix_noise_formula_limit_ignores_input_at_one():
     # lam = 1 is the unconditioned limit: the output no longer depends on u
-    a = mix_noise(np.zeros(8), 1.0, SeededRng(74)).vector
-    b = mix_noise(np.full(8, 100.0), 1.0, SeededRng(74)).vector
+    a = mix_noise(np.zeros(8), 1.0, SeededRng(74))
+    b = mix_noise(np.full(8, 100.0), 1.0, SeededRng(74))
     assert np.array_equal(a, b)
 
 
@@ -178,7 +178,7 @@ def test_train_fusion_halves_loss_at_desk_scale():
     assert np.mean(result.epoch_losses[-5:]) <= 0.5 * result.epoch_losses[0]
 
 
-def test_train_fusion_skips_records_without_geometry():
+def test_train_fusion_rejects_record_without_geometry():
     rng = SeededRng(72)
     corpus = synthetic_corpus(6, rng.spawn("c"), with_geometry=True)
     corpus.records[2].coords = None
@@ -187,8 +187,8 @@ def test_train_fusion_skips_records_without_geometry():
     flow = init_flow(flow_cfg, rng.spawn("f"))
     cfg = SphereNetConfig(hidden=16, out_dim=flow_cfg.d_total)
     sphere = init_spherenet(cfg, rng.spawn("s"))
-    result = train_fusion(corpus.records, flow, sphere, epochs=1, rng=rng.spawn("t"))
-    assert result.skipped_no_geometry == 1
+    with pytest.raises(ValueError, match="has no geometry"):
+        train_fusion(corpus.records, flow, sphere, epochs=1, rng=rng.spawn("t"))
 
 
 def test_train_fusion_requires_some_geometry():
