@@ -7,6 +7,10 @@ edge is described in a local spherical frame (r, theta, phi) anchored at the
 receiving atom, then expanded in a spherical Bessel radial basis and real
 spherical harmonics to give the three physical representations used for
 message passing: distance-only, distance+polar, and the full triple.
+
+``edge_feature_matrix`` builds every frame and basis of a molecule in one
+vectorized numpy pass. The per-edge scalar construction it replaces is kept
+as the brute-force reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -47,16 +51,12 @@ class Geometry:
         return len(self.senders)
 
 
-@dataclass(frozen=True)
-class SphericalTriple:
-    r: float      # radial distance, > 0
-    theta: float  # polar angle in [0, pi]
-    phi: float    # azimuthal angle in [-pi, pi]
-
-
 def build_geometry(elements, coords, cutoff: float = DEFAULT_CUTOFF) -> Geometry:
     """Connect all atom pairs closer than `cutoff` with directed edges both
-    ways. Raises on coincident atoms (distance < 1e-6 A)."""
+    ways. Raises on coincident atoms (distance < 1e-6 A) and on a cutoff that
+    is not finite and positive."""
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
     elements = tuple(elements)
     coords = np.asarray(coords, dtype=np.float64)
     if len(elements) < 1:
@@ -86,63 +86,6 @@ def build_geometry(elements, coords, cutoff: float = DEFAULT_CUTOFF) -> Geometry
     )
 
 
-def _reference_neighbors(g: Geometry, receiver: int, sender: int) -> list[int]:
-    """Neighbors of the receiver (excluding the sender), nearest first.
-    Distance ties break on atom index, so the frame is deterministic."""
-    nbrs = sorted(
-        {int(g.senders[e]) for e in range(g.num_edges) if g.receivers[e] == receiver}
-        - {sender}
-    )
-    return sorted(
-        nbrs, key=lambda a: (float(np.linalg.norm(g.coords[a] - g.coords[receiver])), a)
-    )
-
-
-def _edge_frame(g: Geometry, edge: int) -> tuple[SphericalTriple, int]:
-    """The edge's spherical triple and its frame rank (see the two public
-    functions below), from one scan for the reference neighbors."""
-    t = int(g.receivers[edge])
-    s = int(g.senders[edge])
-    d = g.coords[s] - g.coords[t]
-    r = float(np.linalg.norm(d))
-    refs = _reference_neighbors(g, t, s)
-    if not refs:
-        return SphericalTriple(r, 0.0, 0.0), 0
-    z_axis = g.coords[refs[0]] - g.coords[t]
-    z_hat = z_axis / np.linalg.norm(z_axis)
-    cos_theta = float(np.clip(np.dot(d, z_hat) / r, -1.0, 1.0))
-    theta = math.acos(cos_theta)
-    for cand in refs[1:]:
-        a2 = g.coords[cand] - g.coords[t]
-        perp = a2 - np.dot(a2, z_hat) * z_hat
-        norm = np.linalg.norm(perp)
-        if norm > 1e-9:
-            x_hat = perp / norm
-            y_hat = np.cross(z_hat, x_hat)
-            phi = math.atan2(float(np.dot(d, y_hat)), float(np.dot(d, x_hat)))
-            return SphericalTriple(r, theta, phi), 2
-    return SphericalTriple(r, theta, 0.0), 1
-
-
-def local_spherical(g: Geometry, edge: int) -> SphericalTriple:
-    """Invariant spherical description of one directed edge.
-
-    The frame hangs at the receiving atom: the polar axis points to its
-    nearest other neighbor and the azimuth reference comes from the next
-    one. With fewer than one (or two) reference neighbors, theta (or phi)
-    defaults to zero. Proper rigid motions leave the triple unchanged;
-    reflections negate phi.
-    """
-    return _edge_frame(g, edge)[0]
-
-
-def frame_rank(g: Geometry, edge: int) -> int:
-    """How many reference neighbors the edge's frame has (0, 1, or 2).
-    Rank 0 supports only the radial representation, rank 1 adds the polar
-    one, rank 2 the full triple."""
-    return _edge_frame(g, edge)[1]
-
-
 def envelope(d: np.ndarray | float, p: int = ENVELOPE_ORDER):
     """Smooth polynomial cutoff reaching 0 with two vanishing derivatives at
     d = 1."""
@@ -152,9 +95,9 @@ def envelope(d: np.ndarray | float, p: int = ENVELOPE_ORDER):
     return 1.0 + a * d**p + b * d ** (p + 1) + c * d ** (p + 2)
 
 
-def bessel_basis(r: float, cutoff: float = DEFAULT_CUTOFF,
-                 n_radial: int = DEFAULT_N_RADIAL, apply_envelope: bool = True) -> np.ndarray:
-    """Zero-order spherical Bessel radial basis.
+def bessel_basis(r, cutoff: float = DEFAULT_CUTOFF, n_radial: int = DEFAULT_N_RADIAL,
+                 apply_envelope: bool = True) -> np.ndarray:
+    """Zero-order spherical Bessel radial basis, shape r.shape + (n_radial,).
 
     Coefficient k (1-based) is sqrt(2/cutoff) * sin(k pi r / cutoff) / r,
     which makes the family orthonormal on [0, cutoff] under the r^2 weight;
@@ -162,8 +105,10 @@ def bessel_basis(r: float, cutoff: float = DEFAULT_CUTOFF,
     """
     if n_radial < 1:
         raise ValueError("n_radial must be >= 1")
-    if not 0.0 < r <= cutoff:
-        raise ValueError(f"r={r} outside (0, {cutoff}]")
+    r = np.asarray(r, dtype=np.float64)
+    if not np.all((0.0 < r) & (r <= cutoff)):
+        raise ValueError(f"r outside (0, {cutoff}]")
+    r = r[..., None]
     k = np.arange(1, n_radial + 1)
     coeff = math.sqrt(2.0 / cutoff) * np.sin(k * math.pi * r / cutoff) / r
     if apply_envelope:
@@ -171,77 +116,103 @@ def bessel_basis(r: float, cutoff: float = DEFAULT_CUTOFF,
     return coeff
 
 
-def spherical_harmonics(theta: float, phi: float, max_degree: int = DEFAULT_MAX_DEGREE) -> np.ndarray:
-    """Real spherical harmonics for l = 0..max_degree, m = -l..l.
+def spherical_harmonics(theta, phi, max_degree: int = DEFAULT_MAX_DEGREE) -> np.ndarray:
+    """Real spherical harmonics for l = 0..max_degree, m = -l..l, shape
+    broadcast(theta, phi).shape + ((max_degree + 1)^2,).
 
-    The output is ordered by l then m ascending; length (max_degree + 1)^2.
-    Y_00 = 1/(2 sqrt(pi)) and the addition theorem sum_m Y_lm^2 =
-    (2l+1)/(4 pi) holds at every angle.
+    The last axis is ordered by l then m ascending. Y_00 = 1/(2 sqrt(pi))
+    and the addition theorem sum_m Y_lm^2 = (2l+1)/(4 pi) holds at every
+    angle.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    x = math.cos(theta)
-    out = np.zeros((max_degree + 1) ** 2)
-    idx = 0
-    for l in range(max_degree + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            norm = math.sqrt(
-                (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
-            )
-            plm = float(lpmv(am, l, x))
-            if m == 0:
-                out[idx] = norm * plm
-            elif m > 0:
-                out[idx] = math.sqrt(2.0) * norm * plm * math.cos(m * phi)
-            else:
-                out[idx] = math.sqrt(2.0) * norm * plm * math.sin(am * phi)
-            idx += 1
-    return out
+    lm = [(l, m) for l in range(max_degree + 1) for m in range(-l, l + 1)]
+    ls = np.array([l for l, _ in lm])
+    ms = np.array([m for _, m in lm])
+    scale = np.array([
+        (1.0 if m == 0 else math.sqrt(2.0)) * math.sqrt(
+            (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - abs(m)) / math.factorial(l + abs(m)))
+        for l, m in lm
+    ])
+    x = np.cos(np.asarray(theta, dtype=np.float64))[..., None]
+    phi = np.asarray(phi, dtype=np.float64)[..., None]
+    # m > 0 takes cos(m phi), m < 0 sin(|m| phi), m = 0 neither
+    trig = np.where(ms > 0, np.cos(ms * phi), np.where(ms < 0, np.sin(-ms * phi), 1.0))
+    return scale * lpmv(np.abs(ms), ls, x) * trig
 
 
-def edge_representation(triple: SphericalTriple, cutoff: float = DEFAULT_CUTOFF,
-                        n_radial: int = DEFAULT_N_RADIAL,
-                        max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three physical representations of one edge, in this order.
+def _edge_frames(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(r, theta, phi, rank) of every directed edge, in one pass.
 
-    Psi(r) is the radial basis alone; Psi(r,theta) the outer product of the
-    radial basis with the zonal (m = 0) harmonics; Psi(r,theta,phi) the
-    outer product with all harmonics. Beyond the cutoff all coefficients
-    are zero.
+    The frame hangs at the receiving atom. Its reference neighbours are the
+    receiver's other neighbours, nearest first, distance ties broken on atom
+    index. The polar axis points to the first of them; the azimuth reference
+    is the first later one off that axis (perpendicular part > 1e-9). rank
+    counts the axes found (0, 1 or 2); theta (rank 0) and phi (rank < 2)
+    default to zero. Proper rigid motions leave (r, theta, phi) unchanged;
+    reflections negate phi.
     """
-    n_sph = max_degree + 1
-    if triple.r >= cutoff:
-        return np.zeros(n_radial), np.zeros(n_radial * n_sph), np.zeros(n_radial * n_sph**2)
-    radial = bessel_basis(triple.r, cutoff, n_radial)
-    harm = spherical_harmonics(triple.theta, triple.phi, max_degree)
-    zonal = np.array([harm[l * l + l] for l in range(n_sph)])
-    psi_rt = np.outer(radial, zonal).reshape(-1)
-    psi_rtp = np.outer(radial, harm).reshape(-1)
-    return radial, psi_rt, psi_rtp
+    n_edges = g.num_edges
+    recv, send, coords = g.receivers, g.senders, g.coords
+    d = coords[send] - coords[recv]
+    # vecdot is the dot np.linalg.norm takes on one vector, so near-ties in
+    # the neighbour order fall the same way as norm-per-pair would
+    r = np.sqrt(np.vecdot(d, d))
+    # every receiver's neighbours, nearest first: row t of `nbrs`
+    order = np.lexsort((send, r, recv))
+    degree = np.bincount(recv, minlength=g.num_atoms)
+    starts = np.cumsum(degree) - degree
+    slot = np.empty(n_edges, dtype=np.int64)
+    slot[order] = np.arange(n_edges) - starts[recv[order]]
+    nbrs = np.zeros((g.num_atoms, max(degree.max(initial=0), 2)), dtype=np.int64)
+    nbrs[recv, slot] = send
+    theta, phi = np.zeros(n_edges), np.zeros(n_edges)
+    rank = np.zeros(n_edges, dtype=np.int64)
+    framed = np.flatnonzero(degree[recv] >= 2)
+    if not framed.size:
+        return r, theta, phi, rank
+    t, own, df = recv[framed], slot[framed], d[framed]
+    rows = np.arange(len(framed))
+    arms = coords[nbrs[t]] - coords[t][:, None, :]            # (F, K, 3)
+    polar = (own == 0).astype(np.int64)                        # first slot that is not the sender
+    z_axis = arms[rows, polar]
+    z_hat = z_axis / np.sqrt(np.vecdot(z_axis, z_axis))[:, None]
+    theta[framed] = np.arccos(np.clip(np.vecdot(df, z_hat) / r[framed], -1.0, 1.0))
+    rank[framed] = 1
+    perp = arms - np.vecdot(arms, z_hat[:, None, :])[..., None] * z_hat[:, None, :]
+    perp_norm = np.sqrt(np.vecdot(perp, perp))
+    k = np.arange(arms.shape[1])
+    usable = ((k > polar[:, None]) & (k != own[:, None]) & (k < degree[t][:, None])
+              & (perp_norm > 1e-9))
+    found = usable.any(axis=1)
+    first = usable.argmax(axis=1)[found]
+    x_hat = perp[rows[found], first] / perp_norm[rows[found], first][:, None]
+    y_hat = np.cross(z_hat[found], x_hat)
+    phi[framed[found]] = np.arctan2(np.vecdot(df[found], y_hat), np.vecdot(df[found], x_hat))
+    rank[framed[found]] = 2
+    return r, theta, phi, rank
 
 
 def edge_feature_matrix(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
                         max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[np.ndarray, np.ndarray]:
     """Stacked per-edge basis features for the message-passing encoder.
 
-    Returns (radial, full) where radial is (n_edges, n_radial) and full is
-    the concatenation of the three representations, with the polar and
-    azimuthal blocks zeroed on edges whose local frame lacks the reference
-    neighbors to define them.
+    Returns (radial, full). radial is the (n_edges, n_radial) Bessel basis
+    Psi(r). full concatenates three representations per edge: Psi(r), the
+    outer product Psi(r, theta) of the radial basis with the zonal (m = 0)
+    harmonics, and the outer product Psi(r, theta, phi) with all harmonics.
+    The polar block is zeroed on rank-0 frames and the azimuthal block on
+    frames below rank 2. Edges at or beyond the cutoff are all zero.
     """
+    r, theta, phi, rank = _edge_frames(g)
     n_sph = max_degree + 1
+    inside = r < g.cutoff
     radial = np.zeros((g.num_edges, n_radial))
-    full = np.zeros((g.num_edges, n_radial + n_radial * n_sph + n_radial * n_sph**2))
-    for e in range(g.num_edges):
-        triple, rank = _edge_frame(g, e)
-        psi_r, psi_rt, psi_rtp = edge_representation(triple, g.cutoff, n_radial, max_degree)
-        radial[e] = psi_r
-        parts = [
-            psi_r,
-            psi_rt if rank >= 1 else np.zeros_like(psi_rt),
-            psi_rtp if rank >= 2 else np.zeros_like(psi_rtp),
-        ]
-        full[e] = np.concatenate(parts)
-    return radial, full
-
+    radial[inside] = bessel_basis(r[inside], g.cutoff, n_radial)
+    harm = spherical_harmonics(theta, phi, max_degree)
+    zonal = harm[:, [l * l + l for l in range(n_sph)]]
+    psi_rt = (radial[:, :, None] * zonal[:, None, :]).reshape(g.num_edges, n_radial * n_sph)
+    psi_rtp = (radial[:, :, None] * harm[:, None, :]).reshape(g.num_edges, n_radial * n_sph**2)
+    psi_rt[rank < 1] = 0.0
+    psi_rtp[rank < 2] = 0.0
+    return radial, np.concatenate([radial, psi_rt, psi_rtp], axis=1)

@@ -111,11 +111,9 @@ class GeometryCache:
         radial, full = edge_feature_matrix(g, config.n_radial, config.max_degree)
         recv = np.zeros((e, n))
         send = np.zeros((e, n))
-        agg = np.zeros((n, e))
-        for j in range(e):
-            recv[j, g.receivers[j]] = 1.0
-            send[j, g.senders[j]] = 1.0
-            agg[g.receivers[j], j] = 1.0
+        recv[np.arange(e), g.receivers] = 1.0
+        send[np.arange(e), g.senders] = 1.0
+        agg = np.ascontiguousarray(recv.T)
         # sender_pool[j, k] = 1 if edge k is received by the sender of edge j
         pool = send @ agg
         return GeometryCache(

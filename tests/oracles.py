@@ -5,7 +5,11 @@ available (flood fills, explicit set arithmetic, exhaustive cuts) so the
 library implementations are checked against a second, simpler path.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.special import lpmv
 
 import molflow.autodiff as ad
 from molflow.chem import (
@@ -14,6 +18,13 @@ from molflow.chem import (
     path_fingerprint,
     subgraph,
     tanimoto,
+)
+from molflow.geom3d import (
+    DEFAULT_CUTOFF,
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_N_RADIAL,
+    Geometry,
+    bessel_basis,
 )
 
 
@@ -188,3 +199,136 @@ def random_rigid_motion(rng) -> tuple[np.ndarray, np.ndarray]:
         q[:, 0] = -q[:, 0]
     t = rng.normal((3,), scale=5.0)
     return q, t
+
+
+# ---------------------------------------------------------------------------
+# scalar edge frames and bases: one edge at a time, neighbours by full scan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SphericalTriple:
+    r: float      # radial distance, > 0
+    theta: float  # polar angle in [0, pi]
+    phi: float    # azimuthal angle in [-pi, pi]
+
+
+def _reference_neighbors(g: Geometry, receiver: int, sender: int) -> list[int]:
+    """Neighbors of the receiver (excluding the sender), nearest first.
+    Distance ties break on atom index, so the frame is deterministic."""
+    nbrs = sorted(
+        {int(g.senders[e]) for e in range(g.num_edges) if g.receivers[e] == receiver}
+        - {sender}
+    )
+    return sorted(
+        nbrs, key=lambda a: (float(np.linalg.norm(g.coords[a] - g.coords[receiver])), a)
+    )
+
+
+def _edge_frame(g: Geometry, edge: int) -> tuple[SphericalTriple, int]:
+    """The edge's spherical triple and its frame rank (see the two public
+    functions below), from one scan for the reference neighbors."""
+    t = int(g.receivers[edge])
+    s = int(g.senders[edge])
+    d = g.coords[s] - g.coords[t]
+    r = float(np.linalg.norm(d))
+    refs = _reference_neighbors(g, t, s)
+    if not refs:
+        return SphericalTriple(r, 0.0, 0.0), 0
+    z_axis = g.coords[refs[0]] - g.coords[t]
+    z_hat = z_axis / np.linalg.norm(z_axis)
+    cos_theta = float(np.clip(np.dot(d, z_hat) / r, -1.0, 1.0))
+    theta = math.acos(cos_theta)
+    for cand in refs[1:]:
+        a2 = g.coords[cand] - g.coords[t]
+        perp = a2 - np.dot(a2, z_hat) * z_hat
+        norm = np.linalg.norm(perp)
+        if norm > 1e-9:
+            x_hat = perp / norm
+            y_hat = np.cross(z_hat, x_hat)
+            phi = math.atan2(float(np.dot(d, y_hat)), float(np.dot(d, x_hat)))
+            return SphericalTriple(r, theta, phi), 2
+    return SphericalTriple(r, theta, 0.0), 1
+
+
+def local_spherical(g: Geometry, edge: int) -> SphericalTriple:
+    """Invariant spherical description of one directed edge.
+
+    The frame hangs at the receiving atom: the polar axis points to its
+    nearest other neighbor and the azimuth reference comes from the next
+    one. With fewer than one (or two) reference neighbors, theta (or phi)
+    defaults to zero. Proper rigid motions leave the triple unchanged;
+    reflections negate phi.
+    """
+    return _edge_frame(g, edge)[0]
+
+
+def frame_rank(g: Geometry, edge: int) -> int:
+    """How many reference neighbors the edge's frame has (0, 1, or 2).
+    Rank 0 supports only the radial representation, rank 1 adds the polar
+    one, rank 2 the full triple."""
+    return _edge_frame(g, edge)[1]
+
+
+def scalar_spherical_harmonics(theta: float, phi: float, max_degree: int) -> np.ndarray:
+    """Real spherical harmonics at one angle pair, one lpmv call per (l, m)."""
+    x = math.cos(theta)
+    out = np.zeros((max_degree + 1) ** 2)
+    idx = 0
+    for l in range(max_degree + 1):
+        for m in range(-l, l + 1):
+            am = abs(m)
+            norm = math.sqrt(
+                (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am)
+            )
+            plm = float(lpmv(am, l, x))
+            if m == 0:
+                out[idx] = norm * plm
+            elif m > 0:
+                out[idx] = math.sqrt(2.0) * norm * plm * math.cos(m * phi)
+            else:
+                out[idx] = math.sqrt(2.0) * norm * plm * math.sin(am * phi)
+            idx += 1
+    return out
+
+
+def edge_representation(triple: SphericalTriple, cutoff: float = DEFAULT_CUTOFF,
+                        n_radial: int = DEFAULT_N_RADIAL,
+                        max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three physical representations of one edge, in this order.
+
+    Psi(r) is the radial basis alone; Psi(r,theta) the outer product of the
+    radial basis with the zonal (m = 0) harmonics; Psi(r,theta,phi) the
+    outer product with all harmonics. Beyond the cutoff all coefficients
+    are zero.
+    """
+    n_sph = max_degree + 1
+    if triple.r >= cutoff:
+        return np.zeros(n_radial), np.zeros(n_radial * n_sph), np.zeros(n_radial * n_sph**2)
+    radial = bessel_basis(triple.r, cutoff, n_radial)
+    harm = scalar_spherical_harmonics(triple.theta, triple.phi, max_degree)
+    zonal = np.array([harm[l * l + l] for l in range(n_sph)])
+    psi_rt = np.outer(radial, zonal).reshape(-1)
+    psi_rtp = np.outer(radial, harm).reshape(-1)
+    return radial, psi_rt, psi_rtp
+
+
+def edge_feature_rows(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
+                      max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[np.ndarray, np.ndarray]:
+    """edge_feature_matrix built edge by edge: oracle frame, then
+    edge_representation, with the polar and azimuthal blocks zeroed by the
+    frame's rank."""
+    n_sph = max_degree + 1
+    radial = np.zeros((g.num_edges, n_radial))
+    full = np.zeros((g.num_edges, n_radial + n_radial * n_sph + n_radial * n_sph**2))
+    for e in range(g.num_edges):
+        triple, rank = _edge_frame(g, e)
+        psi_r, psi_rt, psi_rtp = edge_representation(triple, g.cutoff, n_radial, max_degree)
+        radial[e] = psi_r
+        parts = [
+            psi_r,
+            psi_rt if rank >= 1 else np.zeros_like(psi_rt),
+            psi_rtp if rank >= 2 else np.zeros_like(psi_rtp),
+        ]
+        full[e] = np.concatenate(parts)
+    return radial, full

@@ -15,7 +15,8 @@ import pytest
 
 import molflow.autodiff as ad
 import oracles
-from oracles import LinearHead, gradient_check, is_isomorphic, random_rigid_motion
+from oracles import (LinearHead, gradient_check, is_isomorphic, local_spherical,
+                     random_rigid_motion)
 from molflow.autodiff import SeededRng, Tensor
 from molflow.chem import (
     Fingerprint,
@@ -41,7 +42,7 @@ from molflow.flow import (
     init_flow,
     mlp_init,
 )
-from molflow.geom3d import build_geometry, edge_feature_matrix, local_spherical
+from molflow.geom3d import build_geometry, edge_feature_matrix
 from molflow.pipeline import (
     fraggle_similarity,
     generate_random,

@@ -408,6 +408,26 @@ def test_cli_train_fusion_config_differs_from_checkpoint(tmp_path, capsys):
     assert sphere2.config.out_dim == flow_cfg.d_total
 
 
+@pytest.mark.parametrize("cutoff", [-1, 0])
+def test_cli_train_fusion_refuses_non_positive_cutoff(tmp_path, capsys, cutoff):
+    # a non-positive cutoff leaves every geometry without edges; the encoder
+    # would train blind, so the run must stop with a data error instead
+    save_checkpoint(tmp_path / "flow.npz", RunConfig(seed=11),
+                    init_flow(FlowConfig(atom_layers=2, bond_layers=2, atom_hidden=16,
+                                         bond_hidden=16), SeededRng(3)))
+    assert cli(["prepare-data", "--config", write_config(tmp_path), "--synthetic", "20",
+                "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    assert cli(["train-fusion", "--checkpoint", str(tmp_path / "flow.npz"),
+                "--config", write_config(tmp_path, cutoff=cutoff),
+                "--data", str(tmp_path / "data" / "dataset.xyz"),
+                "--subset", "4", "--out", str(tmp_path / "fused.npz")]) == 2
+    err = capsys.readouterr().err
+    assert "cutoff must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fused.npz").exists()
+
+
 def test_cli_generate_with_check_reports_full_validity(tmp_path, capsys, desk):
     # uses the session desk model through a saved checkpoint
     config = RunConfig(seed=21)

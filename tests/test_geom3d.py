@@ -1,20 +1,30 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from molflow.autodiff import SeededRng
+from molflow.chem import ELEMENTS
+from molflow.dataset import ingest
 from molflow.geom3d import (
     bessel_basis,
     build_geometry,
     edge_feature_matrix,
-    edge_representation,
     envelope,
-    frame_rank,
-    local_spherical,
     spherical_harmonics,
 )
-from oracles import random_rigid_motion
+from oracles import (
+    SphericalTriple,
+    edge_feature_rows,
+    edge_representation,
+    frame_rank,
+    local_spherical,
+    random_rigid_motion,
+    scalar_spherical_harmonics,
+)
+
+FUSION_SET = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "fusion_set.xyz"
 
 
 def test_two_atoms_within_cutoff_give_two_directed_edges():
@@ -40,6 +50,12 @@ def test_edge_set_matches_brute_force_threshold(rng):
     }
     got = set(zip(g.receivers.tolist(), g.senders.tolist()))
     assert got == expected
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan"), float("inf")])
+def test_cutoff_must_be_finite_and_positive(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        build_geometry(("C", "O"), [[0, 0, 0], [1.0, 0, 0]], cutoff=cutoff)
 
 
 def test_coincident_atoms_rejected():
@@ -131,6 +147,15 @@ def test_bessel_rejects_out_of_range():
         bessel_basis(0.0, 5.0)
     with pytest.raises(ValueError):
         bessel_basis(5.1, 5.0)
+    with pytest.raises(ValueError):
+        bessel_basis(np.array([1.0, 2.0, 5.1]), 5.0)
+
+
+def test_bessel_array_rows_equal_scalar_calls():
+    rs = np.linspace(0.05, 5.0, 37)
+    rows = bessel_basis(rs, 5.0, 8)
+    assert rows.shape == (37, 8)
+    assert np.array_equal(rows, np.array([bessel_basis(r, 5.0, 8) for r in rs]))
 
 
 def test_bessel_orthonormality_by_quadrature():
@@ -174,9 +199,23 @@ def test_addition_theorem_at_random_angles(rng):
             assert float((block**2).sum()) == pytest.approx((2 * l + 1) / (4 * math.pi), abs=1e-10)
 
 
-def test_edge_representation_shapes_and_kinds():
-    from molflow.geom3d import SphericalTriple
+@pytest.mark.parametrize("max_degree", [0, 3, 6])
+def test_harmonics_array_bit_identical_to_scalar_calls(max_degree):
+    rng = SeededRng(43)
+    theta = rng.uniform(0.0, math.pi, 5000)
+    phi = rng.uniform(-math.pi, math.pi, 5000)
+    vals = spherical_harmonics(theta, phi, max_degree)
+    assert vals.shape == (5000, (max_degree + 1) ** 2)
+    scalar = np.array([scalar_spherical_harmonics(t, p, max_degree) for t, p in zip(theta, phi)])
+    assert np.array_equal(vals, scalar)
 
+
+def test_harmonics_reject_negative_degree():
+    with pytest.raises(ValueError):
+        spherical_harmonics(0.1, 0.2, -1)
+
+
+def test_edge_representation_shapes_and_kinds():
     psi_r, psi_rt, psi_rtp = edge_representation(SphericalTriple(1.3, 0.7, -0.4))
     assert psi_r.shape == (8,)
     assert psi_rt.shape == (32,)
@@ -185,8 +224,6 @@ def test_edge_representation_shapes_and_kinds():
 
 
 def test_edge_representation_zero_beyond_cutoff():
-    from molflow.geom3d import SphericalTriple
-
     for vec in edge_representation(SphericalTriple(6.0, 0.7, -0.4), cutoff=5.0):
         assert not vec.any()
 
@@ -202,3 +239,80 @@ def test_basis_vectors_invariant_under_rigid_motion():
         g2 = build_geometry(elements, coords @ q.T + t)
         _, full2 = edge_feature_matrix(g2)
         assert np.abs(full2 - full).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# vectorized edge features against the per-edge oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_oracle(g, n_radial=8, max_degree=3):
+    radial, full = edge_feature_matrix(g, n_radial, max_degree)
+    radial_o, full_o = edge_feature_rows(g, n_radial, max_degree)
+    assert radial.shape == radial_o.shape and full.shape == full_o.shape
+    if g.num_edges:
+        assert np.abs(radial - radial_o).max() <= 1e-12
+        assert np.abs(full - full_o).max() <= 1e-12
+    n_sph = max_degree + 1
+    polar = slice(n_radial, n_radial * (1 + n_sph))
+    azimuthal = slice(n_radial * (1 + n_sph), None)
+    for block in (polar, azimuthal):
+        assert np.array_equal(full[:, block].any(axis=1), full_o[:, block].any(axis=1))
+    return full
+
+
+def test_edge_features_match_oracle_on_fusion_set():
+    records = ingest([FUSION_SET]).records
+    assert len(records) == 64
+    for rec in records:
+        assert_matches_oracle(rec.geometry())
+
+
+def test_edge_features_match_oracle_on_random_geometries():
+    rng = SeededRng(44)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        elements = [ELEMENTS[int(i)] for i in rng.integers(0, len(ELEMENTS), n)]
+        coords = rng.normal((n, 3), scale=float(rng.uniform(0.5, 2.5)))
+        cutoff = float(rng.uniform(1.5, 6.0))
+        assert_matches_oracle(build_geometry(elements, coords, cutoff=cutoff))
+    g = build_geometry(("C", "N", "O", "C"), SeededRng(45).normal((4, 3)))
+    assert_matches_oracle(g, n_radial=3, max_degree=5)
+
+
+def test_exact_distance_tie_breaks_on_atom_index():
+    # atoms 1 and 2 sit at exactly distance 2 from atom 0; the lower index
+    # (atom 1, along +y) is the polar axis for the edge from atom 3
+    coords = [[0, 0, 0], [0, 2, 0], [2, 0, 0], [0, 0, 3]]
+    g = build_geometry(("C", "C", "C", "O"), coords)
+    edge = next(e for e in range(g.num_edges) if g.receivers[e] == 0 and g.senders[e] == 3)
+    triple = local_spherical(g, edge)
+    assert triple.theta == pytest.approx(math.pi / 2)
+    assert triple.phi == pytest.approx(-math.pi / 2)
+    assert_matches_oracle(g)
+
+
+def test_collinear_first_azimuth_candidate_is_skipped():
+    # from atom 0, atom 1 sets the polar axis and atom 2 lies on that axis,
+    # so atom 3 must give the azimuth
+    coords = [[0, 0, 0], [0, 0, 1], [0, 0, -1.5], [1.8, 0, 0], [0.5, 1.9, 0.7]]
+    g = build_geometry(("C", "C", "N", "O", "C"), coords)
+    edge = next(e for e in range(g.num_edges) if g.receivers[e] == 0 and g.senders[e] == 4)
+    assert frame_rank(g, edge) == 2
+    assert local_spherical(g, edge).phi == pytest.approx(math.atan2(1.9, 0.5))
+    assert_matches_oracle(g)
+
+
+def test_diatomic_has_radial_features_only():
+    g = build_geometry(("C", "O"), [[0, 0, 0], [1.1, 0, 0]])
+    full = assert_matches_oracle(g)
+    assert full[:, :8].any(axis=1).all()
+    assert not full[:, 8:].any()
+
+
+def test_single_atom_has_empty_feature_matrices():
+    g = build_geometry(("C",), [[0.0, 0.0, 0.0]])
+    radial, full = edge_feature_matrix(g)
+    assert radial.shape == (0, 8)
+    assert full.shape == (0, 168)
+    assert_matches_oracle(g)
