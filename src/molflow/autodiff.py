@@ -246,13 +246,15 @@ def matmul(a, b):
 
 
 def _sigmoid_np(x: Array) -> Array:
-    # piecewise form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; the quotient equals 1/(1+exp(-x)) for
+    # x >= 0 and exp(x)/(1+exp(x)) below, bit for bit
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def sigmoid(x):
@@ -283,6 +285,42 @@ def tanh(x):
     y = np.tanh(x.data)
     out = Tensor(y, (x,), op="tanh")
     out._backward = lambda g: _accumulate(x, g * (1.0 - y * y))
+    return out
+
+
+def mlp(x, w1, b1, w2, b2):
+    """tanh(x @ w1 + b1) @ w2 + b2 as one tape node; `x` may carry stacked
+    leading axes, the weights are 2-D and the biases 1-D."""
+    args = (x, w1, b1, w2, b2)
+    xd, w1d, b1d, w2d, b2d = (a.data if isinstance(a, Tensor) else _as_f64(a) for a in args)
+    # numpy's stacked matmul on the un-flattened x keeps the bits of the
+    # separate matmul, add and tanh nodes
+    h = xd @ w1d
+    h += b1d
+    np.tanh(h, out=h)
+    y = h @ w2d
+    y += b2d
+    if not _is_traced(*args):
+        return y
+    out = Tensor(y, tuple(a for a in args if isinstance(a, Tensor)), op="mlp")
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        h2 = h.reshape(-1, h.shape[-1])
+        gh = g2 @ w2d.T
+        gh *= 1.0 - h2 * h2
+        if isinstance(x, Tensor):
+            _accumulate(x, (gh @ w1d.T).reshape(xd.shape))
+        if isinstance(w1, Tensor):
+            _accumulate(w1, xd.reshape(-1, xd.shape[-1]).T @ gh)
+        if isinstance(b1, Tensor):
+            _accumulate(b1, gh.sum(axis=0))
+        if isinstance(w2, Tensor):
+            _accumulate(w2, h2.T @ g2)
+        if isinstance(b2, Tensor):
+            _accumulate(b2, g2.sum(axis=0))
+
+    out._backward = bwd
     return out
 
 
@@ -322,8 +360,30 @@ def reshape(x, shape):
     return out
 
 
+def _axis_key(indices, axis: int, ndim: int) -> tuple:
+    return (slice(None),) * (axis % ndim) + (indices,)
+
+
 def gather(x, indices, axis):
-    """Select `indices` along `axis` (the tape's slice primitive)."""
+    """Select `indices` along `axis` (the tape's slice primitive).
+
+    A ``slice`` gives a view and its gradient is assigned back into place;
+    a list of positions gives a copy and repeated positions sum their
+    gradients."""
+    if isinstance(indices, slice):
+        data = x.data if isinstance(x, Tensor) else _as_f64(x)
+        key = _axis_key(indices, axis, data.ndim)
+        if not isinstance(x, Tensor):
+            return data[key]
+        out = Tensor(data[key], (x,), op="gather")
+
+        def bwd(g):
+            full = np.zeros_like(data)
+            full[key] = g
+            _accumulate(x, full)
+
+        out._backward = bwd
+        return out
     idx = list(indices)
     if not _is_traced(x):
         return np.take(_as_f64(x), idx, axis=axis)
@@ -334,6 +394,34 @@ def gather(x, indices, axis):
         moved = np.moveaxis(full, axis, 0)
         np.add.at(moved, idx, np.moveaxis(g, axis, 0))
         _accumulate(x, full)
+
+    out._backward = bwd
+    return out
+
+
+def assemble(parts, slices, axis):
+    """The inverse of slicing: one array whose `slices` along `axis` hold
+    `parts`, in order. The slices must cover the axis exactly once."""
+    datas = [p.data if isinstance(p, Tensor) else _as_f64(p) for p in parts]
+    size = sum(d.shape[axis] for d in datas)
+    covered = sorted(i for sl in slices for i in range(size)[sl])
+    if covered != list(range(size)) or any(
+            len(range(size)[sl]) != d.shape[axis] for sl, d in zip(slices, datas)):
+        raise ValueError("assemble slices must tile the axis and match the parts")
+    shape = list(datas[0].shape)
+    shape[axis] = size
+    out_data = np.empty(shape)
+    keys = [_axis_key(sl, axis, len(shape)) for sl in slices]
+    for key, d in zip(keys, datas):
+        out_data[key] = d
+    if not _is_traced(*parts):
+        return out_data
+    parts = [_lift(p) for p in parts]
+    out = Tensor(out_data, tuple(parts), op="assemble")
+
+    def bwd(g):
+        for key, p in zip(keys, parts):
+            _accumulate(p, g[key])
 
     out._backward = bwd
     return out

@@ -91,8 +91,7 @@ def mlp_init(rng: SeededRng, d_in: int, d_hidden: int, d_out: int,
 
 
 def apply_mlp(p: Mlp, x):
-    h = ad.tanh(x @ p.w1 + p.b1)
-    return h @ p.w2 + p.b2
+    return ad.mlp(x, p.w1, p.b1, p.w2, p.b2)
 
 
 @dataclass
@@ -158,20 +157,25 @@ def discretize_bonds(xb: Array) -> Array:
     """
     sym = (xb + xb.transpose(0, 2, 1, 3)) / 2.0
     q = sym.argmax(axis=3)
-    n = xb.shape[1]
-    idx = np.arange(n)
+    idx = np.arange(xb.shape[1])
     q[:, idx, idx] = 0
-    out = np.zeros_like(xb)
-    b_idx = np.arange(xb.shape[0])[:, None, None]
-    out[b_idx, idx[None, :, None], idx[None, None, :], q] = 1.0
-    return out
+    return (q[..., None] == np.arange(xb.shape[3])).astype(np.float64)
 
 
-def _bond_channels(bond_disc: Array) -> list[Array]:
-    """Per-order adjacency matrices (constants) used as atom-flow
-    conditioning."""
-    m = bond_disc.shape[3]
-    return [np.ascontiguousarray(bond_disc[:, :, :, q]) for q in range(1, m)]
+def atom_condition(bond_disc: Array) -> list[tuple[Array, Array]]:
+    """The atom track's condition, built once per stack from a discrete
+    (batch, n, n, m) bond tensor. Entry p serves the layers that keep the
+    rows of parity p, as (by_order, adj_sum):
+
+    - by_order (batch, n*(m-1), kept): row i*(m-1) + q-1 marks atom i's
+      bonds of order q to each kept row;
+    - adj_sum (batch, transformed, n): each transformed row's bonds of any
+      order to every row."""
+    batch, n, _, m = bond_disc.shape
+    by_order = bond_disc[..., 1:].transpose(0, 1, 3, 2).reshape(batch, n * (m - 1), n)
+    adj_sum = bond_disc[..., 1:].sum(axis=3)
+    return [(np.ascontiguousarray(by_order[:, :, p::2]),
+             np.ascontiguousarray(adj_sum[:, 1 - p::2])) for p in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,43 +183,42 @@ def _bond_channels(bond_disc: Array) -> list[Array]:
 # ---------------------------------------------------------------------------
 
 
-def _atom_masks(n: int, index: int) -> tuple[Array, Array]:
-    keep = np.zeros((n, 1))
-    keep[index % 2:: 2] = 1.0
-    return keep, 1.0 - keep
-
-
-def _atom_st(x_masked, mlp: Mlp, channels: list[Array]):
-    l = (x_masked.shape if isinstance(x_masked, np.ndarray) else x_masked.data.shape)[2]
-    h1 = ad.concat([adj @ x_masked for adj in channels], axis=2)
-    adj_sum = sum(channels[1:], channels[0])
-    h2 = adj_sum @ h1
-    feats = ad.concat([x_masked, h1, h2], axis=2)
-    st = apply_mlp(mlp, feats)
-    s_raw = ad.gather(st, range(l), axis=2)
-    t = ad.gather(st, range(l, 2 * l), axis=2)
-    return s_raw, t
-
-
-def atom_coupling(x, mlp: Mlp, index: int, bond_disc: Array, inverse: bool = False):
+def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
+                  inverse: bool = False):
     """Atom-track coupling layer `index` on a (batch, n, l) tensor: rows of
     parity `index` are kept, the others become x*sigmoid(s)+t with (s, t)
-    from `mlp` over the kept rows and their neighbourhoods in `bond_disc`.
-    Returns (z, per-sample logdet); with `inverse` the exact inverse (numpy
-    only) and logdet None."""
+    from `mlp` over the kept rows and their neighbourhoods, where `cond` is
+    ``atom_condition`` of the discrete bonds. Returns (z, per-sample
+    logdet); with `inverse` the exact inverse (numpy only) and logdet None.
+
+    Only the transformed rows go through `mlp`. Each one's features are
+    [own row with x masked out (zeros), h1, h2]: h1 sums the kept rows over
+    its neighbours of each bond order, h2 sums h1 over all its neighbours.
+    So the first l input rows of ``mlp.w1`` only ever multiply zeros: they
+    get zero gradient and keep their initial values."""
     if inverse and not isinstance(x, np.ndarray):
         raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
-    n = x.shape[1] if isinstance(x, np.ndarray) else x.data.shape[1]
-    keep, trans = _atom_masks(n, index)
-    channels = _bond_channels(bond_disc)
-    x_masked = x * keep
-    s_raw, t = _atom_st(x_masked, mlp, channels)
+    batch, n, l = x.shape if isinstance(x, np.ndarray) else x.data.shape
+    kept_rows, trans_rows = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
+    by_order, adj_sum = cond[index % 2]
+    x_kept = ad.gather(x, kept_rows, axis=1)
+    h1 = ad.reshape(by_order @ x_kept, (batch, n, -1))
+    h2 = adj_sum @ h1
+    n_trans = adj_sum.shape[1]
+    feats = ad.concat([np.zeros((batch, n_trans, l)), ad.gather(h1, trans_rows, axis=1), h2],
+                      axis=2)
+    st = apply_mlp(mlp, feats)
+    s_raw = ad.gather(st, slice(0, l), axis=2)
+    t = ad.gather(st, slice(l, None), axis=2)
     scale = ad.sigmoid(s_raw)
+    x_trans = ad.gather(x, trans_rows, axis=1)
     if inverse:
-        return x * keep + ((x - t) / scale) * trans, None
-    z = x * keep + (x * scale + t) * trans
-    logdet = ad.tsum(ad.log_sigmoid(s_raw) * trans, axis=(1, 2))
-    return z, logdet
+        new = (x_trans - t) / scale
+        logdet = None
+    else:
+        new = x_trans * scale + t
+        logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2))
+    return ad.assemble([x_kept, new], [kept_rows, trans_rows], axis=1), logdet
 
 
 def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
@@ -223,16 +226,14 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     channels of parity `index` are kept, the others become x*sigmoid(s)+t
     with (s, t) from `mlp` over the kept channels. Returns (z, per-sample
     logdet); with `inverse` the exact inverse and logdet None."""
-    shape = x.shape if isinstance(x, np.ndarray) else x.data.shape
-    batch, n, _, m = shape
-    kept_ch = list(range(index % 2, m, 2))
-    trans_ch = list(range(1 - index % 2, m, 2))
+    batch, n, _, m = x.shape if isinstance(x, np.ndarray) else x.data.shape
+    kept_ch, trans_ch = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
+    n_trans = len(range(m)[trans_ch])
     kept = ad.gather(x, kept_ch, axis=3)
-    flat = ad.reshape(kept, (batch, n * n * len(kept_ch)))
-    st = apply_mlp(mlp, flat)
-    half = n * n * len(trans_ch)
-    s_raw = ad.reshape(ad.gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
-    t = ad.reshape(ad.gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
+    st = apply_mlp(mlp, ad.reshape(kept, (batch, -1)))
+    half = n * n * n_trans
+    s_raw = ad.reshape(ad.gather(st, slice(0, half), axis=1), (batch, n, n, n_trans))
+    t = ad.reshape(ad.gather(st, slice(half, None), axis=1), (batch, n, n, n_trans))
     scale = ad.sigmoid(s_raw)
     trans = ad.gather(x, trans_ch, axis=3)
     if inverse:
@@ -241,9 +242,7 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     else:
         new_trans = trans * scale + t
         logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2, 3))
-    # kept || transformed, put back in channel order
-    order = np.argsort(kept_ch + trans_ch)
-    return ad.gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
+    return ad.assemble([kept, new_trans], [kept_ch, trans_ch], axis=3), logdet
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +251,18 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
 
 
 def atom_flow_forward(params: FlowParams, x, bond_disc: Array):
+    cond = atom_condition(bond_disc)
     logdet = None
     for i, mlp in enumerate(params.atom):
-        x, ld = atom_coupling(x, mlp, i, bond_disc)
+        x, ld = atom_coupling(x, mlp, i, cond)
         logdet = ld if logdet is None else logdet + ld
     return x, logdet
 
 
 def atom_flow_inverse(params: FlowParams, z: Array, bond_disc: Array) -> Array:
+    cond = atom_condition(bond_disc)
     for i in reversed(range(len(params.atom))):
-        z, _ = atom_coupling(z, params.atom[i], i, bond_disc, inverse=True)
+        z, _ = atom_coupling(z, params.atom[i], i, cond, inverse=True)
     return z
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
+from molflow.flow import FlowParams, Mlp
 from molflow.chem import (
     Molecule,
     cyclic_bonds,
@@ -332,3 +333,131 @@ def edge_feature_rows(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
         ]
         full[e] = np.concatenate(parts)
     return radial, full
+
+
+# ---------------------------------------------------------------------------
+# reference flow kernels: boolean-mask sigmoid, unfused MLP, masked atom
+# coupling over every row, concat-plus-permutation bond coupling
+# ---------------------------------------------------------------------------
+
+
+def _masked_sigmoid_np(x: np.ndarray) -> np.ndarray:
+    # piecewise form avoids overflow in exp for large |x|
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def masked_sigmoid(x):
+    """Sigmoid by boolean masks, on arrays or as a tape node."""
+    if not isinstance(x, ad.Tensor):
+        return _masked_sigmoid_np(np.asarray(x, dtype=np.float64))
+    y = _masked_sigmoid_np(x.data)
+    out = ad.Tensor(y, (x,), op="sigmoid")
+    out._backward = lambda g: ad._accumulate(x, g * y * (1.0 - y))
+    return out
+
+
+def unfused_mlp(p: Mlp, x):
+    """tanh(x @ w1 + b1) @ w2 + b2 from separate matmul, add and tanh nodes."""
+    h = ad.tanh(x @ p.w1 + p.b1)
+    return h @ p.w2 + p.b2
+
+
+def scatter_discretize_bonds(xb: np.ndarray) -> np.ndarray:
+    """discretize_bonds with the one-hot written by a fancy-index scatter."""
+    sym = (xb + xb.transpose(0, 2, 1, 3)) / 2.0
+    q = sym.argmax(axis=3)
+    n = xb.shape[1]
+    idx = np.arange(n)
+    q[:, idx, idx] = 0
+    out = np.zeros_like(xb)
+    b_idx = np.arange(xb.shape[0])[:, None, None]
+    out[b_idx, idx[None, :, None], idx[None, None, :], q] = 1.0
+    return out
+
+
+def _bond_channels(bond_disc: np.ndarray) -> list[np.ndarray]:
+    m = bond_disc.shape[3]
+    return [np.ascontiguousarray(bond_disc[:, :, :, q]) for q in range(1, m)]
+
+
+def masked_atom_coupling(x, mlp: Mlp, index: int, bond_disc: np.ndarray, inverse: bool = False):
+    """Atom coupling layer with the s/t network run on every row and the
+    kept rows restored through 0/1 row masks."""
+    shape = x.shape if isinstance(x, np.ndarray) else x.data.shape
+    n, l = shape[1], shape[2]
+    keep = np.zeros((n, 1))
+    keep[index % 2:: 2] = 1.0
+    trans = 1.0 - keep
+    channels = _bond_channels(bond_disc)
+    x_masked = x * keep
+    h1 = ad.concat([adj @ x_masked for adj in channels], axis=2)
+    adj_sum = sum(channels[1:], channels[0])
+    h2 = adj_sum @ h1
+    feats = ad.concat([x_masked, h1, h2], axis=2)
+    st = unfused_mlp(mlp, feats)
+    s_raw = ad.gather(st, range(l), axis=2)
+    t = ad.gather(st, range(l, 2 * l), axis=2)
+    scale = masked_sigmoid(s_raw)
+    if inverse:
+        return x * keep + ((x - t) / scale) * trans, None
+    z = x * keep + (x * scale + t) * trans
+    logdet = ad.tsum(ad.log_sigmoid(s_raw) * trans, axis=(1, 2))
+    return z, logdet
+
+
+def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
+    """Bond coupling layer that gathers each half by a channel list and
+    restores channel order with a concat and an argsort permutation."""
+    shape = x.shape if isinstance(x, np.ndarray) else x.data.shape
+    batch, n, _, m = shape
+    kept_ch = list(range(index % 2, m, 2))
+    trans_ch = list(range(1 - index % 2, m, 2))
+    kept = ad.gather(x, kept_ch, axis=3)
+    flat = ad.reshape(kept, (batch, n * n * len(kept_ch)))
+    st = unfused_mlp(mlp, flat)
+    half = n * n * len(trans_ch)
+    s_raw = ad.reshape(ad.gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
+    t = ad.reshape(ad.gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
+    scale = masked_sigmoid(s_raw)
+    trans = ad.gather(x, trans_ch, axis=3)
+    if inverse:
+        new_trans = (trans - t) / scale
+        logdet = None
+    else:
+        new_trans = trans * scale + t
+        logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2, 3))
+    order = np.argsort(kept_ch + trans_ch)
+    return ad.gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
+
+
+def reference_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarray):
+    """encode_continuous through the reference kernels: (za, zb, logdet_atom,
+    logdet_bond)."""
+    bond_disc = scatter_discretize_bonds(xb)
+    zb, ld_b = xb, 0.0
+    for i, mlp in enumerate(params.bond):
+        zb, ld = permuted_bond_coupling(zb, mlp, i)
+        ld_b = ld_b + ld
+    za, ld_a = xa, 0.0
+    for i, mlp in enumerate(params.atom):
+        za, ld = masked_atom_coupling(za, mlp, i, bond_disc)
+        ld_a = ld_a + ld
+    return za, zb, ld_a, ld_b
+
+
+def reference_decode_tensors(params: FlowParams, z: np.ndarray):
+    """decode_tensors through the reference kernels."""
+    cfg = params.config
+    za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
+    zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
+    for i in reversed(range(len(params.bond))):
+        zb, _ = permuted_bond_coupling(zb, params.bond[i], i, inverse=True)
+    bond_disc = scatter_discretize_bonds(zb)
+    for i in reversed(range(len(params.atom))):
+        za, _ = masked_atom_coupling(za, params.atom[i], i, bond_disc, inverse=True)
+    return za, scatter_discretize_bonds(zb)

@@ -34,6 +34,7 @@ from molflow.dataset import synthetic_corpus
 from molflow.docking import DockingRecord, compute_weights, sample_epoch
 from molflow.flow import (
     FlowConfig,
+    atom_condition,
     atom_coupling,
     bond_coupling,
     decode_continuous,
@@ -114,7 +115,7 @@ def test_03_gradient_fidelity():
         cfg = FlowConfig(n_max=2, n_atom_types=2, n_bond_types=2,
                          atom_layers=2, bond_layers=2, atom_hidden=6, bond_hidden=6)
         params = init_flow(cfg, rng.spawn("flow"), zero_last=False)
-        bond_disc = discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2)))
+        cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))))
 
         def check(fn, shape, points=10, tol=1e-5):
             for _ in range(points):
@@ -122,7 +123,7 @@ def test_03_gradient_fidelity():
 
         # atom coupling layer (scale, translation, and logdet path)
         def atom_fn(x):
-            z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, bond_disc)
+            z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
             return ad.tsum(z * z) + ad.tsum(logdet)
 
         check(atom_fn, (2, 2))
@@ -141,7 +142,7 @@ def test_03_gradient_fidelity():
             saved = mlp.w1
             mlp.w1 = w
             try:
-                z, logdet = atom_coupling(rng_point, mlp, 0, bond_disc)
+                z, logdet = atom_coupling(rng_point, mlp, 0, cond)
                 return ad.tsum(z * z) + ad.tsum(logdet)
             finally:
                 mlp.w1 = saved

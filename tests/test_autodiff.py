@@ -12,7 +12,7 @@ from molflow.autodiff import (
     backward,
     fnv1a_64,
 )
-from oracles import gradient_check
+from oracles import _masked_sigmoid_np, gradient_check
 
 
 def test_matmul_hand_arithmetic():
@@ -24,8 +24,29 @@ def test_sigmoid_symmetry_point():
     assert ad.sigmoid(np.array(0.0)) == 0.5
 
 
+def test_sigmoid_bit_equal_to_masked_reference():
+    tiny = np.finfo(np.float64).tiny
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16001), [0.0, -0.0, 5e-324, -5e-324, tiny,
+                                                             -tiny, tiny / 3, -tiny / 3]])
+    got = ad.sigmoid(x)
+    want = _masked_sigmoid_np(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(ad.sigmoid(Tensor(x)).data, want)
+
+
 def test_concat_definition():
     assert np.array_equal(ad.concat([np.array([1.0, 2.0]), np.array([3.0])]), [1.0, 2.0, 3.0])
+    # assemble is the inverse of slicing; a slice gather is a view
+    x = np.arange(10.0).reshape(2, 5)
+    evens, odds = slice(0, None, 2), slice(1, None, 2)
+    parts = [ad.gather(x, evens, axis=1), ad.gather(x, odds, axis=1)]
+    assert all(np.shares_memory(p, x) for p in parts)
+    assert np.array_equal(ad.assemble(parts, [evens, odds], axis=1), x)
+    with pytest.raises(ValueError):
+        ad.assemble(parts, [odds, evens], axis=1)
+    with pytest.raises(ValueError):
+        ad.assemble([x[:, :3], x[:, 2:]], [slice(0, 3), slice(2, None)], axis=1)
 
 
 def test_matmul_shape_mismatch_raises():
@@ -86,7 +107,11 @@ def test_gradient_check_mixed_ops(seed):
 
     def f(x):
         h = ad.tanh(ad.reshape(x, (1, 3)) @ w)
-        return ad.tsum(ad.sigmoid(h) * x) + ad.tsum(ad.sqrt(x * x + 1.0))
+        # every mlp input depends on x, so each of its five gradients counts
+        fused = ad.mlp(ad.reshape(x, (1, 1, 3)), ad.reshape(ad.concat([x, x * 0.5, x]), (3, 3)),
+                       x, ad.reshape(x, (3, 1)), ad.gather(x, slice(1, 2), axis=0))
+        return (ad.tsum(ad.sigmoid(h) * x) + ad.tsum(ad.sqrt(x * x + 1.0))
+                + ad.tsum(fused))
 
     assert gradient_check(f, rng.normal((3,)), eps=1e-6) < 1e-5
 
@@ -122,7 +147,12 @@ def test_gather_concat_reshape_transpose_gradients():
         g1 = ad.gather(x, [0, 2], axis=1)
         g2 = ad.gather(x, [1], axis=1)
         cat = ad.concat([g1, g2, g1], axis=1)  # (5, 5)
-        return ad.tsum(ad.reshape(cat, (25, 1)) * 0.7)
+        dup = ad.gather(x, [0, 0, 1], axis=1)  # repeated positions sum
+        evens, odds = slice(0, None, 2), slice(1, None, 2)
+        back = ad.assemble([ad.gather(x, evens, axis=0), ad.gather(x, odds, axis=0) * 2.0],
+                           [evens, odds], axis=0)
+        return (ad.tsum(ad.reshape(cat, (25, 1)) * 0.7) + ad.tsum(dup * 1.3)
+                + ad.tsum(back * back))
 
     assert gradient_check(f, rng.normal((5, 5))) < 1e-8
 

@@ -9,22 +9,25 @@ from molflow.chem import parse_smiles, to_tensors, valency_check
 from molflow.dataset import synthetic_corpus, tensor_batches
 from molflow.flow import (
     FlowConfig,
+    atom_condition,
     atom_coupling,
     bond_coupling,
     decode,
     decode_batch,
     decode_continuous,
+    decode_tensors,
     dequantize,
     discretize_bonds,
     encode,
     encode_continuous,
     encode_tensors,
+    gauss_log_density,
     init_flow,
     make_optimizer,
     sample_prior,
     train_step,
 )
-from oracles import is_isomorphic
+from oracles import is_isomorphic, reference_decode_tensors, reference_encode_continuous
 
 
 def small_config():
@@ -105,11 +108,64 @@ def test_coupling_round_trip_random_layer():
     cfg = FlowConfig()
     params = init_flow(cfg, SeededRng(11), zero_last=False)
     rng = SeededRng(12)
-    bond_disc = discretize_bonds(rng.uniform(0, 1, (4, 9, 9, 4)))
+    cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (4, 9, 9, 4))))
     x = rng.uniform(0, 1, (4, 9, 5))
-    z, _ = atom_coupling(x, params.atom[2], 2, bond_disc)
-    back, _ = atom_coupling(z, params.atom[2], 2, bond_disc, inverse=True)
+    z, _ = atom_coupling(x, params.atom[2], 2, cond)
+    back, _ = atom_coupling(z, params.atom[2], 2, cond, inverse=True)
     assert np.abs(back - x).max() < 1e-12
+
+
+def test_coupling_kernels_match_reference_stack():
+    # the pinned model's shape with random (not zero) output layers
+    cfg = FlowConfig(atom_hidden=128, bond_hidden=128, temperature=0.12)
+    params = init_flow(cfg, SeededRng(40), zero_last=False)
+    rng = SeededRng(41)
+    for temperature in (0.12, 0.7):
+        z = sample_prior(rng, cfg, temperature=temperature, count=256)
+        xa, bond_disc = decode_tensors(params, z)
+        ref_xa, ref_disc = reference_decode_tensors(params, z)
+        assert np.array_equal(xa, ref_xa) and np.array_equal(bond_disc, ref_disc)
+
+    # train_step's loss: forward latents, logdets and every parameter gradient
+    corpus = synthetic_corpus(48, rng.spawn("corpus"), with_geometry=False)
+    atoms, bonds = tensor_batches(corpus.records, cfg.n_max)
+
+    def run(encode):
+        deq = SeededRng(42)
+        xa = dequantize(atoms, cfg.noise_scale, deq)
+        xb = dequantize(bonds, cfg.noise_scale, deq)
+        view, leaves = ad.traced(params)
+        za, zb, ld_a, ld_b = encode(view, xa, xb)
+        loglik = (gauss_log_density(za, cfg.d_atom) + ld_a
+                  + gauss_log_density(zb, cfg.d_bond) + ld_b)
+        loss = ad.tsum(loglik) * (-1.0 / atoms.shape[0])
+        return [za.data, zb.data, ld_a.data, ld_b.data] + ad.backward(loss, leaves)
+
+    got, want = run(encode_continuous), run(reference_encode_continuous)
+    names = ["za", "zb", "logdet_atom", "logdet_bond"] + [n for n, _ in params.named_params()]
+    for name, a, b in zip(names, got, want):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def test_atom_network_x_rows_get_zero_gradient():
+    # a transformed row's own atom features are masked, so the first
+    # n_atom_types input rows of every atom network multiply only zeros
+    cfg = FlowConfig(atom_hidden=16, bond_hidden=16)
+    rng = SeededRng(43)
+    params = init_flow(cfg, rng.spawn("init"), zero_last=False)
+    dead = [mlp.w1[: cfg.n_atom_types].copy() for mlp in params.atom]
+    atoms, bonds = tensor_batches(synthetic_corpus(32, rng.spawn("corpus"),
+                                                   with_geometry=False).records, cfg.n_max)
+    opt = make_optimizer(params, lr=1e-2)
+    train_step(params, atoms, bonds, opt, rng.spawn("step"))
+    view, leaves = ad.traced(params)
+    _, _, loglik = encode_tensors(view, atoms, bonds, rng.spawn("grad"))
+    grads = dict(zip([n for n, _ in params.named_params()],
+                     ad.backward(ad.tsum(loglik) * -1.0, leaves)))
+    for i, mlp in enumerate(params.atom):
+        assert not grads[f"flow.atom.{i}.w1"][: cfg.n_atom_types].any()
+        assert grads[f"flow.atom.{i}.w1"][cfg.n_atom_types:].any()
+        assert np.array_equal(mlp.w1[: cfg.n_atom_types], dead[i])
 
 
 def test_full_stack_round_trip_thousand_points():
@@ -310,10 +366,10 @@ def test_gradient_check_full_coupling_layer():
     cfg = small_config()
     params = init_flow(cfg, SeededRng(32), zero_last=False)
     rng = SeededRng(33)
-    bond_disc = discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2)))
+    cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))))
 
     def f(x):
-        z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, bond_disc)
+        z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
         return ad.tsum(z * z) + ad.tsum(logdet)
 
     for _ in range(10):
