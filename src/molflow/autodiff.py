@@ -167,18 +167,36 @@ def traced(params):
 
 
 def _accumulate(node: Tensor, grad: Array) -> None:
+    # No backward writes into a gradient array in place, so the first one
+    # is stored as it comes; it may be shared with other nodes or be a view.
     if node.grad is None:
-        node.grad = grad.copy()
+        node.grad = grad
     else:
         node.grad = node.grad + grad
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _is_traced(*xs) -> bool:
     return any(isinstance(x, Tensor) for x in xs)
+
+
+def _data(x) -> Array:
+    return x.data if isinstance(x, Tensor) else _as_f64(x)
+
+
+def _binary(a, b, y: Array, op: str, grad_a, grad_b) -> Tensor:
+    """A tape node for `y` = a op b. Only operands that are Tensors are
+    parents, and only their gradients (``grad_a(g)``, ``grad_b(g)``) are
+    computed: a constant operand gets none."""
+    out = Tensor(y, tuple(x for x in (a, b) if isinstance(x, Tensor)), op=op)
+
+    def bwd(g):
+        if isinstance(a, Tensor):
+            _accumulate(a, grad_a(g))
+        if isinstance(b, Tensor):
+            _accumulate(b, grad_b(g))
+
+    out._backward = bwd
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,60 +207,38 @@ def _is_traced(*xs) -> bool:
 def add(a, b):
     if not _is_traced(a, b):
         return _as_f64(a) + _as_f64(b)
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.data + b.data, (a, b), op="add")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    out._backward = bwd
-    return out
+    da, db = _data(a), _data(b)
+    return _binary(a, b, da + db, "add",
+                   lambda g: _unbroadcast(g, da.shape), lambda g: _unbroadcast(g, db.shape))
 
 
 def sub(a, b):
     if not _is_traced(a, b):
         return _as_f64(a) - _as_f64(b)
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.data - b.data, (a, b), op="sub")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    out._backward = bwd
-    return out
+    da, db = _data(a), _data(b)
+    return _binary(a, b, da - db, "sub",
+                   lambda g: _unbroadcast(g, da.shape), lambda g: _unbroadcast(-g, db.shape))
 
 
 def mul(a, b):
     if not _is_traced(a, b):
         return _as_f64(a) * _as_f64(b)
-    a, b = _lift(a), _lift(b)
-    out = Tensor(a.data * b.data, (a, b), op="mul")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    out._backward = bwd
-    return out
+    da, db = _data(a), _data(b)
+    return _binary(a, b, da * db, "mul",
+                   lambda g: _unbroadcast(g * db, da.shape),
+                   lambda g: _unbroadcast(g * da, db.shape))
 
 
 def matmul(a, b):
     """Matrix product with optional stacked leading axes (numpy semantics)."""
     if not _is_traced(a, b):
         return _as_f64(a) @ _as_f64(b)
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    da, db = _data(a), _data(b)
+    if da.ndim < 2 or db.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
-    out = Tensor(a.data @ b.data, (a, b), op="matmul")
-
-    def bwd(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    out._backward = bwd
-    return out
+    return _binary(a, b, da @ db, "matmul",
+                   lambda g: _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape),
+                   lambda g: _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
 
 
 def _sigmoid_np(x: Array) -> Array:
@@ -292,7 +288,7 @@ def mlp(x, w1, b1, w2, b2):
     """tanh(x @ w1 + b1) @ w2 + b2 as one tape node; `x` may carry stacked
     leading axes, the weights are 2-D and the biases 1-D."""
     args = (x, w1, b1, w2, b2)
-    xd, w1d, b1d, w2d, b2d = (a.data if isinstance(a, Tensor) else _as_f64(a) for a in args)
+    xd, w1d, b1d, w2d, b2d = (_data(a) for a in args)
     # numpy's stacked matmul on the un-flattened x keeps the bits of the
     # separate matmul, add and tanh nodes
     h = xd @ w1d
@@ -371,7 +367,7 @@ def gather(x, indices, axis):
     a list of positions gives a copy and repeated positions sum their
     gradients."""
     if isinstance(indices, slice):
-        data = x.data if isinstance(x, Tensor) else _as_f64(x)
+        data = _data(x)
         key = _axis_key(indices, axis, data.ndim)
         if not isinstance(x, Tensor):
             return data[key]
@@ -402,7 +398,7 @@ def gather(x, indices, axis):
 def assemble(parts, slices, axis):
     """The inverse of slicing: one array whose `slices` along `axis` hold
     `parts`, in order. The slices must cover the axis exactly once."""
-    datas = [p.data if isinstance(p, Tensor) else _as_f64(p) for p in parts]
+    datas = [_data(p) for p in parts]
     size = sum(d.shape[axis] for d in datas)
     covered = sorted(i for sl in slices for i in range(size)[sl])
     if covered != list(range(size)) or any(
@@ -416,12 +412,12 @@ def assemble(parts, slices, axis):
         out_data[key] = d
     if not _is_traced(*parts):
         return out_data
-    parts = [_lift(p) for p in parts]
-    out = Tensor(out_data, tuple(parts), op="assemble")
+    out = Tensor(out_data, tuple(p for p in parts if isinstance(p, Tensor)), op="assemble")
 
     def bwd(g):
         for key, p in zip(keys, parts):
-            _accumulate(p, g[key])
+            if isinstance(p, Tensor):
+                _accumulate(p, g[key])
 
     out._backward = bwd
     return out
@@ -430,16 +426,16 @@ def assemble(parts, slices, axis):
 def concat(xs, axis=0):
     if not _is_traced(*xs):
         return np.concatenate([_as_f64(x) for x in xs], axis=axis)
-    xs = [_lift(x) for x in xs]
-    out = Tensor(np.concatenate([x.data for x in xs], axis=axis), tuple(xs), op="concat")
-    sizes = [x.data.shape[axis] for x in xs]
+    datas = [_data(x) for x in xs]
+    out = Tensor(np.concatenate(datas, axis=axis),
+                 tuple(x for x in xs if isinstance(x, Tensor)), op="concat")
+    sizes = [d.shape[axis] for d in datas]
 
     def bwd(g):
         start = 0
         for x, n in zip(xs, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + n)
-            _accumulate(x, g[tuple(sl)])
+            if isinstance(x, Tensor):
+                _accumulate(x, g[_axis_key(slice(start, start + n), axis, g.ndim)])
             start += n
 
     out._backward = bwd

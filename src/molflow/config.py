@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,7 +93,17 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        config = cls(**data)
+        config.validate()
+        return config
+
+    def validate(self) -> None:
+        """Raise ValueError on a field value no command can use. Only the
+        geometry cutoff is checked so far."""
+        cutoff = self.cutoff
+        if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)) \
+                or not (math.isfinite(cutoff) and cutoff > 0):
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -95,71 +95,76 @@ def init_spherenet(config: SphereNetConfig, rng: SeededRng) -> SphereNetParams:
 
 @dataclass
 class GeometryCache:
-    """Constant per-molecule matrices reused across training epochs."""
+    """Constant per-molecule arrays reused across training epochs."""
 
     v0: Array            # (n, n_elements) one-hot
     radial: Array        # (E, n_radial)
     full: Array          # (E, geom_dim)
-    recv_onehot: Array   # (E, n) picks v[receiver]
-    send_onehot: Array   # (E, n) picks v[sender]
-    agg_recv: Array      # (n, E) sums messages by receiver
-    sender_pool: Array   # (E, E) sums, per edge j, messages into its sender
+    receivers: Array     # (E,) receiving atom of each edge
+    senders: Array       # (E,) sending atom of each edge
 
     @staticmethod
     def from_geometry(g: Geometry, config: SphereNetConfig) -> "GeometryCache":
-        n, e = g.num_atoms, g.num_edges
         radial, full = edge_feature_matrix(g, config.n_radial, config.max_degree)
-        recv = np.zeros((e, n))
-        send = np.zeros((e, n))
-        recv[np.arange(e), g.receivers] = 1.0
-        send[np.arange(e), g.senders] = 1.0
-        agg = np.ascontiguousarray(recv.T)
-        # sender_pool[j, k] = 1 if edge k is received by the sender of edge j
-        pool = send @ agg
-        return GeometryCache(
-            v0=g.v.copy(), radial=radial, full=full,
-            recv_onehot=recv, send_onehot=send, agg_recv=agg, sender_pool=pool,
-        )
+        return GeometryCache(v0=g.v.copy(), radial=radial, full=full,
+                             receivers=g.receivers, senders=g.senders)
 
 
-def _encode_cached(params: SphereNetParams, cache: GeometryCache):
-    has_edges = cache.radial.shape[0] > 0
-    v = cache.v0 @ params.embedding
-    u = np.zeros((1, params.config.hidden))  # the global feature starts at zero
-    e = apply_mlp(params.input_mlp, cache.radial) if has_edges else None
+def _one_hot(index: Array, width: int) -> Array:
+    """(len(index), width) rows that pick position ``index[k]``."""
+    out = np.zeros((len(index), width))
+    out[np.arange(len(index)), index] = 1.0
+    return out
+
+
+def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
+    """(B, out_dim) encoder outputs of B molecules from one pass over the
+    disjoint union of their graphs: atoms and edges are stacked, and
+    constant block one-hot matrices pick receiver and sender features, sum
+    messages by receiver and sum atoms by molecule. A molecule without
+    edges gets zero incident messages."""
+    sizes = [c.v0.shape[0] for c in caches]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n_atoms = sum(sizes)
+    recv = np.concatenate([c.receivers + o for c, o in zip(caches, offsets)])
+    send = np.concatenate([c.senders + o for c, o in zip(caches, offsets)])
+    to_recv = _one_hot(recv, n_atoms)    # (E, N) picks v[receiver]
+    to_send = _one_hot(send, n_atoms)    # (E, N) picks v[sender]
+    by_recv = to_recv.T                  # (N, E) sums messages by receiver
+    by_mol = _one_hot(np.repeat(np.arange(len(caches)), sizes), len(caches)).T  # (B, N)
+    full = np.concatenate([c.full for c in caches])
+    v = np.concatenate([c.v0 for c in caches]) @ params.embedding
+    u = np.zeros((len(caches), params.config.hidden))  # the global feature starts at zero
+    e = apply_mlp(params.input_mlp, np.concatenate([c.radial for c in caches]))
+    incident = by_recv @ e
     for blk in params.blocks:
-        if has_edges:
-            feats = ad.concat(
-                [e, cache.recv_onehot @ v, cache.send_onehot @ v,
-                 cache.sender_pool @ e, cache.full],
-                axis=1,
-            )
-            e = apply_mlp(blk.g_e, feats)
-            incident = cache.agg_recv @ e
-        else:
-            incident = np.zeros((cache.v0.shape[0], params.config.hidden))
+        # to_send @ incident sums, per edge, the messages into its sender
+        feats = ad.concat([e, to_recv @ v, to_send @ v, to_send @ incident, full], axis=1)
+        e = apply_mlp(blk.g_e, feats)
+        incident = by_recv @ e
         v = apply_mlp(blk.g_v, ad.concat([v, incident], axis=1))
-        atoms_sum = ad.reshape(ad.tsum(v, axis=0), (1, -1))
-        u = apply_mlp(blk.g_u, ad.concat([u, atoms_sum], axis=1))
-    out = apply_mlp(params.output_mlp, u)
-    return ad.reshape(out, (-1,))
+        u = apply_mlp(blk.g_u, ad.concat([u, by_mol @ v], axis=1))
+    return apply_mlp(params.output_mlp, u)
 
 
 def encode_geometry(g: Geometry, params: SphereNetParams):
     """Geometry -> joint-representation vector of the flow latent length."""
     if g.num_atoms < 1:
         raise ValueError("geometry must contain at least one atom")
-    return _encode_cached(params, GeometryCache.from_geometry(g, params.config))
+    out = encode_batch(params, [GeometryCache.from_geometry(g, params.config)])
+    return ad.reshape(out, (-1,))
 
 
 def fusion_loss(z_m, u_star):
-    """Euclidean distance between the flow latent and the encoder output."""
+    """Euclidean distance between the flow latent and the encoder output;
+    for (B, d) batches, the mean of the B row distances."""
     shape_z = z_m.data.shape if isinstance(z_m, Tensor) else np.shape(z_m)
     shape_u = u_star.data.shape if isinstance(u_star, Tensor) else np.shape(u_star)
     if shape_z != shape_u:
         raise ValueError(f"length mismatch {shape_z} vs {shape_u}")
     diff = z_m - u_star
-    return ad.sqrt(ad.tsum(diff * diff))
+    dist = ad.sqrt(ad.tsum(diff * diff, axis=-1))
+    return ad.tsum(dist) * (1.0 / int(np.prod(shape_z[:-1])))
 
 
 def mix_noise(u_star: Array, lam: float, rng: SeededRng) -> Array:
@@ -203,7 +208,7 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
         raise ValueError("no records to fuse")
     caches = [GeometryCache.from_geometry(r.geometry(cutoff=params.config.cutoff), params.config)
               for r in records]
-    targets = fusion_targets(records, flow_params, rng.spawn("targets"))
+    targets = np.stack(fusion_targets(records, flow_params, rng.spawn("targets")))
     if not params.output_mlp.b2.any():
         params.output_mlp.b2 = np.mean(targets, axis=0)
     # Adam's direction is scale-free in the gradient, so the per-group rate
@@ -218,13 +223,10 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
         losses: list[float] = []
         for start in range(0, len(records), batch_size):
             idx = perm[start:start + batch_size]
+            batch = [caches[i] for i in idx]
 
             def batch_loss(view: SphereNetParams):
-                total = None
-                for i in idx:
-                    li = fusion_loss(targets[i], _encode_cached(view, caches[i]))
-                    total = li if total is None else total + li
-                return total * (1.0 / len(idx))
+                return fusion_loss(targets[idx], encode_batch(view, batch))
 
             losses.append(fit_step(params, batch_loss, opt, rates=lrs))
         epoch_losses.append(float(np.mean(losses)))

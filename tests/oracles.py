@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
-from molflow.flow import FlowParams, Mlp
+from molflow.flow import FlowParams, Mlp, apply_mlp
 from molflow.chem import (
     Molecule,
     cyclic_bonds,
@@ -27,6 +27,7 @@ from molflow.geom3d import (
     Geometry,
     bessel_basis,
 )
+from molflow.spherenet import GeometryCache, SphereNetParams
 
 
 def moving_average(xs: list[float], window: int) -> list[float]:
@@ -461,3 +462,56 @@ def reference_decode_tensors(params: FlowParams, z: np.ndarray):
     for i in reversed(range(len(params.atom))):
         za, _ = masked_atom_coupling(za, params.atom[i], i, bond_disc, inverse=True)
     return za, scatter_discretize_bonds(zb)
+
+
+# ---------------------------------------------------------------------------
+# reference encoder: one molecule per tape, dense per-molecule matrices
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DenseGeometryCache:
+    """One molecule's constant encoder matrices in dense form."""
+
+    v0: np.ndarray            # (n, n_elements) one-hot
+    radial: np.ndarray        # (E, n_radial)
+    full: np.ndarray          # (E, geom_dim)
+    recv_onehot: np.ndarray   # (E, n) picks v[receiver]
+    send_onehot: np.ndarray   # (E, n) picks v[sender]
+    agg_recv: np.ndarray      # (n, E) sums messages by receiver
+    sender_pool: np.ndarray   # (E, E) sums, per edge j, messages into its sender
+
+    @staticmethod
+    def from_cache(cache: GeometryCache) -> "DenseGeometryCache":
+        n, e = cache.v0.shape[0], cache.radial.shape[0]
+        recv = np.zeros((e, n))
+        send = np.zeros((e, n))
+        recv[np.arange(e), cache.receivers] = 1.0
+        send[np.arange(e), cache.senders] = 1.0
+        agg = np.ascontiguousarray(recv.T)
+        # sender_pool[j, k] = 1 if edge k is received by the sender of edge j
+        return DenseGeometryCache(cache.v0, cache.radial, cache.full, recv, send, agg, send @ agg)
+
+
+def reference_encode(params: SphereNetParams, cache: DenseGeometryCache):
+    """The encoder output of one molecule, shape (out_dim,)."""
+    has_edges = cache.radial.shape[0] > 0
+    v = cache.v0 @ params.embedding
+    u = np.zeros((1, params.config.hidden))
+    e = apply_mlp(params.input_mlp, cache.radial) if has_edges else None
+    for blk in params.blocks:
+        if has_edges:
+            feats = ad.concat(
+                [e, cache.recv_onehot @ v, cache.send_onehot @ v,
+                 cache.sender_pool @ e, cache.full],
+                axis=1,
+            )
+            e = apply_mlp(blk.g_e, feats)
+            incident = cache.agg_recv @ e
+        else:
+            incident = np.zeros((cache.v0.shape[0], params.config.hidden))
+        v = apply_mlp(blk.g_v, ad.concat([v, incident], axis=1))
+        atoms_sum = ad.reshape(ad.tsum(v, axis=0), (1, -1))
+        u = apply_mlp(blk.g_u, ad.concat([u, atoms_sum], axis=1))
+    out = apply_mlp(params.output_mlp, u)
+    return ad.reshape(out, (-1,))

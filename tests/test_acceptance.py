@@ -54,8 +54,8 @@ from molflow.pipeline import (
     uniqueness_pct,
     novelty_pct,
 )
-from molflow.spherenet import GeometryCache, encode_geometry, fusion_loss, init_spherenet
-from molflow.spherenet import _encode_cached
+from molflow.spherenet import (GeometryCache, encode_batch, encode_geometry, fusion_loss,
+                               init_spherenet)
 
 
 @contextmanager
@@ -158,6 +158,10 @@ def test_03_gradient_fidelity():
         geom = build_geometry(("C", "O", "N"),
                               [[0.0, 0, 0], [1.2, 0, 0], [0.4, 1.1, 0.3]])
         cache = GeometryCache.from_geometry(geom, sp_cfg)
+        # a batch of three adds an edge-free molecule and a two-atom one
+        batch3 = [cache] + [GeometryCache.from_geometry(build_geometry(els, xyz), sp_cfg)
+                            for els, xyz in ((("N",), [[0.0, 0, 0]]),
+                                             (("C", "C"), [[0.0, 0, 0], [1.5, 0.2, 0]]))]
         leaves = {
             "embedding": lambda: sphere.embedding,
             "input.w1": lambda: sphere.input_mlp.w1,
@@ -174,19 +178,20 @@ def test_03_gradient_fidelity():
             "gu.w1": lambda v: setattr(sphere.blocks[0].g_u, "w1", v),
             "output.w2": lambda v: setattr(sphere.output_mlp, "w2", v),
         }
-        for name in leaves:
-            shape = leaves[name]().shape
+        for batch in ([cache], batch3):
+            for name in leaves:
+                shape = leaves[name]().shape
 
-            def sphere_fn(w, _name=name):
-                saved = leaves[_name]()
-                setters[_name](w)
-                try:
-                    out = _encode_cached(sphere, cache)
-                    return ad.tsum(out * out)
-                finally:
-                    setters[_name](saved)
+                def sphere_fn(w, _name=name, _batch=batch):
+                    saved = leaves[_name]()
+                    setters[_name](w)
+                    try:
+                        out = encode_batch(sphere, _batch)
+                        return ad.tsum(out * out)
+                    finally:
+                        setters[_name](saved)
 
-            check(sphere_fn, shape, points=10)
+                check(sphere_fn, shape, points=10)
 
         # property head
         head_mlp = mlp_init(rng.spawn("head"), 5, 6, 1, zero_last=False)

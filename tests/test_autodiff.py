@@ -12,6 +12,10 @@ from molflow.autodiff import (
     backward,
     fnv1a_64,
 )
+from molflow.flow import fit_step, make_optimizer
+from molflow.geom3d import build_geometry
+from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
+                               init_spherenet)
 from oracles import _masked_sigmoid_np, gradient_check
 
 
@@ -198,6 +202,76 @@ def test_adam_rejects_non_finite_gradient():
     state = AdamState.for_params(params)
     with pytest.raises(ValueError):
         adam_step(params, [np.array([1.0, np.nan])], state)
+
+
+def _tape(output: Tensor) -> list[Tensor]:
+    nodes, stack, seen = [], [output], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+def test_shared_first_gradients_keep_leaf_gradients_right():
+    rng = SeededRng(83)
+    x = Tensor(rng.normal((3, 2)))
+    w = Tensor(rng.normal((3, 3)))
+    c1, c2, c3 = rng.normal((3, 2)), rng.normal((3, 3)), rng.normal((3, 2))
+    doubled = ad.add(x, x)            # both parents receive the same gradient array
+    joined = ad.concat([doubled, w], axis=1)
+    left = ad.gather(joined, slice(0, 2), axis=1)
+    right = ad.gather(joined, slice(2, 5), axis=1)
+    loss = ad.tsum(left * c1) + ad.tsum(right * c2) + ad.tsum(x * c3)
+    gx, gw = backward(loss, [x, w])
+    assert np.allclose(gx, 2.0 * c1 + c3, rtol=0, atol=1e-15)
+    assert np.array_equal(gw, c2)
+    # the nodes between the leaves and the loss still hold their own gradients
+    assert np.array_equal(left.grad, c1)
+    assert np.array_equal(doubled.grad, c1)
+    assert np.array_equal(right.grad, c2)
+
+
+def test_constant_operands_are_not_tape_nodes():
+    x = Tensor(np.ones((2, 2)))
+    const = np.eye(2)
+    for out in (const @ x, x @ const, x + const, const - x, x * const):
+        assert out.parents == (x,)
+    assert ad.concat([x, const], axis=1).parents == (x,)
+
+
+def test_fit_step_changes_no_gradient_the_tape_holds(monkeypatch):
+    snapshots = {}
+    real_backward = ad.backward
+
+    def recording_backward(output, leaves):
+        grads = real_backward(output, leaves)
+        snapshots.update({id(n): (n, n.grad.copy()) for n in _tape(output)
+                          if n.grad is not None})
+        return grads
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    # fusion training of a tiny encoder on an edge-free and a three-atom molecule
+    cfg = SphereNetConfig(hidden=6, n_blocks=1, n_radial=4, max_degree=1, out_dim=5)
+    params = init_spherenet(cfg, SeededRng(84))
+    caches = [GeometryCache.from_geometry(build_geometry(els, xyz), cfg)
+              for els, xyz in ((("C", "O", "N"), [[0.0, 0, 0], [1.2, 0, 0], [0.4, 1.1, 0.3]]),
+                               (("C",), [[0.0, 0, 0]]))]
+    targets = SeededRng(85).normal((2, 5))
+
+    def loss_of(view):
+        return fusion_loss(targets, encode_batch(view, caches))
+
+    opt = make_optimizer(params, lr=1e-2)
+    rates = np.full(len(params.named_params()), 0.5)
+    for clip in (None, 1e-3):
+        snapshots.clear()
+        fit_step(params, loss_of, opt, clip_norm=clip, rates=rates)
+        assert len(snapshots) > 20
+        for node, grad in snapshots.values():
+            assert np.array_equal(node.grad, grad), node.op
 
 
 def test_seeded_rng_reproducible_and_spawn_independent():

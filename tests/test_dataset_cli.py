@@ -367,6 +367,17 @@ def test_cli_train_flow_rejects_non_positive_clip_norm(tmp_path, capsys, clip_no
     assert not (tmp_path / "flow.npz").exists()
 
 
+@pytest.mark.parametrize("cutoff", [-1, 0, float("inf"), float("nan"), "5"])
+def test_cli_prepare_data_rejects_a_cutoff_no_geometry_can_use(tmp_path, capsys, cutoff):
+    # the bad value used to be echoed into prepare_summary.json with exit 0
+    code = cli(["prepare-data", "--synthetic", "5", "--config",
+                write_config(tmp_path, cutoff=cutoff), "--out", str(tmp_path / "data")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cutoff" in err and "Traceback" not in err
+    assert not (tmp_path / "data" / "prepare_summary.json").exists()
+
+
 def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):
     import molflow.cli as cli_module
     from molflow.pipeline import FlowTrainResult

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,14 +10,18 @@ from molflow.dataset import synthetic_corpus
 from molflow.flow import FlowConfig, decode, init_flow
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (
+    GeometryCache,
     SphereNetConfig,
+    encode_batch,
     encode_geometry,
     fusion_loss,
     init_spherenet,
     mix_noise,
     train_fusion,
 )
-from oracles import random_rigid_motion
+from oracles import DenseGeometryCache, random_rigid_motion, reference_encode
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def small_sphere(out_dim=24, hidden=16):
@@ -199,3 +206,57 @@ def test_train_fusion_requires_some_geometry():
     sphere = init_spherenet(SphereNetConfig(hidden=16, out_dim=flow_cfg.d_total), rng.spawn("s"))
     with pytest.raises(ValueError):
         train_fusion(corpus.records, flow, sphere, epochs=1, rng=rng.spawn("t"))
+
+
+@pytest.fixture(scope="module")
+def pinned_fusion_set():
+    """The benchmark's pinned encoder and the geometry caches of the 64
+    molecules it was fusion-trained on."""
+    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    _, sphere = fixture.load_model()
+    records = fixture.load_geometry_set(FlowConfig().n_max)
+    caches = [GeometryCache.from_geometry(r.geometry(cutoff=sphere.config.cutoff), sphere.config)
+              for r in records]
+    return sphere, caches
+
+
+def _reference_rows(sphere, caches):
+    return np.stack([reference_encode(sphere, DenseGeometryCache.from_cache(c)) for c in caches])
+
+
+def test_encode_batch_matches_per_molecule_reference_with_an_edge_free_molecule(
+        pinned_fusion_set):
+    sphere, caches = pinned_fusion_set
+    single = GeometryCache.from_geometry(build_geometry(("O",), [[0.3, -0.2, 1.0]]),
+                                         sphere.config)
+    assert single.radial.shape[0] == 0
+    nine = [c for c in caches if c.v0.shape[0] == 9][:5]
+    assert len(nine) == 5
+    batch = nine[:2] + [single] + nine[2:]
+    out = encode_batch(sphere, batch)
+    assert out.shape == (len(batch), sphere.config.out_dim)
+    assert np.abs(out - _reference_rows(sphere, batch)).max() < 1e-12
+    # a batch of one is encode_geometry's path
+    assert np.abs(encode_batch(sphere, [single])[0] - out[2]).max() < 1e-12
+
+
+def test_encode_batch_rows_follow_a_permuted_batch(pinned_fusion_set):
+    sphere, caches = pinned_fusion_set
+    batch = caches[:16]
+    out = encode_batch(sphere, batch)
+    ref = _reference_rows(sphere, batch)
+    assert np.abs(out - ref).max() < 1e-12
+    perm = [int(i) for i in SeededRng(76).permutation(len(batch))]
+    moved = encode_batch(sphere, [batch[i] for i in perm])
+    assert np.abs(moved - ref[perm]).max() < 1e-12
+    assert np.abs(moved - out[perm]).max() < 1e-12
+
+
+def test_fusion_loss_of_a_batch_is_the_mean_row_distance():
+    rng = SeededRng(77)
+    z = rng.normal((4, 6))
+    u = rng.normal((4, 6))
+    rows = [fusion_loss(z[i], u[i]).item() for i in range(4)]
+    assert fusion_loss(z, u).item() == pytest.approx(np.mean(rows), rel=1e-14)
