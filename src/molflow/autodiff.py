@@ -275,15 +275,6 @@ def log_sigmoid(x):
     return out
 
 
-def tanh(x):
-    if not _is_traced(x):
-        return np.tanh(_as_f64(x))
-    y = np.tanh(x.data)
-    out = Tensor(y, (x,), op="tanh")
-    out._backward = lambda g: _accumulate(x, g * (1.0 - y * y))
-    return out
-
-
 def mlp(x, w1, b1, w2, b2):
     """tanh(x @ w1 + b1) @ w2 + b2 as one tape node; `x` may carry stacked
     leading axes, the weights are 2-D and the biases 1-D."""
@@ -360,35 +351,20 @@ def _axis_key(indices, axis: int, ndim: int) -> tuple:
     return (slice(None),) * (axis % ndim) + (indices,)
 
 
-def gather(x, indices, axis):
-    """Select `indices` along `axis` (the tape's slice primitive).
-
-    A ``slice`` gives a view and its gradient is assigned back into place;
-    a list of positions gives a copy and repeated positions sum their
-    gradients."""
-    if isinstance(indices, slice):
-        data = _data(x)
-        key = _axis_key(indices, axis, data.ndim)
-        if not isinstance(x, Tensor):
-            return data[key]
-        out = Tensor(data[key], (x,), op="gather")
-
-        def bwd(g):
-            full = np.zeros_like(data)
-            full[key] = g
-            _accumulate(x, full)
-
-        out._backward = bwd
-        return out
-    idx = list(indices)
-    if not _is_traced(x):
-        return np.take(_as_f64(x), idx, axis=axis)
-    out = Tensor(np.take(x.data, idx, axis=axis), (x,), op="gather")
+def gather(x, indices: slice, axis):
+    """Select the slice `indices` along `axis` (the tape's slice primitive):
+    a view, whose gradient is assigned back into place."""
+    if not isinstance(indices, slice):
+        raise TypeError(f"gather takes a slice, got {type(indices).__name__}")
+    data = _data(x)
+    key = _axis_key(indices, axis, data.ndim)
+    if not isinstance(x, Tensor):
+        return data[key]
+    out = Tensor(data[key], (x,), op="gather")
 
     def bwd(g):
-        full = np.zeros_like(x.data)
-        moved = np.moveaxis(full, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        full = np.zeros_like(data)
+        full[key] = g
         _accumulate(x, full)
 
     out._backward = bwd

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,6 +90,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -98,12 +101,18 @@ class RunConfig:
         return config
 
     def validate(self) -> None:
-        """Raise ValueError on a field value no command can use. Only the
-        geometry cutoff is checked so far."""
-        cutoff = self.cutoff
-        if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)) \
-                or not (math.isfinite(cutoff) and cutoff > 0):
-            raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
+        """Raise ValueError naming the first field whose value has the wrong
+        type for its annotation (a bool is not an int; an int is accepted
+        for a float; every float must be finite) or lies outside the range
+        in ``_RANGES``."""
+        for name, hint in typing.get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                raise ValueError(f"{name} must be of type {_type_name(hint)}, got {value!r}")
+            if hint is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if name in _RANGES and not _RANGES[name][0](value):
+                raise ValueError(f"{name} must be {_RANGES[name][1]}, got {value!r}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -118,3 +127,51 @@ class RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             data[key] = value
         return RunConfig.from_dict(data)
+
+
+def _has_type(value, hint) -> bool:
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    return str(hint) if typing.get_origin(hint) else hint.__name__
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+
+# (check, description) per field; the checks run after the type check
+_RANGES = {
+    "n_max": _POSITIVE,
+    "flow_layers": _POSITIVE,
+    "flow_hidden": _POSITIVE,
+    "noise_scale": (lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
+    "temperature": _NON_NEGATIVE,
+    "sphere_blocks": _POSITIVE,
+    "sphere_hidden": _POSITIVE,
+    "n_radial": _POSITIVE,
+    "max_degree": _NON_NEGATIVE,
+    "cutoff": (lambda v: v > 0, "finite and positive"),
+    "noise_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "learning_rate": _POSITIVE,
+    "batch_size": _POSITIVE,
+    "epochs": _POSITIVE,
+    "clip_norm": _POSITIVE,
+    "probe_every": _POSITIVE,
+    "probe_count": _POSITIVE,
+    "fusion_epochs": _POSITIVE,
+    "fusion_learning_rate": _POSITIVE,
+    "fusion_batch_size": _POSITIVE,
+    "scorer_timeout": _POSITIVE,
+    "scorer_retries": _NON_NEGATIVE,
+    "scorer_parallelism": _POSITIVE,
+    "weight_floor": (lambda v: 0 <= v <= 0.1, "in [0, 0.1]"),
+    "sampler_mode": (lambda v: v in ("bernoulli", "categorical"), "'bernoulli' or 'categorical'"),
+    "ascent_steps": _POSITIVE,
+    "ascent_step_size": _NON_NEGATIVE,
+}

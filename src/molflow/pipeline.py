@@ -295,23 +295,43 @@ def similarity_triple(mol: Molecule, seed: Molecule) -> tuple[float, float, floa
     return t, f, k
 
 
-# noise mixes of one latent are decoded MIX_BATCH at a time, MAX_MIXES at most
+# each round draws the next MIX_BATCH noise mixes of every pending latent, up
+# to MAX_MIXES per latent; one decode_batch call takes at most DECODE_BLOCK
+# latents, the mixes of DECODE_BLOCK // MIX_BATCH latents
 MIX_BATCH = 32
 MAX_MIXES = 100
+DECODE_BLOCK = 1024
 
 
-def _mixed_decodes(flow_params: FlowParams, u_star: np.ndarray, lam: float, rng: SeededRng):
-    """Decode noise mixes of `u_star` (``mix_noise`` draws from `rng`) and
-    yield (mixes drawn so far, molecule) for each decode that passes the
-    valency check, until MAX_MIXES mixes have been drawn."""
+def _search_mixes(flow_params: FlowParams, u_stars: list[np.ndarray], lam: float,
+                  rngs: list[SeededRng], accept) -> list[tuple[int, object] | None]:
+    """For each latent ``u_stars[k]``, decode noise mixes of it
+    (``mix_noise`` draws from ``rngs[k]``) in order until one passes the
+    valency check and ``accept(molecule)`` returns something other than
+    None. Returns, per latent, (mixes drawn so far, that value), or None
+    once MAX_MIXES mixes have been drawn without one.
+
+    The latents still pending after a round go on together, so one round
+    costs one decode per DECODE_BLOCK latents, not one per latent."""
+    found: list[tuple[int, object] | None] = [None] * len(u_stars)
+    pending = list(range(len(u_stars)))
+    per_block = DECODE_BLOCK // MIX_BATCH
     drawn = 0
-    while drawn < MAX_MIXES:
+    while pending and drawn < MAX_MIXES:
         n_draw = min(MIX_BATCH, MAX_MIXES - drawn)
-        zs = np.stack([mix_noise(u_star, lam, rng) for _ in range(n_draw)])
         drawn += n_draw
-        for cand in decode_batch(flow_params, zs):
-            if valency_check(cand):
-                yield drawn, cand
+        for start in range(0, len(pending), per_block):
+            block = pending[start:start + per_block]
+            zs = np.stack([mix_noise(u_stars[k], lam, rngs[k])
+                           for k in block for _ in range(n_draw)])
+            cands = decode_batch(flow_params, zs)
+            for j, k in enumerate(block):
+                for cand in cands[j * n_draw:(j + 1) * n_draw]:
+                    if valency_check(cand) and (value := accept(cand)) is not None:
+                        found[k] = (drawn, value)
+                        break
+        pending = [k for k in pending if found[k] is None]
+    return found
 
 
 def generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
@@ -320,14 +340,21 @@ def generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
     """Seed-conditioned generation, one molecule per seed: geometry ->
     joint representation -> noise mixing -> the first valency-checked,
     canonicalizable decode, scored against its seed (None and a failure
-    when ``_mixed_decodes`` runs out)."""
+    when ``_search_mixes`` runs out). Seed `s_i` draws its mixes from
+    ``rng.spawn(f"seed{s_i}")``, and each distinct seed record is encoded
+    once."""
+    encoded: dict[int, np.ndarray] = {}
+    for rec in seeds:
+        if id(rec) not in encoded:
+            encoded[id(rec)] = encode_geometry(rec.geometry(cutoff=sphere_params.config.cutoff),
+                                               sphere_params)
+    found = _search_mixes(flow_params, [encoded[id(rec)] for rec in seeds], lam,
+                          [rng.spawn(f"seed{s_i}") for s_i in range(len(seeds))],
+                          lambda m: None if (smi := safe_canonical(m)) is None else (m, smi))
     rows = []
     out: list[Molecule | None] = []
-    for s_i, rec in enumerate(seeds):
-        u_star = encode_geometry(rec.geometry(cutoff=sphere_params.config.cutoff), sphere_params)
-        decodes = _mixed_decodes(flow_params, u_star, lam, rng.spawn(f"seed{s_i}"))
-        mol, smiles = next(((m, smi) for _, m in decodes
-                            if (smi := safe_canonical(m)) is not None), (None, None))
+    for rec, hit in zip(seeds, found):
+        mol, smiles = hit[1] if hit is not None else (None, None)
         out.append(mol)
         if mol is not None:
             rows.append((len(rows), smiles, *similarity_triple(mol, rec.molecule)))
@@ -569,17 +596,21 @@ def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params:
     generated fragment.
 
     The excised fragment's flow latent seeds similar generation
-    (``_mixed_decodes``). Candidates are attached under the valence-fit rule
-    until one yields a chemically valid molecule; `candidates_tried` counts
-    the noise mixes drawn.
+    (``_search_mixes`` on a batch of one). Candidates are attached under
+    the valence-fit rule until one yields a chemically valid molecule;
+    `candidates_tried` counts the noise mixes drawn.
     """
     pieces = excise_fragment(host, fragment_atoms)
     u_star, _ = encode(flow_params, pieces.fragment, rng.spawn("embed"))
-    for tried, cand in _mixed_decodes(flow_params, u_star, lam, rng.spawn("mix")):
+
+    def merged_ok(cand: Molecule) -> Molecule | None:
         merged = attach_fragment(pieces.remainder, pieces.attachments, cand)
-        if merged is not None and safe_canonical(merged) is not None:
-            return SubstructureResult(merged, tried, True)
-    return SubstructureResult(None, MAX_MIXES, False)
+        return merged if merged is not None and safe_canonical(merged) is not None else None
+
+    (hit,) = _search_mixes(flow_params, [u_star], lam, [rng.spawn("mix")], merged_ok)
+    if hit is None:
+        return SubstructureResult(None, MAX_MIXES, False)
+    return SubstructureResult(hit[1], hit[0], True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
-from molflow.flow import FlowParams, Mlp, apply_mlp
+from molflow.flow import FlowParams, Mlp, apply_mlp, decode_batch
 from molflow.chem import (
     Molecule,
     cyclic_bonds,
     path_fingerprint,
     subgraph,
     tanimoto,
+    valency_check,
 )
 from molflow.geom3d import (
     DEFAULT_CUTOFF,
@@ -27,7 +28,14 @@ from molflow.geom3d import (
     Geometry,
     bessel_basis,
 )
-from molflow.spherenet import GeometryCache, SphereNetParams
+from molflow.pipeline import (
+    MAX_MIXES,
+    MIX_BATCH,
+    SimilarityReport,
+    safe_canonical,
+    similarity_triple,
+)
+from molflow.spherenet import GeometryCache, SphereNetParams, encode_geometry, mix_noise
 
 
 def moving_average(xs: list[float], window: int) -> list[float]:
@@ -362,9 +370,36 @@ def masked_sigmoid(x):
     return out
 
 
+def tanh(x):
+    """tanh on arrays or as a tape node."""
+    if not isinstance(x, ad.Tensor):
+        return np.tanh(np.asarray(x, dtype=np.float64))
+    y = np.tanh(x.data)
+    out = ad.Tensor(y, (x,), op="tanh")
+    out._backward = lambda g: ad._accumulate(x, g * (1.0 - y * y))
+    return out
+
+
+def index_gather(x, indices, axis):
+    """Select a list of positions along `axis`: a copy, and repeated
+    positions sum their gradients."""
+    idx = list(indices)
+    if not isinstance(x, ad.Tensor):
+        return np.take(np.asarray(x, dtype=np.float64), idx, axis=axis)
+    out = ad.Tensor(np.take(x.data, idx, axis=axis), (x,), op="gather")
+
+    def bwd(g):
+        full = np.zeros_like(x.data)
+        np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
+        ad._accumulate(x, full)
+
+    out._backward = bwd
+    return out
+
+
 def unfused_mlp(p: Mlp, x):
     """tanh(x @ w1 + b1) @ w2 + b2 from separate matmul, add and tanh nodes."""
-    h = ad.tanh(x @ p.w1 + p.b1)
+    h = tanh(x @ p.w1 + p.b1)
     return h @ p.w2 + p.b2
 
 
@@ -401,8 +436,8 @@ def masked_atom_coupling(x, mlp: Mlp, index: int, bond_disc: np.ndarray, inverse
     h2 = adj_sum @ h1
     feats = ad.concat([x_masked, h1, h2], axis=2)
     st = unfused_mlp(mlp, feats)
-    s_raw = ad.gather(st, range(l), axis=2)
-    t = ad.gather(st, range(l, 2 * l), axis=2)
+    s_raw = index_gather(st, range(l), axis=2)
+    t = index_gather(st, range(l, 2 * l), axis=2)
     scale = masked_sigmoid(s_raw)
     if inverse:
         return x * keep + ((x - t) / scale) * trans, None
@@ -418,14 +453,14 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     batch, n, _, m = shape
     kept_ch = list(range(index % 2, m, 2))
     trans_ch = list(range(1 - index % 2, m, 2))
-    kept = ad.gather(x, kept_ch, axis=3)
+    kept = index_gather(x, kept_ch, axis=3)
     flat = ad.reshape(kept, (batch, n * n * len(kept_ch)))
     st = unfused_mlp(mlp, flat)
     half = n * n * len(trans_ch)
-    s_raw = ad.reshape(ad.gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
-    t = ad.reshape(ad.gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
+    s_raw = ad.reshape(index_gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
+    t = ad.reshape(index_gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
     scale = masked_sigmoid(s_raw)
-    trans = ad.gather(x, trans_ch, axis=3)
+    trans = index_gather(x, trans_ch, axis=3)
     if inverse:
         new_trans = (trans - t) / scale
         logdet = None
@@ -433,7 +468,7 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
         new_trans = trans * scale + t
         logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2, 3))
     order = np.argsort(kept_ch + trans_ch)
-    return ad.gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
+    return index_gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
 
 
 def reference_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarray):
@@ -515,3 +550,43 @@ def reference_encode(params: SphereNetParams, cache: DenseGeometryCache):
         u = apply_mlp(blk.g_u, ad.concat([u, atoms_sum], axis=1))
     out = apply_mlp(params.output_mlp, u)
     return ad.reshape(out, (-1,))
+
+
+# ---------------------------------------------------------------------------
+# reference seed-conditioned generation: one seed at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
+                               seeds, lam: float, rng: ad.SeededRng):
+    """generate_similar one seed after another: encode the seed, decode its
+    noise mixes MIX_BATCH at a time (seed `s_i` draws from
+    ``rng.spawn(f"seed{s_i}")``) and keep the first valency-checked,
+    canonicalizable one, drawing at most MAX_MIXES."""
+    rows = []
+    out = []
+    for s_i, rec in enumerate(seeds):
+        u_star = encode_geometry(rec.geometry(cutoff=sphere_params.config.cutoff), sphere_params)
+        seed_rng = rng.spawn(f"seed{s_i}")
+        mol = smiles = None
+        drawn = 0
+        while mol is None and drawn < MAX_MIXES:
+            n_draw = min(MIX_BATCH, MAX_MIXES - drawn)
+            zs = np.stack([mix_noise(u_star, lam, seed_rng) for _ in range(n_draw)])
+            drawn += n_draw
+            for cand in decode_batch(flow_params, zs):
+                if valency_check(cand) and (smi := safe_canonical(cand)) is not None:
+                    mol, smiles = cand, smi
+                    break
+        out.append(mol)
+        if mol is not None:
+            rows.append((len(rows), smiles, *similarity_triple(mol, rec.molecule)))
+    report = SimilarityReport(
+        seed_smiles=[r.smiles for r in seeds],
+        rows=rows,
+        mean_tanimoto=float(np.mean([r[2] for r in rows])) if rows else 0.0,
+        mean_fraggle=float(np.mean([r[3] for r in rows])) if rows else 0.0,
+        mean_maccs=float(np.mean([r[4] for r in rows])) if rows else 0.0,
+        failures=len(seeds) - len(rows),
+    )
+    return out, report

@@ -16,7 +16,7 @@ from molflow.flow import fit_step, make_optimizer
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
                                init_spherenet)
-from oracles import _masked_sigmoid_np, gradient_check
+from oracles import _masked_sigmoid_np, gradient_check, index_gather, tanh
 
 
 def test_matmul_hand_arithmetic():
@@ -51,6 +51,9 @@ def test_concat_definition():
         ad.assemble(parts, [odds, evens], axis=1)
     with pytest.raises(ValueError):
         ad.assemble([x[:, :3], x[:, 2:]], [slice(0, 3), slice(2, None)], axis=1)
+    # a position list may repeat, which the slice backward cannot sum
+    with pytest.raises(TypeError):
+        ad.gather(x, [0, 0], axis=1)
 
 
 def test_matmul_shape_mismatch_raises():
@@ -110,7 +113,7 @@ def test_gradient_check_mixed_ops(seed):
     w = rng.normal((3, 3))
 
     def f(x):
-        h = ad.tanh(ad.reshape(x, (1, 3)) @ w)
+        h = tanh(ad.reshape(x, (1, 3)) @ w)
         # every mlp input depends on x, so each of its five gradients counts
         fused = ad.mlp(ad.reshape(x, (1, 1, 3)), ad.reshape(ad.concat([x, x * 0.5, x]), (3, 3)),
                        x, ad.reshape(x, (3, 1)), ad.gather(x, slice(1, 2), axis=0))
@@ -130,7 +133,7 @@ def test_backward_linearity(seed):
     point = rng.normal((4,))
 
     def f(x):
-        return ad.tsum(ad.tanh(ad.reshape(x, (1, 4)) @ a))
+        return ad.tsum(tanh(ad.reshape(x, (1, 4)) @ a))
 
     def g(x):
         return ad.tsum(ad.sigmoid(ad.reshape(x, (1, 4)) @ b) * x)
@@ -148,10 +151,10 @@ def test_gather_concat_reshape_transpose_gradients():
     rng = SeededRng(3)
 
     def f(x):
-        g1 = ad.gather(x, [0, 2], axis=1)
-        g2 = ad.gather(x, [1], axis=1)
+        g1 = index_gather(x, [0, 2], axis=1)
+        g2 = index_gather(x, [1], axis=1)
         cat = ad.concat([g1, g2, g1], axis=1)  # (5, 5)
-        dup = ad.gather(x, [0, 0, 1], axis=1)  # repeated positions sum
+        dup = index_gather(x, [0, 0, 1], axis=1)  # repeated positions sum
         evens, odds = slice(0, None, 2), slice(1, None, 2)
         back = ad.assemble([ad.gather(x, evens, axis=0), ad.gather(x, odds, axis=0) * 2.0],
                            [evens, odds], axis=0)
@@ -299,7 +302,7 @@ def test_determinism_of_training_trajectory():
         trace = []
         for _ in range(100):
             leaf = Tensor(w[0])
-            loss = ad.tsum(ad.tanh(leaf) * leaf)
+            loss = ad.tsum(tanh(leaf) * leaf)
             loss.backward()
             w = adam_step(w, [leaf.grad], state)
             trace.append(loss.data.copy())

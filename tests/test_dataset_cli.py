@@ -363,7 +363,7 @@ def test_cli_train_flow_rejects_non_positive_clip_norm(tmp_path, capsys, clip_no
                 "--data", str(data), "--out", str(tmp_path / "flow.npz")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "clip norm must be positive" in err and "Traceback" not in err
+    assert "clip_norm must be positive" in err and "Traceback" not in err
     assert not (tmp_path / "flow.npz").exists()
 
 
@@ -376,6 +376,43 @@ def test_cli_prepare_data_rejects_a_cutoff_no_geometry_can_use(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "cutoff" in err and "Traceback" not in err
     assert not (tmp_path / "data" / "prepare_summary.json").exists()
+
+
+BAD_CONFIGS = [
+    ({"batch_size": "100"}, "batch_size"),
+    ({"flow_layers": 0}, "flow_layers"),
+    ({"flow_hidden": 0}, "flow_hidden"),
+    ({"epochs": True}, "epochs"),
+    ({"learning_rate": float("nan")}, "learning_rate"),
+    ({"noise_fraction": 1.5}, "noise_fraction"),
+    ({"weight_floor": 0.5}, "weight_floor"),
+    ({"sampler_mode": "uniform"}, "sampler_mode"),
+    ({"scorer_command": ["score", 1]}, "scorer_command"),
+    ([1, 2], "JSON object"),
+]
+
+
+@pytest.mark.parametrize("command", ["prepare-data", "train-flow"])
+@pytest.mark.parametrize("payload, named", BAD_CONFIGS)
+def test_cli_refuses_a_config_value_of_wrong_type_or_range(tmp_path, capsys, command,
+                                                           payload, named):
+    # these used to escape as tracebacks, fail deep inside training, or run
+    cfg = tmp_path / "config.json"
+    if isinstance(payload, dict):
+        write_config(tmp_path, **payload)
+    else:
+        cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    if command == "prepare-data":
+        argv = ["prepare-data", "--synthetic", "5", "--config", str(cfg), "--out", str(out)]
+    else:
+        data = tmp_path / "d.smi"
+        data.write_text("CCO\nCC\nCCN\n")
+        argv = ["train-flow", "--config", str(cfg), "--data", str(data), "--out", str(out)]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,7 +35,9 @@ from molflow.pipeline import (
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet
-from oracles import LinearHead, is_isomorphic
+from oracles import LinearHead, is_isomorphic, reference_generate_similar
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 C = CRIPPEN_CONTRIB
 
@@ -388,6 +393,54 @@ def test_noise_mix_sampling_is_pinned():
     other = init_flow(cfg, SeededRng(2), zero_last=False)
     missed = optimize_substructure(host, {3, 4}, other, SeededRng(2002), lam=0.2)
     assert (missed.molecule, missed.candidates_tried, missed.replaced_ok) == (None, 100, False)
+
+
+def _recording_decodes(monkeypatch):
+    """Patch pipeline.decode_batch to record the size of every block."""
+    import molflow.pipeline as pipeline_module
+
+    sizes = []
+    real = pipeline_module.decode_batch
+    monkeypatch.setattr(pipeline_module, "decode_batch",
+                        lambda params, zs: sizes.append(len(zs)) or real(params, zs))
+    return sizes
+
+
+def test_generate_similar_matches_per_seed_loop_on_pinned_model(monkeypatch):
+    # 40 seeds drawn with replacement from the benchmark's pinned model and
+    # fusion set: repeated seeds, and a first round of two decode blocks
+    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    flow, sphere = fixture.load_model()
+    records = fixture.load_geometry_set(flow.config.n_max)
+    picks = SeededRng(40).integers(0, len(records), 40)
+    seeds = [records[int(i)] for i in picks]
+    assert len({id(r) for r in seeds}) < len(seeds)
+    want_out, want = reference_generate_similar(flow, sphere, seeds, 0.2, SeededRng(41))
+    sizes = _recording_decodes(monkeypatch)
+    out, report = generate_similar(flow, sphere, seeds, 0.2, SeededRng(41))
+    assert sizes == [1024, 8 * 32]  # every seed accepts in round 1
+    assert out == want_out
+    assert report == want
+
+
+def test_generate_similar_matches_per_seed_loop_over_rounds(monkeypatch):
+    # an untrained flow: seeds accept in rounds 1, 2 and 3, and two draw
+    # all 100 mixes (32, 32, 32, 4) and fail; the last two seeds repeat records
+    cfg = FlowConfig(atom_hidden=8, bond_hidden=8, atom_layers=2, bond_layers=2)
+    flow = init_flow(cfg, SeededRng(7), zero_last=False)
+    sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=cfg.d_total), SeededRng(1007))
+    records = synthetic_corpus(6, SeededRng(3), with_geometry=True).records
+    seeds = records + records[:2]
+    want_out, want = reference_generate_similar(flow, sphere, seeds, 0.5, SeededRng(7))
+    sizes = _recording_decodes(monkeypatch)
+    out, report = generate_similar(flow, sphere, seeds, 0.5, SeededRng(7))
+    pending = [size // 32 for size in sizes[:3]] + [sizes[3] // 4]
+    assert len(sizes) == 4 and pending[0] == len(seeds)
+    assert pending[0] > pending[1] > pending[2] > pending[3] == report.failures > 0
+    assert out == want_out
+    assert report == want
 
 
 def test_moving_average_window():
