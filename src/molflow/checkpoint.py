@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +67,32 @@ def _restore(params, data):
 
 
 def load_checkpoint(path) -> tuple[RunConfig, FlowParams, SphereNetParams | None]:
-    with np.load(Path(path)) as data:
-        if _META_KEY not in data:
-            raise ValueError(f"{path} is not a molflow checkpoint")
-        meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format_version')}")
-        config = RunConfig.from_dict(meta["config"])
-        flow_params = _restore(init_flow(FlowConfig(**meta["flow"]), SeededRng(0)), data)
-        sphere_params = None
-        if meta["has_spherenet"]:
-            sphere_params = _restore(
-                init_spherenet(SphereNetConfig(**meta["sphere"]), SeededRng(0)), data)
+    """Read a checkpoint. A missing file raises FileNotFoundError; anything
+    else that is not a readable checkpoint (a truncated archive, a bare
+    ``.npy`` array, a directory, pickled arrays, missing or bad metadata or
+    arrays) raises one ValueError naming `path`."""
+    try:
+        data = np.load(Path(path))
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            return _read(data)
+    except FileNotFoundError:
+        raise
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a readable molflow checkpoint: {exc}") from None
+
+
+def _read(data) -> tuple[RunConfig, FlowParams, SphereNetParams | None]:
+    if _META_KEY not in data:
+        raise ValueError("no metadata entry")
+    meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format {meta.get('format_version')}")
+    config = RunConfig.from_dict(meta["config"])
+    flow_params = _restore(init_flow(FlowConfig(**meta["flow"]), SeededRng(0)), data)
+    sphere_params = None
+    if meta["has_spherenet"]:
+        sphere_params = _restore(
+            init_spherenet(SphereNetConfig(**meta["sphere"]), SeededRng(0)), data)
     return config, flow_params, sphere_params

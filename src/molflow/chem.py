@@ -450,12 +450,6 @@ def valency_check(m: Molecule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cyclic_bonds(m: Molecule) -> frozenset[tuple[int, int]]:
-    """Bonds lying on some cycle: the non-bridge edges (computed once per
-    molecule)."""
-    return m.cyclic_bonds
-
-
 def ring_count(m: Molecule) -> int:
     """Cyclomatic number: bonds - atoms + components."""
     return len(m.bonds) - m.num_atoms + len(connected_components(m))
@@ -478,25 +472,19 @@ def _shortest_cycle_through(m: Molecule, i: int, j: int) -> int:
     return dist[j] + 1 if j in dist else 0
 
 
-def ring_sizes(m: Molecule) -> frozenset[int]:
-    """Ring sizes present: length of the shortest cycle through each cyclic
-    bond. Fused systems report their small rings."""
-    return m.ring_sizes
-
-
 def largest_ring_size(m: Molecule) -> int:
-    sizes = ring_sizes(m)
+    sizes = m.ring_sizes
     return max(sizes) if sizes else 0
 
 
 def ring_atoms(m: Molecule) -> set[int]:
-    cyc = cyclic_bonds(m)
+    cyc = m.cyclic_bonds
     return {i for i, j in cyc} | {j for i, j in cyc}
 
 
 def fusion_atoms(m: Molecule) -> set[int]:
     """Atoms with three or more cyclic bonds (ring-fusion or spiro centers)."""
-    cyc = cyclic_bonds(m)
+    cyc = m.cyclic_bonds
     count: dict[int, int] = {}
     for i, j in cyc:
         count[i] = count.get(i, 0) + 1
@@ -529,7 +517,7 @@ def h_acceptor_count(m: Molecule) -> int:
 
 def rotatable_bond_count(m: Molecule) -> int:
     """Acyclic single bonds between two non-terminal heavy atoms."""
-    cyc = cyclic_bonds(m)
+    cyc = m.cyclic_bonds
     return sum(
         1
         for i, j, order in m.bonds
@@ -730,10 +718,10 @@ STRUCTURAL_KEYS: tuple[tuple[str, object], ...] = (
     ("has_triple_bond", lambda m: any(o == 3 for *_, o in m.bonds)),
     ("double_bonds_ge_2", lambda m: sum(1 for *_, o in m.bonds if o == 2) >= 2),
     ("has_ring", lambda m: ring_count(m) >= 1),
-    ("has_3_ring", lambda m: 3 in ring_sizes(m)),
-    ("has_4_ring", lambda m: 4 in ring_sizes(m)),
-    ("has_5_ring", lambda m: 5 in ring_sizes(m)),
-    ("has_6_ring", lambda m: 6 in ring_sizes(m)),
+    ("has_3_ring", lambda m: 3 in m.ring_sizes),
+    ("has_4_ring", lambda m: 4 in m.ring_sizes),
+    ("has_5_ring", lambda m: 5 in m.ring_sizes),
+    ("has_6_ring", lambda m: 6 in m.ring_sizes),
     ("rings_ge_2", lambda m: ring_count(m) >= 2),
     ("has_fusion_atom", lambda m: len(fusion_atoms(m)) >= 1),
     ("nitrogen_in_ring", lambda m: any(m.elements[a] == "N" for a in ring_atoms(m))),
@@ -802,7 +790,7 @@ def _fragment_candidates(m: Molecule) -> list[Molecule]:
     """Fragments from single and double cuts of acyclic single bonds,
     keeping pieces with at least 60% of the heavy atoms; an atom set left
     by several cuts is kept once."""
-    cyc = cyclic_bonds(m)
+    cyc = m.cyclic_bonds
     cuttable = [
         (i, j) for i, j, o in m.bonds if o == 1 and (i, j) not in cyc
     ]

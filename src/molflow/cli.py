@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .docking import (
     compute_weights,
     score_batch,
 )
-from .flow import init_flow
+from .flow import encode_molecules, init_flow
 from .pipeline import (
     compute_plogp,
     compute_qed_lite,
@@ -52,7 +53,6 @@ from .pipeline import (
 )
 from .chem import molecular_weight
 from .spherenet import init_spherenet, train_fusion
-from .flow import encode
 
 
 class UsageError(ValueError):
@@ -82,6 +82,23 @@ def _load_dataset(paths, config: RunConfig) -> Dataset:
     if not ds.records:
         raise DataError(paths[0], 0, "dataset is empty after ingestion")
     return ds
+
+
+def _refuse_directory_out(path) -> None:
+    """A training command's --out must not be a directory; checked before
+    training, since the model would otherwise be lost at save time."""
+    if Path(path).is_dir():
+        raise ValueError(f"--out {path} is a directory, not a checkpoint file path")
+
+
+def _read_csv(path, columns: set[str]) -> list[dict]:
+    """The rows of a report CSV that must carry `columns`."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = columns - set(reader.fieldnames or ())
+        if missing:
+            raise DataError(path, 1, f"missing column(s) {', '.join(sorted(missing))}")
+        return list(reader)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -147,7 +164,10 @@ def cmd_dock_weights(args) -> int:
     for mid, reason in sorted(result.failures.items()):
         log(event="score-failure", id=mid, reason=reason)
     if not result.records:
-        raise ScorerError("unparseable", "no molecule could be scored")
+        # the most common per-molecule reason, ties by name
+        reasons = Counter(result.failures.values())
+        reason = min(reasons, key=lambda r: (-reasons[r], r), default="unparseable")
+        raise ScorerError(reason, "no molecule could be scored")
     table = compute_weights(result.records, floor=config.weight_floor)
     rows = [
         (rec.molecule_id, _fmt(rec.energy), _fmt(rec.alpha), _fmt(table.weights[i]))
@@ -185,6 +205,7 @@ def _read_weight_table(path: Path, records, config: RunConfig) -> WeightTable:
 
 
 def cmd_train_flow(args) -> int:
+    _refuse_directory_out(args.out)
     config = _load_config(args)
     ds = _load_dataset(args.data, config)
     rng = SeededRng(config.seed)
@@ -210,6 +231,7 @@ def cmd_train_flow(args) -> int:
 
 
 def cmd_train_fusion(args) -> int:
+    _refuse_directory_out(args.out)
     config_ckpt, flow_params, _ = load_checkpoint(args.checkpoint)
     config = _load_config(args, default=config_ckpt)
     ds = _load_dataset(args.data, config)
@@ -308,11 +330,8 @@ def cmd_evaluate(args) -> int:
                                             sample_size=min(2000, len(ds.records)))
     payload = {"config": config.to_dict(), "seed": config.seed, "baseline": baseline}
     if args.generated:
-        smiles = []
-        with Path(args.generated).open() as fh:
-            for row in csv.DictReader(fh):
-                if int(row["valid"]):
-                    smiles.append(row["smiles"])
+        smiles = [row["smiles"] for row in _read_csv(args.generated, {"smiles", "valid"})
+                  if int(row["valid"])]
         payload["generated"] = {
             "count": len(smiles),
             "uniqueness_pct": uniqueness_pct(smiles),
@@ -332,12 +351,9 @@ def cmd_optimize_property(args) -> int:
     prop_fn = _PROPERTIES[args.property]
     rng = SeededRng(config.seed).spawn("optimize-property")
     enc_rng = rng.spawn("latents")
-    latents, values = [], []
-    for i, rec in enumerate(ds.records):
-        latents.append(encode(flow_params, rec.molecule, enc_rng.spawn(f"m{i}"))[0])
-        values.append(prop_fn(rec.molecule))
-    latents = np.stack(latents)
-    values = np.asarray(values)
+    latents, _ = encode_molecules(flow_params, [rec.molecule for rec in ds.records],
+                                  [enc_rng.spawn(f"m{i}") for i in range(len(ds.records))])
+    values = np.array([prop_fn(rec.molecule) for rec in ds.records])
     head, r2 = train_property_head(latents, values, rng.spawn("head"))
     log(event="property-head", holdout_r2=f"{r2:.4f}")
     top = np.argsort(values)[::-1][: args.seeds]
@@ -396,11 +412,10 @@ def cmd_export_plotdata(args) -> int:
     gen_csv = report_dir / "gen_report.csv"
     sim_csv = report_dir / "similar_report.csv"
     if gen_csv.exists():
-        with gen_csv.open() as fh:
-            smiles = [row["smiles"] for row in csv.DictReader(fh) if int(row["valid"])]
+        smiles = [row["smiles"] for row in _read_csv(gen_csv, {"smiles", "valid"})
+                  if int(row["valid"])]
     elif sim_csv.exists():
-        with sim_csv.open() as fh:
-            smiles = [row["smiles"] for row in csv.DictReader(fh)]
+        smiles = [row["smiles"] for row in _read_csv(sim_csv, {"smiles"})]
     else:
         raise DataError(report_dir, 0, "no gen_report.csv or similar_report.csv found")
 
@@ -416,10 +431,9 @@ def cmd_export_plotdata(args) -> int:
     hist_rows = []
     if sim_csv.exists():
         sims = {"tanimoto": [], "fraggle": [], "maccs": []}
-        with sim_csv.open() as fh:
-            for row in csv.DictReader(fh):
-                for k in sims:
-                    sims[k].append(float(row[k]))
+        for row in _read_csv(sim_csv, set(sims)):
+            for k in sims:
+                sims[k].append(float(row[k]))
         counts = {k: np.histogram(v, bins=bins)[0] for k, v in sims.items()}
         for b in range(20):
             hist_rows.append((
@@ -436,6 +450,17 @@ def cmd_export_plotdata(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,14 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--subset", type=int, default=None, help="use only the first N geometry records")
+    p.add_argument("--subset", type=_positive_int, default=None,
+                   help="use only the first N geometry records")
     p.add_argument("--fusion-epochs", dest="fusion_epochs", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_fusion)
 
     p = sub.add_parser("generate", help="random generation with metrics")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--data", nargs="*", default=[], help="training data for novelty")
@@ -493,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-similar", help="seed-conditioned generation")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--count", type=int, default=100, help="number of seeds")
+    p.add_argument("--count", type=_positive_int, default=100, help="number of seeds")
     p.add_argument("--noise-fraction", dest="noise_fraction", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_similar)
@@ -509,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--property", choices=sorted(_PROPERTIES), required=True)
-    p.add_argument("--seeds", type=int, default=50)
+    p.add_argument("--seeds", type=_positive_int, default=50)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize_property)
 

@@ -116,7 +116,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            text = Path(path).read_text()
+        except IsADirectoryError:
+            raise ValueError(f"config {path} is a directory, not a JSON file") from None
+        return cls.from_dict(json.loads(text))
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
         data = self.to_dict()

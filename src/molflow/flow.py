@@ -18,7 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, SeededRng, Tensor, adam_step
-from .chem import Molecule, from_tensors, to_tensors, valency_check
+from .chem import Molecule, from_tensors, to_tensors
+# unused here, but perfbench's tracer patches flow.valency_check
+from .chem import valency_check  # noqa: F401
 
 Array = np.ndarray
 
@@ -306,14 +308,13 @@ def decode_continuous(params: FlowParams, za: Array, zb: Array) -> tuple[Array, 
     return xa, xb
 
 
-def encode_tensors(params: FlowParams, atom: Array, bond: Array, rng: SeededRng):
-    """Dequantize one-hot batches at the config's noise scale and
-    ``encode_continuous`` them; the atom track's condition, the discretized
-    bonds, is `bond` again for noise scales up to 0.5. Returns (za, zb,
-    log_likelihood per sample)."""
+def encode_tensors(params: FlowParams, xa: Array, xb: Array):
+    """``encode_continuous`` dequantized (batch, ...) tensors; the atom
+    track's condition, the discretized bonds, is the one-hot bond input
+    again for noise scales up to 0.5. Returns (za, zb, log_likelihood per
+    sample)."""
     cfg = params.config
-    za, zb, ld_a, ld_b = encode_continuous(params, dequantize(atom, cfg.noise_scale, rng),
-                                           dequantize(bond, cfg.noise_scale, rng))
+    za, zb, ld_a, ld_b = encode_continuous(params, xa, xb)
     loglik = (gauss_log_density(za, cfg.d_atom) + ld_a
               + gauss_log_density(zb, cfg.d_bond) + ld_b)
     data_a = za.data if isinstance(za, Tensor) else za
@@ -323,12 +324,19 @@ def encode_tensors(params: FlowParams, atom: Array, bond: Array, rng: SeededRng)
     return za, zb, loglik
 
 
-def encode(params: FlowParams, molecule: Molecule, rng: SeededRng) -> tuple[Array, float]:
-    """Encode one molecule; returns its (d_total,) latent, atoms first
-    (z_atom || z_bond), and its exact log-likelihood."""
-    atom, bond = to_tensors(molecule, params.config.n_max)
-    za, zb, loglik = encode_tensors(params, atom[None], bond[None], rng)
-    return np.concatenate([za.reshape(-1), zb.reshape(-1)]), float(loglik[0])
+def encode_molecules(params: FlowParams, molecules: list[Molecule],
+                     rngs: list[SeededRng]) -> tuple[Array, Array]:
+    """Encode a batch of molecules in one ``encode_tensors`` pass; molecule
+    k is dequantized from ``rngs[k]``, atoms first, then bonds. Returns the
+    (B, d_total) latents, atoms first (z_atom || z_bond), and the B exact
+    log-likelihoods."""
+    cfg = params.config
+    tensors = [to_tensors(m, cfg.n_max) for m in molecules]
+    deq = [(dequantize(atom, cfg.noise_scale, rng), dequantize(bond, cfg.noise_scale, rng))
+           for (atom, bond), rng in zip(tensors, rngs, strict=True)]
+    za, zb, loglik = encode_tensors(params, np.stack([a for a, _ in deq]),
+                                    np.stack([b for _, b in deq]))
+    return np.concatenate([za.reshape(len(deq), -1), zb.reshape(len(deq), -1)], axis=1), loglik
 
 
 def decode_tensors(params: FlowParams, z: Array) -> tuple[Array, Array]:
@@ -346,18 +354,6 @@ def decode_batch(params: FlowParams, z: Array) -> list[Molecule]:
     valency screening)."""
     xa, bond_disc = decode_tensors(params, z)
     return [from_tensors(xa[i], bond_disc[i]) for i in range(z.shape[0])]
-
-
-def decode(params: FlowParams, z: Array, check_valency: bool = True) -> Molecule | None:
-    """Invert one (d_total,) latent into a molecule.
-
-    With the valency check on, a chemically invalid sample is rejected and
-    None is returned so the caller can resample.
-    """
-    mol = decode_batch(params, np.asarray(z)[None])[0]
-    if check_valency and not valency_check(mol):
-        return None
-    return mol
 
 
 def sample_prior(rng: SeededRng, config: FlowConfig,
@@ -419,9 +415,12 @@ def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,
     (parameters updated in place); returns the step's mean NLL."""
     if atom.shape[0] == 0:
         raise ValueError("empty batch")
+    cfg = params.config
+    xa = dequantize(atom, cfg.noise_scale, rng)
+    xb = dequantize(bond, cfg.noise_scale, rng)
 
     def mean_nll(view: FlowParams):
-        _, _, loglik = encode_tensors(view, atom, bond, rng)
+        _, _, loglik = encode_tensors(view, xa, xb)
         return ad.tsum(loglik) * (-1.0 / atom.shape[0])
 
     return fit_step(params, mean_nll, opt, clip_norm=clip_norm)

@@ -44,7 +44,7 @@ from .flow import (
     apply_mlp,
     decode_batch,
     decode_tensors,
-    encode,
+    encode_molecules,
     fit_step,
     make_optimizer,
     mlp_init,
@@ -404,10 +404,6 @@ class PropertyHead(ParamTree):
 
     mlp: Mlp
 
-    def value(self, z: np.ndarray) -> float:
-        out = apply_mlp(self.mlp, z.reshape(1, -1))
-        return float(out.reshape(-1)[0])
-
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         leaf = Tensor(z.reshape(1, -1))
         scalar = ad.reshape(apply_mlp(self.mlp, leaf), ())
@@ -453,7 +449,7 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
     # denormalize into the head by folding mu/sd into the output layer
     head.mlp.w2 = head.mlp.w2 * sd
     head.mlp.b2 = head.mlp.b2 * sd + mu
-    preds = np.array([head.value(latents[i]) for i in hold])
+    preds = apply_mlp(head.mlp, latents[hold]).reshape(-1)
     truth = values[hold]
     ss_res = float(((preds - truth) ** 2).sum())
     ss_tot = float(((truth - truth.mean()) ** 2).sum())
@@ -481,12 +477,13 @@ class OptimizationTrajectory:
 
 def optimize_property(z0: np.ndarray, head, steps: int, step_size: float,
                       flow_params: FlowParams | None = None,
-                      property_fn=None, check_valency: bool = True) -> OptimizationTrajectory:
+                      property_fn=None) -> OptimizationTrajectory:
     """Gradient ascent in latent space: z <- z + step * grad head(z).
 
-    Each visited latent is decoded (valency-checked) when a flow is given;
-    decode rejections leave a gap (molecule None) and the ascent continues.
-    The trajectory has steps + 1 points including the start.
+    When a flow is given, the visited latents are decoded in one batch once
+    the ascent is done, and each decode is valency-checked; a rejected one
+    leaves a gap (molecule None). The trajectory has steps + 1 points
+    including the start.
     """
     if steps < 1:
         raise ValueError("need at least one ascent step")
@@ -496,17 +493,16 @@ def optimize_property(z0: np.ndarray, head, steps: int, step_size: float,
     points: list[TrajectoryPoint] = []
     for k in range(steps + 1):
         value, grad = head.value_and_grad(z)
-        mol = None
-        actual = None
-        if flow_params is not None:
-            from .flow import decode
-
-            mol = decode(flow_params, z, check_valency=check_valency)
-            if mol is not None and property_fn is not None:
-                actual = float(property_fn(mol))
-        points.append(TrajectoryPoint(z.copy(), value, mol, actual))
+        points.append(TrajectoryPoint(z, value, None, None))
         if k < steps:
             z = z + step_size * grad
+    if flow_params is not None:
+        mols = decode_batch(flow_params, np.stack([p.latent for p in points]))
+        for point, mol in zip(points, mols):
+            if valency_check(mol):
+                point.molecule = mol
+                if property_fn is not None:
+                    point.actual = float(property_fn(mol))
     return OptimizationTrajectory(points)
 
 
@@ -601,7 +597,7 @@ def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params:
     `candidates_tried` counts the noise mixes drawn.
     """
     pieces = excise_fragment(host, fragment_atoms)
-    u_star, _ = encode(flow_params, pieces.fragment, rng.spawn("embed"))
+    (u_star,), _ = encode_molecules(flow_params, [pieces.fragment], [rng.spawn("embed")])
 
     def merged_ok(cand: Molecule) -> Molecule | None:
         merged = attach_fragment(pieces.remainder, pieces.attachments, cand)

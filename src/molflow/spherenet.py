@@ -27,8 +27,8 @@ from . import autodiff as ad
 from .autodiff import SeededRng, Tensor, adam_step  # noqa: F401
 from .chem import ELEMENTS
 from .dataset import DatasetRecord
-from .flow import (FlowParams, Mlp, ParamTree, apply_mlp, encode, fit_step, make_optimizer,
-                   mlp_init)
+from .flow import (FlowParams, Mlp, ParamTree, apply_mlp, encode_molecules, fit_step,
+                   make_optimizer, mlp_init)
 from .geom3d import Geometry, edge_feature_matrix
 
 Array = np.ndarray
@@ -181,11 +181,11 @@ class FusionResult:
 
 
 def fusion_targets(records: list[DatasetRecord], flow_params: FlowParams,
-                   rng: SeededRng) -> list[Array]:
-    """Fixed regression targets: each molecule's flow latent under one
-    dequantization draw."""
-    return [encode(flow_params, rec.molecule, rng.spawn(f"target{i}"))[0]
-            for i, rec in enumerate(records)]
+                   rng: SeededRng) -> Array:
+    """Fixed (B, d_total) regression targets: each molecule's flow latent
+    under one dequantization draw, from ``rng.spawn(f"target{i}")``."""
+    return encode_molecules(flow_params, [rec.molecule for rec in records],
+                            [rng.spawn(f"target{i}") for i in range(len(records))])[0]
 
 
 def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
@@ -208,7 +208,7 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
         raise ValueError("no records to fuse")
     caches = [GeometryCache.from_geometry(r.geometry(cutoff=params.config.cutoff), params.config)
               for r in records]
-    targets = np.stack(fusion_targets(records, flow_params, rng.spawn("targets")))
+    targets = fusion_targets(records, flow_params, rng.spawn("targets"))
     if not params.output_mlp.b2.any():
         params.output_mlp.b2 = np.mean(targets, axis=0)
     # Adam's direction is scale-free in the gradient, so the per-group rate

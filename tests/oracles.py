@@ -12,13 +12,14 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
-from molflow.flow import FlowParams, Mlp, apply_mlp, decode_batch
+from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_batch, dequantize,
+                          encode_tensors)
 from molflow.chem import (
     Molecule,
-    cyclic_bonds,
     path_fingerprint,
     subgraph,
     tanimoto,
+    to_tensors,
     valency_check,
 )
 from molflow.geom3d import (
@@ -31,7 +32,9 @@ from molflow.geom3d import (
 from molflow.pipeline import (
     MAX_MIXES,
     MIX_BATCH,
+    OptimizationTrajectory,
     SimilarityReport,
+    TrajectoryPoint,
     safe_canonical,
     similarity_triple,
 )
@@ -60,7 +63,7 @@ def brute_force_fraggle(a: Molecule, b: Molecule) -> float:
     def one_way(x: Molecule, y: Molecule) -> float:
         fp_y = path_fingerprint(y)
         best = tanimoto(path_fingerprint(x), fp_y)
-        cyc = cyclic_bonds(x)
+        cyc = x.cyclic_bonds
         cuttable = [(i, j) for i, j, o in x.bonds if o == 1 and (i, j) not in cyc]
         cut_sets = [{c} for c in cuttable]
         cut_sets += [{cuttable[p], cuttable[q]} for p in range(len(cuttable))
@@ -550,6 +553,40 @@ def reference_encode(params: SphereNetParams, cache: DenseGeometryCache):
         u = apply_mlp(blk.g_u, ad.concat([u, atoms_sum], axis=1))
     out = apply_mlp(params.output_mlp, u)
     return ad.reshape(out, (-1,))
+
+
+# ---------------------------------------------------------------------------
+# reference flow latents: one molecule at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_flow_encode(params: FlowParams, molecule: Molecule, rng: ad.SeededRng):
+    """One molecule through the flow as a batch of one, dequantized from
+    `rng` (atoms, then bonds): its (d_total,) latent, atoms first, and its
+    log-likelihood."""
+    cfg = params.config
+    atom, bond = to_tensors(molecule, cfg.n_max)
+    za, zb, loglik = encode_tensors(params, dequantize(atom[None], cfg.noise_scale, rng),
+                                    dequantize(bond[None], cfg.noise_scale, rng))
+    return np.concatenate([za.reshape(-1), zb.reshape(-1)]), float(loglik[0])
+
+
+def reference_optimize_property(z0: np.ndarray, head, steps: int, step_size: float,
+                                flow_params: FlowParams, property_fn=None):
+    """optimize_property decoding each visited latent on its own, as the
+    ascent reaches it, and valency-checking the decode."""
+    z = np.asarray(z0, dtype=np.float64).copy()
+    points = []
+    for k in range(steps + 1):
+        value, grad = head.value_and_grad(z)
+        mol = decode_batch(flow_params, z[None])[0]
+        if not valency_check(mol):
+            mol = None
+        actual = float(property_fn(mol)) if mol is not None and property_fn else None
+        points.append(TrajectoryPoint(z.copy(), value, mol, actual))
+        if k < steps:
+            z = z + step_size * grad
+    return OptimizationTrajectory(points)
 
 
 # ---------------------------------------------------------------------------

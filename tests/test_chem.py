@@ -16,7 +16,6 @@ from molflow.chem import (
     _path_hash,
     canonical_rank,
     connected_components,
-    cyclic_bonds,
     fraggle_similarity,
     from_tensors,
     fusion_atoms,
@@ -30,7 +29,6 @@ from molflow.chem import (
     parse_smiles,
     path_fingerprint,
     ring_count,
-    ring_sizes,
     rotatable_bond_count,
     structural_keys,
     subgraph,
@@ -362,7 +360,7 @@ def brute_force_fraggle(a: Molecule, b: Molecule) -> float:
     def one_way(x: Molecule, y: Molecule) -> float:
         fp_y = path_fingerprint(y)
         best = tanimoto(path_fingerprint(x), fp_y)
-        cyc = cyclic_bonds(x)
+        cyc = x.cyclic_bonds
         cuttable = [(i, j) for i, j, o in x.bonds if o == 1 and (i, j) not in cyc]
         cut_sets = [set()]
         cut_sets += [{c} for c in cuttable]
@@ -479,11 +477,11 @@ def brute_force_cyclic_bonds(m: Molecule) -> set[tuple[int, int]]:
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_cyclic_bonds_cached_and_match_brute_force(seed):
     for m in (random_molecule(SeededRng(seed)), parse_smiles("C1CC2CCC12CC1CO1")):
-        first = cyclic_bonds(m)
+        first = m.cyclic_bonds
         assert isinstance(first, frozenset)
         assert first == brute_force_cyclic_bonds(m)
-        assert cyclic_bonds(m) is first
-        assert ring_sizes(m) is ring_sizes(m)
+        assert m.cyclic_bonds is first
+        assert m.ring_sizes is m.ring_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +493,7 @@ def test_ring_metrics_on_fused_bicycle():
     # two fused 4-rings sharing the 2-5 bond; every edge's shortest cycle is 4
     m = parse_smiles("C1CC2CCC12")
     assert ring_count(m) == 2
-    assert ring_sizes(m) == {4}
+    assert m.ring_sizes == {4}
     assert fusion_atoms(m) == {2, 5}
     assert largest_ring_size(m) == 4
     assert largest_ring_size(parse_smiles("C1CCCCCC1")) == 7

@@ -415,6 +415,97 @@ def test_cli_refuses_a_config_value_of_wrong_type_or_range(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A small dataset with geometry, a flow and a fused checkpoint, and the
+    malformed files the CLI must refuse."""
+    from molflow.spherenet import SphereNetConfig, init_spherenet
+
+    root = tmp_path_factory.mktemp("bad_inputs")
+    config = RunConfig(seed=11, epochs=1, fusion_epochs=1, probe_count=4, ascent_steps=2,
+                       flow_layers=2, flow_hidden=8)
+    (root / "config.json").write_text(json.dumps(config.to_dict()))
+    assert cli(["prepare-data", "--config", str(root / "config.json"), "--synthetic", "60",
+                "--out", str(root / "data")]) == 0
+    flow = init_flow(config.flow_config(), SeededRng(3), zero_last=False)
+    save_checkpoint(root / "flow.npz", config, flow)
+    save_checkpoint(root / "fused.npz", config, flow,
+                    init_spherenet(SphereNetConfig(hidden=8, out_dim=flow.config.d_total),
+                                   SeededRng(4)))
+    (root / "truncated.npz").write_bytes((root / "fused.npz").read_bytes()[:3000])
+    np.save(root / "array.npy", np.ones(3))
+    (root / "a_dir").mkdir()
+    (root / "no_smiles.csv").write_text("index,valid\n0,1\n")
+    (root / "no_valid.csv").write_text("index,smiles\n0,CCO\n")
+    (root / "report").mkdir()
+    (root / "report" / "gen_report.csv").write_text("index,smiles\n0,CCO\n")
+    return root
+
+
+# (argv with {root} for the fixture directory, exit code, text stderr names)
+BAD_INVOCATIONS = [
+    ("generate --checkpoint {root}/truncated.npz --out {root}/o", 2, "truncated.npz"),
+    ("generate --checkpoint {root}/array.npy --out {root}/o", 2, "array.npy"),
+    ("generate --checkpoint {root}/a_dir --out {root}/o", 2, "a_dir"),
+    ("prepare-data --config {root}/a_dir --synthetic 5 --out {root}/o", 2, "a_dir"),
+    ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz --out {root}/a_dir",
+     2, "a_dir"),
+    ("train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
+     "--out {root}/a_dir", 2, "a_dir"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_smiles.csv --out {root}/o",
+     2, "smiles"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_valid.csv --out {root}/o",
+     2, "valid"),
+    ("export-plotdata --report {root}/report --out {root}/o", 2, "valid"),
+    ("generate --checkpoint {root}/flow.npz --count -3 --out {root}/o", 1, "--count"),
+    ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
+     "--count 0 --out {root}/o", 1, "--count"),
+    ("train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz --subset 0 "
+     "--out {root}/o.npz", 1, "--subset"),
+    ("train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz --subset -1 "
+     "--out {root}/o.npz", 1, "--subset"),
+    ("optimize-property --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
+     "--property plogp --seeds 0 --out {root}/o", 1, "--seeds"),
+]
+
+
+@pytest.mark.parametrize("argv, code, named", BAD_INVOCATIONS)
+def test_cli_refuses_bad_paths_columns_and_counts(bad_inputs, capsys, argv, code, named):
+    # each of these used to end in a traceback or run on with exit 0
+    capsys.readouterr()
+    assert cli(argv.format(root=bad_inputs).split()) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    # nothing trained before a bad --out was refused, and nothing was written
+    assert "epoch=" not in err
+    assert not (bad_inputs / "o").exists() and not (bad_inputs / "o.npz").exists()
+
+
+def test_load_checkpoint_names_the_path_of_a_pickled_or_metadata_less_file(tmp_path):
+    pickled = tmp_path / "pickled.npz"
+    np.savez(pickled, __meta__=np.array([{"format_version": 2}], dtype=object))
+    bare = tmp_path / "bare.npz"
+    np.savez(bare, a=np.ones(3))
+    for path in (pickled, bare):
+        with pytest.raises(ValueError, match=path.name):
+            load_checkpoint(path)
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "missing.npz")
+
+
+def test_cli_dock_weights_names_the_scorer_failure_reason(tmp_path, capsys):
+    # every molecule fails with not_found; the final error used to say
+    # "unparseable" whatever the per-molecule reasons were
+    cfg = write_config(tmp_path, scorer_command=[str(tmp_path / "no_such_scorer")])
+    data = tmp_path / "d.smi"
+    data.write_text("CCO\nCC\n")
+    assert cli(["dock-weights", "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "dock")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("reason=not_found") == 2
+    assert "scorer not_found: no molecule could be scored" in err
+
+
 def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):
     import molflow.cli as cli_module
     from molflow.pipeline import FlowTrainResult

@@ -5,7 +5,7 @@ import pytest
 
 from molflow.autodiff import SeededRng
 from molflow.chem import ELEMENTS, to_tensors, valency_check
-from molflow.flow import decode, encode_tensors
+from molflow.flow import decode_batch, dequantize, encode_tensors
 from molflow.pipeline import optimize_substructure
 from molflow.spherenet import encode_geometry
 from oracles import is_isomorphic
@@ -20,7 +20,9 @@ def test_training_molecules_outscore_random_tensors(desk, corpus):
     records = corpus.records[:200]
     atoms = np.stack([to_tensors(r.molecule, cfg.n_max)[0] for r in records])
     bonds = np.stack([to_tensors(r.molecule, cfg.n_max)[1] for r in records])
-    _, _, ll_train = encode_tensors(params, atoms, bonds, rng.spawn("train"))
+    deq = rng.spawn("train")
+    _, _, ll_train = encode_tensors(params, dequantize(atoms, cfg.noise_scale, deq),
+                                    dequantize(bonds, cfg.noise_scale, deq))
 
     rand_atoms = np.zeros_like(atoms)
     rand_bonds = np.zeros_like(bonds)
@@ -31,7 +33,9 @@ def test_training_molecules_outscore_random_tensors(desk, corpus):
         q = np.triu(q, 1)
         q = q + q.T
         rand_bonds[b, np.arange(cfg.n_max)[:, None], np.arange(cfg.n_max)[None, :], q] = 1.0
-    _, _, ll_rand = encode_tensors(params, rand_atoms, rand_bonds, rng.spawn("deq"))
+    deq = rng.spawn("deq")
+    _, _, ll_rand = encode_tensors(params, dequantize(rand_atoms, cfg.noise_scale, deq),
+                                   dequantize(rand_bonds, cfg.noise_scale, deq))
     assert float(np.mean(ll_train)) > float(np.mean(ll_rand))
 
 
@@ -44,7 +48,7 @@ def test_noise_free_conditioning_frequently_reconstructs_seed(desk):
     for rec in desk["fusion_set"]:
         g = rec.geometry(cutoff=desk["sphere_config"].cutoff)
         u_star = encode_geometry(g, desk["sphere"])
-        mol = decode(desk["flow"], u_star, check_valency=False)
+        (mol,) = decode_batch(desk["flow"], u_star[None])
         if mol.num_atoms and is_isomorphic(mol, rec.molecule):
             hits += 1
     rate = hits / len(desk["fusion_set"])

@@ -5,21 +5,20 @@ import pytest
 
 import molflow.autodiff as ad
 from molflow.autodiff import SeededRng, Tensor
-from molflow.chem import parse_smiles, to_tensors, valency_check
+from molflow.chem import parse_smiles, valency_check
 from molflow.dataset import synthetic_corpus, tensor_batches
 from molflow.flow import (
     FlowConfig,
     atom_condition,
     atom_coupling,
     bond_coupling,
-    decode,
     decode_batch,
     decode_continuous,
     decode_tensors,
     dequantize,
     discretize_bonds,
-    encode,
     encode_continuous,
+    encode_molecules,
     encode_tensors,
     gauss_log_density,
     init_flow,
@@ -27,7 +26,8 @@ from molflow.flow import (
     sample_prior,
     train_step,
 )
-from oracles import is_isomorphic, reference_decode_tensors, reference_encode_continuous
+from oracles import (is_isomorphic, reference_decode_tensors, reference_encode_continuous,
+                     reference_flow_encode)
 
 
 def small_config():
@@ -159,7 +159,9 @@ def test_atom_network_x_rows_get_zero_gradient():
     opt = make_optimizer(params, lr=1e-2)
     train_step(params, atoms, bonds, opt, rng.spawn("step"))
     view, leaves = ad.traced(params)
-    _, _, loglik = encode_tensors(view, atoms, bonds, rng.spawn("grad"))
+    deq = rng.spawn("grad")
+    _, _, loglik = encode_tensors(view, dequantize(atoms, cfg.noise_scale, deq),
+                                  dequantize(bonds, cfg.noise_scale, deq))
     grads = dict(zip([n for n, _ in params.named_params()],
                      ad.backward(ad.tsum(loglik) * -1.0, leaves)))
     for i, mlp in enumerate(params.atom):
@@ -212,13 +214,11 @@ def test_encode_closed_form_for_zero_initialized_model():
     cfg = FlowConfig()
     params = init_flow(cfg, SeededRng(16))  # s == 0, t == 0 everywhere
     mol = parse_smiles("CC(=O)N")
-    atom, bond = to_tensors(mol, cfg.n_max)
     rng = SeededRng(17)
-    za, zb, loglik = encode_tensors(params, atom[None], bond[None], rng)
+    (z,), loglik = encode_molecules(params, [mol], [rng])
     # each coordinate is transformed three times by a 0.5 scale
-    xa = np.asarray(za).reshape(-1) * 8.0
-    xb = np.asarray(zb).reshape(-1) * 8.0
-    z = np.concatenate([np.asarray(za).reshape(-1), np.asarray(zb).reshape(-1)])
+    xa = z[: cfg.d_atom] * 8.0
+    xb = z[cfg.d_atom:] * 8.0
     logdet = (3 * cfg.d_atom + 3 * cfg.d_bond) * math.log(0.5)
     expected = (-0.5 * float(z @ z)
                 - 0.5 * cfg.d_total * math.log(2 * math.pi)
@@ -232,18 +232,36 @@ def test_decode_of_encode_reconstructs_molecule():
     params = init_flow(cfg, SeededRng(18), zero_last=False)
     rng = SeededRng(19)
     corpus = synthetic_corpus(100, rng.spawn("mols"), with_geometry=False)
-    for rec in corpus.records:
-        z, _ = encode(params, rec.molecule, rng)
-        out = decode(params, z, check_valency=False)
+    z, _ = encode_molecules(params, [rec.molecule for rec in corpus.records],
+                            [rng.spawn(f"m{i}") for i in range(len(corpus.records))])
+    for out, rec in zip(decode_batch(params, z), corpus.records, strict=True):
         assert is_isomorphic(out, rec.molecule)
+
+
+def test_encode_molecules_matches_one_molecule_encode():
+    # molecule k draws its dequantization from rngs[k] alone, so a batched
+    # row is the batch-of-one encode up to BLAS summation order, and a
+    # batch of one is that encode bit for bit
+    cfg = FlowConfig()
+    params = init_flow(cfg, SeededRng(24), zero_last=False)
+    mols = [rec.molecule for rec in synthetic_corpus(40, SeededRng(25), with_geometry=False).records]
+    rng = SeededRng(26)
+    z, loglik = encode_molecules(params, mols, [rng.spawn(f"m{i}") for i in range(len(mols))])
+    assert z.shape == (len(mols), cfg.d_total) and loglik.shape == (len(mols),)
+    for i, mol in enumerate(mols):
+        ref_z, ref_ll = reference_flow_encode(params, mol, rng.spawn(f"m{i}"))
+        assert np.allclose(z[i], ref_z, rtol=0.0, atol=1e-12)
+        assert abs(loglik[i] - ref_ll) <= 1e-12
+        (one,), one_ll = encode_molecules(params, [mol], [rng.spawn(f"m{i}")])
+        assert np.array_equal(one, ref_z) and float(one_ll[0]) == ref_ll
 
 
 def test_decode_is_deterministic():
     cfg = FlowConfig()
     params = init_flow(cfg, SeededRng(20), zero_last=False)
-    z = np.zeros(cfg.d_total)
-    first = decode(params, z, check_valency=False)
-    second = decode(params, z, check_valency=False)
+    z = np.zeros((1, cfg.d_total))
+    (first,) = decode_batch(params, z)
+    (second,) = decode_batch(params, z)
     assert first == second
 
 
@@ -252,7 +270,7 @@ def test_decode_rejects_invalid_when_checking():
     params = init_flow(cfg, SeededRng(21), zero_last=False)
     rng = SeededRng(22)
     zs = sample_prior(rng, cfg, temperature=0.7, count=200)
-    rejected = sum(decode(params, zs[i], check_valency=True) is None for i in range(200))
+    rejected = sum(not valency_check(decode_batch(params, zs[i:i + 1])[0]) for i in range(200))
     raw = decode_batch(params, zs)
     invalid = sum(not valency_check(m) for m in raw)
     assert rejected == invalid

@@ -12,7 +12,7 @@ from molflow.chem import (
     write_smiles,
 )
 from molflow.dataset import DatasetRecord, synthetic_corpus
-from molflow.flow import FlowConfig, init_flow
+from molflow.flow import FlowConfig, encode_molecules, init_flow
 from molflow.pipeline import (
     CRIPPEN_CONTRIB,
     attach_fragment,
@@ -35,7 +35,8 @@ from molflow.pipeline import (
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet
-from oracles import LinearHead, is_isomorphic, reference_generate_similar
+from oracles import (LinearHead, is_isomorphic, reference_generate_similar,
+                     reference_optimize_property)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -252,6 +253,31 @@ def test_ascent_records_gaps_and_continues(rng):
     # with an untrained flow most decodes reject; predicted values still march
     gains = [b.predicted - a.predicted for a, b in zip(traj.points, traj.points[1:])]
     assert all(g > 0 for g in gains)
+
+
+def test_ascent_decodes_every_point_as_the_per_point_loop():
+    # the trajectory is decoded in one batch after the ascent; each point's
+    # molecule (or None for a valency rejection) and property value must be
+    # those of decoding that point alone, on the pinned model
+    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    flow, _ = fixture.load_model()
+    mols = [rec.molecule for rec in fixture.load_geometry_set(flow.config.n_max)[:6]]
+    rng = SeededRng(99)
+    starts, _ = encode_molecules(flow, mols, [rng.spawn(f"m{i}") for i in range(len(mols))])
+    head = LinearHead(rng.normal((flow.config.d_total,)))
+    kinds = set()
+    for z0 in starts:
+        want = reference_optimize_property(z0, head, 12, 0.02, flow, compute_plogp)
+        got = optimize_property(z0, head, steps=12, step_size=0.02, flow_params=flow,
+                                property_fn=compute_plogp)
+        assert len(got.points) == len(want.points) == 13
+        for a, b in zip(got.points, want.points):
+            assert np.array_equal(a.latent, b.latent) and a.predicted == b.predicted
+            assert a.molecule == b.molecule and a.actual == b.actual
+            kinds.add(a.molecule is None)
+    assert kinds == {True, False}
 
 
 def test_ascent_validates_arguments():

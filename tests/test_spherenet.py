@@ -7,7 +7,7 @@ import pytest
 import molflow.autodiff as ad
 from molflow.autodiff import SeededRng, Tensor
 from molflow.dataset import synthetic_corpus
-from molflow.flow import FlowConfig, decode, init_flow
+from molflow.flow import FlowConfig, decode_batch, init_flow
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (
     GeometryCache,
@@ -90,7 +90,7 @@ def test_dimension_contract_with_flow_decode():
     g = build_geometry(("C", "O"), [[0, 0, 0], [1.2, 0, 0]])
     u = encode_geometry(g, sphere)
     assert u.shape == (flow_cfg.d_total,)
-    decode(flow, u, check_valency=False)  # no shape errors
+    decode_batch(flow, u[None])  # no shape errors
 
 
 def test_mix_noise_identity_at_zero():
