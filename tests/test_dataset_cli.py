@@ -466,6 +466,10 @@ BAD_INVOCATIONS = [
      "--out {root}/o.npz", 1, "--subset"),
     ("optimize-property --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
      "--property plogp --seeds 0 --out {root}/o", 1, "--seeds"),
+    ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms a "
+     "--out {root}/o", 1, "--fragment-atoms"),
+    ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 0,99 "
+     "--out {root}/o", 1, "--fragment-atoms: index 99 is out of range for a host of 3 atoms"),
 ]
 
 
@@ -479,6 +483,24 @@ def test_cli_refuses_bad_paths_columns_and_counts(bad_inputs, capsys, argv, code
     # nothing trained before a bad --out was refused, and nothing was written
     assert "epoch=" not in err
     assert not (bad_inputs / "o").exists() and not (bad_inputs / "o.npz").exists()
+
+
+def test_cli_optimize_fragment_without_a_fitting_mix_exits_0(bad_inputs, tmp_path, monkeypatch,
+                                                            capsys):
+    # finding no replacement is a result, as a generate run short of its
+    # count is, not bad input; it used to exit 2 with no "data error" line
+    import molflow.cli as cli_module
+    from molflow.pipeline import MAX_MIXES, SubstructureResult
+
+    monkeypatch.setattr(cli_module, "optimize_substructure",
+                        lambda *a, **k: SubstructureResult(None, MAX_MIXES, False))
+    capsys.readouterr()
+    assert cli(["optimize-fragment", "--checkpoint", str(bad_inputs / "flow.npz"), "--host",
+                "CCO", "--fragment-atoms", "2", "--out", str(tmp_path / "frag")]) == 0
+    assert "ok=False" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "frag" / "fragment_summary.json").read_text())
+    assert summary["replaced"] is False and summary["result"] is None
+    assert summary["candidates_tried"] == MAX_MIXES
 
 
 def test_load_checkpoint_names_the_path_of_a_pickled_or_metadata_less_file(tmp_path):
