@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -91,20 +92,21 @@ class Molecule:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def _cycle_lengths(self) -> dict[tuple[int, int], int]:
-        """Length of the shortest cycle through each bond ``(i, j)``; 0 for
-        a bridge."""
+    def _bond_walks(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Per bond ``(i, j)``: the length of the shortest cycle through it
+        (0 for a bridge) and the bitmask of atoms reached from ``i`` without
+        it, which is ``i``'s side when the bond is a bridge."""
         return {(i, j): _shortest_cycle_through(self, i, j) for i, j, _ in self.bonds}
 
     @cached_property
     def cyclic_bonds(self) -> frozenset[tuple[int, int]]:
         """Bonds ``(i, j)`` lying on some cycle: the non-bridge edges."""
-        return frozenset(b for b, length in self._cycle_lengths.items() if length)
+        return frozenset(b for b, (length, _) in self._bond_walks.items() if length)
 
     @cached_property
     def ring_sizes(self) -> frozenset[int]:
         """Length of the shortest cycle through each cyclic bond."""
-        return frozenset(length for length in self._cycle_lengths.values() if length)
+        return frozenset(length for length, _ in self._bond_walks.values() if length)
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -455,8 +457,9 @@ def ring_count(m: Molecule) -> int:
     return len(m.bonds) - m.num_atoms + len(connected_components(m))
 
 
-def _shortest_cycle_through(m: Molecule, i: int, j: int) -> int:
-    # BFS from i to j avoiding the (i, j) edge itself
+def _shortest_cycle_through(m: Molecule, i: int, j: int) -> tuple[int, int]:
+    # BFS from i avoiding the (i, j) edge itself: (cycle length or 0, the
+    # bitmask of atoms reached)
     dist = {i: 0}
     queue = [i]
     while queue:
@@ -469,7 +472,7 @@ def _shortest_cycle_through(m: Molecule, i: int, j: int) -> int:
                     dist[nb] = dist[cur] + 1
                     nxt.append(nb)
         queue = nxt
-    return dist[j] + 1 if j in dist else 0
+    return (dist[j] + 1 if j in dist else 0), sum(1 << a for a in dist)
 
 
 def largest_ring_size(m: Molecule) -> int:
@@ -523,22 +526,6 @@ def rotatable_bond_count(m: Molecule) -> int:
         for i, j, order in m.bonds
         if order == 1 and (i, j) not in cyc and m.degree(i) >= 2 and m.degree(j) >= 2
     )
-
-
-def longest_chain(m: Molecule) -> int:
-    """Longest simple path, counted in atoms."""
-    best = 0
-
-    def walk(cur: int, seen: set[int]) -> int:
-        length = len(seen)
-        for nb, _ in m.adjacency[cur]:
-            if nb not in seen:
-                length = max(length, walk(nb, seen | {nb}))
-        return length
-
-    for start in range(m.num_atoms):
-        best = max(best, walk(start, {start}))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -596,15 +583,16 @@ def _path_hash(canon: tuple) -> int:
 
 
 MORGAN_RADIUS = 2
+MORGAN_BITS = 2048
 # distinct radius-0 and radius-1 environments a corpus repeats across its
 # molecules; the last radius, mostly unique, is hashed without the memo
 MORGAN_HASH_CACHE_SIZE = 4096
 _env_hash = lru_cache(maxsize=MORGAN_HASH_CACHE_SIZE)(_hash_tuple)
 
 
-def morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
+def morgan_fingerprint(m: Molecule) -> Fingerprint:
     """Circular fingerprint: hashed atom environments for radius
-    0..``MORGAN_RADIUS``.
+    0..``MORGAN_RADIUS``, folded to ``MORGAN_BITS`` bits.
 
     The radius-0 invariant is (element, heavy degree, total bond order,
     implicit hydrogens); each refinement hashes the previous invariant with
@@ -617,30 +605,30 @@ def morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
         )
         for i in range(m.num_atoms)
     ]
-    on: set[int] = {h % bits for h in env}
+    on: set[int] = {h % MORGAN_BITS for h in env}
     for radius in range(1, MORGAN_RADIUS + 1):
         hash_env = _hash_tuple if radius == MORGAN_RADIUS else _env_hash
         env = [
             hash_env(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
             for i in range(m.num_atoms)
         ]
-        on |= {h % bits for h in env}
-    return Fingerprint("morgan", bits, frozenset(on))
+        on |= {h % MORGAN_BITS for h in env}
+    return Fingerprint("morgan", MORGAN_BITS, frozenset(on))
 
 
-# path_fingerprint's defaults, also the fragment fingerprints' settings
+# simple paths of 0..PATH_MAX_BONDS bonds, folded to PATH_BITS bits
 PATH_MAX_BONDS = 5
 PATH_BITS = 2048
 
 
 @lru_cache(maxsize=8)
-def _path_table(m: Molecule, max_bonds: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """``(atom bitmask, bit)`` of every simple path of 0..`max_bonds` bonds.
+def _path_table(m: Molecule) -> tuple[tuple[int, int], ...]:
+    """``(atom bitmask, bit)`` of every simple path of 0..``PATH_MAX_BONDS``
+    bonds.
 
     A path reads as (element, order, element, ...) and is hashed under the
     lexicographically smaller of its two directions. The latest few tables
-    are kept, so one similarity call walks each molecule's paths once; call
-    it with positional arguments only, or the memo misses.
+    are kept, so one similarity call walks each molecule's paths once.
     """
     table: set[tuple[int, int]] = set()
     adj, elements = m.adjacency, m.elements
@@ -650,21 +638,20 @@ def _path_table(m: Molecule, max_bonds: int, bits: int) -> tuple[tuple[int, int]
             if mask >> nb & 1:
                 continue
             rep = path_repr + (order, elements[nb])
-            table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % bits))
-            if n_bonds + 1 < max_bonds:
+            table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
+            if n_bonds + 1 < PATH_MAX_BONDS:
                 extend(nb, mask | 1 << nb, rep, n_bonds + 1)
 
     for i, el in enumerate(elements):
-        table.add((1 << i, _path_hash((el,)) % bits))
-        if max_bonds > 0:
-            extend(i, 1 << i, (el,), 0)
+        table.add((1 << i, _path_hash((el,)) % PATH_BITS))
+        extend(i, 1 << i, (el,), 0)
     return tuple(table)
 
 
-def path_fingerprint(m: Molecule, max_bonds: int = PATH_MAX_BONDS,
-                     bits: int = PATH_BITS) -> Fingerprint:
-    """Linear-path fingerprint over simple paths of 0..`max_bonds` bonds."""
-    return Fingerprint("path", bits, frozenset(bit for _, bit in _path_table(m, max_bonds, bits)))
+def path_fingerprint(m: Molecule) -> Fingerprint:
+    """Linear-path fingerprint over simple paths of 0..``PATH_MAX_BONDS``
+    bonds."""
+    return Fingerprint("path", PATH_BITS, frozenset(bit for _, bit in _path_table(m)))
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
@@ -773,7 +760,8 @@ STRUCTURAL_KEYS: tuple[tuple[str, object], ...] = (
         el == "C" and sum(1 for j, _ in m.adjacency[i] if m.elements[j] == "F") >= 2
         for i, el in enumerate(m.elements))),
     ("branching_atom", lambda m: any(m.degree(i) >= 3 for i in range(m.num_atoms))),
-    ("chain_ge_5", lambda m: longest_chain(m) >= 5),
+    # a simple path of 5 atoms is one of 4 bonds, inside the path table
+    ("chain_ge_5", lambda m: any(mask.bit_count() >= 5 for mask, _ in _path_table(m))),
     ("heavy_atoms_ge_7", lambda m: m.num_atoms >= 7),
 )
 
@@ -806,42 +794,25 @@ def subgraph(m: Molecule, atoms: set[int] | frozenset[int]) -> Molecule:
 def _fragment_candidates(m: Molecule) -> list[int]:
     """Atom bitmasks of the fragments from single and double cuts of
     acyclic single bonds, keeping pieces with at least 60% of the heavy
-    atoms; an atom set left by several cuts is kept once."""
-    cyc = m.cyclic_bonds
-    cuttable = [
-        (i, j) for i, j, o in m.bonds if o == 1 and (i, j) not in cyc
-    ]
-    cut_sets = [{c} for c in cuttable]
-    cut_sets += [
-        {cuttable[a], cuttable[b]}
-        for a in range(len(cuttable))
-        for b in range(a + 1, len(cuttable))
-    ]
-    n = m.num_atoms
+    atoms; an atom set left by several cuts is kept once.
+
+    Cutting a bridge splits the piece holding it into the atoms on the
+    bridge's first side and the rest, so each cut is two bit operations on
+    the component masks."""
+    walks = m._bond_walks
+    cuttable = [(i, j) for i, j, o in m.bonds if o == 1 and not walks[i, j][0]]
+    components = [sum(1 << a for a in comp) for comp in connected_components(m)]
     kept: dict[int, None] = {}
-    for cuts in cut_sets:
-        # components of the graph without the cut bonds
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j, _ in m.bonds:
-            if (i, j) in cuts:
-                continue
-            adj[i].append(j)
-            adj[j].append(i)
-        seen: set[int] = set()
-        for start in range(n):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = [start]
-            while queue:
-                cur = queue.pop()
-                for nb in adj[cur]:
-                    if nb not in comp:
-                        comp.add(nb)
-                        queue.append(nb)
-            seen |= comp
-            if 10 * len(comp) >= 6 * n:
-                kept[sum(1 << a for a in comp)] = None
+    for cuts in [(c,) for c in cuttable] + list(combinations(cuttable, 2)):
+        pieces = list(components)
+        for i, j in cuts:
+            piece = next(p for p in pieces if p >> i & 1)
+            side = walks[i, j][1]
+            pieces.remove(piece)
+            pieces += [piece & side, piece & ~side]
+        for piece in pieces:
+            if 10 * piece.bit_count() >= 6 * m.num_atoms:
+                kept[piece] = None
     return list(kept)
 
 
@@ -852,7 +823,7 @@ def _fragment_fingerprints(m: Molecule) -> list[Fingerprint]:
     subgraph: its paths are exactly the parent's paths whose atoms all lie
     inside it, and its fingerprint filters the parent's path table.
     """
-    table = _path_table(m, PATH_MAX_BONDS, PATH_BITS)
+    table = _path_table(m)
     return [
         Fingerprint("path", PATH_BITS, frozenset(bit for mask, bit in table if not mask & ~frag))
         for frag in _fragment_candidates(m)

@@ -585,7 +585,7 @@ def main(argv=None) -> int:
     except ScorerError as exc:
         print(f"scorer error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, SmilesError, FileNotFoundError, ValueError) as exc:
+    except (DataError, SmilesError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

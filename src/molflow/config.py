@@ -20,10 +20,14 @@ from .flow import FlowConfig
 from .spherenet import SphereNetConfig
 
 
+# fields older versions carried and nothing read; the configs echoed in
+# their checkpoints and summaries still name them, so loading drops them
+_RETIRED_KEYS = ("dataset_paths", "use_docking_weights")
+
+
 @dataclass
 class RunConfig:
     seed: int = 20240901
-    dataset_paths: list[str] = field(default_factory=list)
     n_max: int = 9
 
     # flow
@@ -58,7 +62,6 @@ class RunConfig:
     scorer_parallelism: int = 4
     weight_floor: float = 0.01
     sampler_mode: str = "bernoulli"
-    use_docking_weights: bool = False
 
     # latent property ascent
     ascent_steps: int = 80
@@ -92,6 +95,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ValueError(f"a config must be a JSON object, got {type(data).__name__}")
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -116,11 +120,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except IsADirectoryError:
-            raise ValueError(f"config {path} is a directory, not a JSON file") from None
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
         data = self.to_dict()

@@ -163,8 +163,8 @@ def external_score(molecule: Molecule, config: ScorerConfig, coords=None) -> flo
     optional XYZ block; the child answers with one line "SCORE <decimal>".
     A timeout or a non-zero exit is retried up to `config.retries` times,
     so the scorer runs at most `config.retries + 1` times; the last such
-    failure is raised. A missing program or an unparseable answer is raised
-    at once.
+    failure is raised. A program that cannot be started (missing, not
+    executable) or an unparseable answer is raised at once.
     """
     request = _scorer_request(molecule, coords)
     last: ScorerError | None = None
@@ -177,7 +177,7 @@ def external_score(molecule: Molecule, config: ScorerConfig, coords=None) -> flo
                 text=True,
                 timeout=config.timeout,
             )
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise ScorerError("not_found", str(exc))
         except subprocess.TimeoutExpired:
             last = ScorerError("timeout", f"no answer within {config.timeout}s")

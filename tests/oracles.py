@@ -15,6 +15,7 @@ import molflow.autodiff as ad
 from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_batch, dequantize,
                           encode_tensors)
 from molflow.chem import (
+    MORGAN_BITS,
     MORGAN_RADIUS,
     Fingerprint,
     Molecule,
@@ -58,44 +59,70 @@ def tanimoto_sets(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
+def brute_force_fragments(m: Molecule) -> set[int]:
+    """Atom bitmasks of the components holding >= 60% of the heavy atoms
+    after every single and double cut of acyclic single bonds, each found
+    by a flood fill of the graph without the cut bonds."""
+    cyc = m.cyclic_bonds
+    cuttable = [(i, j) for i, j, o in m.bonds if o == 1 and (i, j) not in cyc]
+    cut_sets = [{c} for c in cuttable]
+    cut_sets += [{cuttable[p], cuttable[q]} for p in range(len(cuttable))
+                 for q in range(p + 1, len(cuttable))]
+    out = set()
+    for cuts in cut_sets:
+        adj = {i: set() for i in range(m.num_atoms)}
+        for i, j, _ in m.bonds:
+            if (i, j) not in cuts:
+                adj[i].add(j)
+                adj[j].add(i)
+        unseen = set(range(m.num_atoms))
+        while unseen:
+            comp = {unseen.pop()}
+            frontier = list(comp)
+            while frontier:
+                cur = frontier.pop()
+                for nb in adj[cur]:
+                    if nb not in comp:
+                        comp.add(nb)
+                        frontier.append(nb)
+            unseen -= comp
+            if 10 * len(comp) >= 6 * m.num_atoms:
+                out.add(sum(1 << a for a in comp))
+    return out
+
+
 def brute_force_fraggle(a: Molecule, b: Molecule) -> float:
-    """Exhaustive single/double cuts of acyclic single bonds, fragments
-    holding >= 60% of the heavy atoms, best path-fingerprint Tanimoto,
-    symmetrized."""
+    """Best path-fingerprint Tanimoto between any ``brute_force_fragments``
+    fragment (or the whole molecule) and the partner, symmetrized."""
 
     def one_way(x: Molecule, y: Molecule) -> float:
         fp_y = path_fingerprint(y)
         best = tanimoto(path_fingerprint(x), fp_y)
-        cyc = x.cyclic_bonds
-        cuttable = [(i, j) for i, j, o in x.bonds if o == 1 and (i, j) not in cyc]
-        cut_sets = [{c} for c in cuttable]
-        cut_sets += [{cuttable[p], cuttable[q]} for p in range(len(cuttable))
-                     for q in range(p + 1, len(cuttable))]
-        for cuts in cut_sets:
-            adj = {i: set() for i in range(x.num_atoms)}
-            for i, j, _ in x.bonds:
-                if (i, j) not in cuts:
-                    adj[i].add(j)
-                    adj[j].add(i)
-            unseen = set(range(x.num_atoms))
-            while unseen:
-                comp = {unseen.pop()}
-                frontier = list(comp)
-                while frontier:
-                    cur = frontier.pop()
-                    for nb in adj[cur]:
-                        if nb not in comp:
-                            comp.add(nb)
-                            frontier.append(nb)
-                unseen -= comp
-                if 10 * len(comp) >= 6 * x.num_atoms:
-                    best = max(best, tanimoto(path_fingerprint(subgraph(x, comp)), fp_y))
+        for frag in brute_force_fragments(x):
+            atoms = {i for i in range(x.num_atoms) if frag >> i & 1}
+            best = max(best, tanimoto(path_fingerprint(subgraph(x, atoms)), fp_y))
         return best
 
     return max(one_way(a, b), one_way(b, a))
 
 
-def reference_morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
+def longest_chain(m: Molecule) -> int:
+    """Longest simple path, counted in atoms, by walking every simple path."""
+    best = 0
+
+    def walk(cur: int, seen: set[int]) -> int:
+        length = len(seen)
+        for nb, _ in m.adjacency[cur]:
+            if nb not in seen:
+                length = max(length, walk(nb, seen | {nb}))
+        return length
+
+    for start in range(m.num_atoms):
+        best = max(best, walk(start, {start}))
+    return best
+
+
+def reference_morgan_fingerprint(m: Molecule) -> Fingerprint:
     """Circular fingerprint with every atom environment hashed afresh, at
     every radius."""
     env = [
@@ -103,14 +130,14 @@ def reference_morgan_fingerprint(m: Molecule, bits: int = 2048) -> Fingerprint:
                      m.implicit_hydrogens(i)))
         for i in range(m.num_atoms)
     ]
-    on = {h % bits for h in env}
+    on = {h % MORGAN_BITS for h in env}
     for _ in range(MORGAN_RADIUS):
         env = [
             _hash_tuple(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
             for i in range(m.num_atoms)
         ]
-        on |= {h % bits for h in env}
-    return Fingerprint("morgan", bits, frozenset(on))
+        on |= {h % MORGAN_BITS for h in env}
+    return Fingerprint("morgan", MORGAN_BITS, frozenset(on))
 
 
 def brute_force_uniqueness(smiles: list[str]) -> float:

@@ -251,6 +251,16 @@ def test_config_round_trip_and_overrides(tmp_path):
         RunConfig.from_dict({"no_such_key": 2})
 
 
+def test_config_from_an_older_run_drops_its_two_unread_fields():
+    # checkpoints and summaries of older versions echo two fields that
+    # nothing read; they load, and any other unknown key is still refused
+    old = {**RunConfig(seed=3).to_dict(), "dataset_paths": ["a.smi"],
+           "use_docking_weights": True}
+    assert RunConfig.from_dict(old) == RunConfig(seed=3)
+    with pytest.raises(ValueError, match="no_such_key"):
+        RunConfig.from_dict({**old, "no_such_key": 2})
+
+
 # ---------------------------------------------------------------------------
 # CLI contract
 # ---------------------------------------------------------------------------
@@ -435,6 +445,7 @@ def bad_inputs(tmp_path_factory):
     (root / "truncated.npz").write_bytes((root / "fused.npz").read_bytes()[:3000])
     np.save(root / "array.npy", np.ones(3))
     (root / "a_dir").mkdir()
+    (root / "a_file").write_text("not a directory\n")
     (root / "no_smiles.csv").write_text("index,valid\n0,1\n")
     (root / "no_valid.csv").write_text("index,smiles\n0,CCO\n")
     (root / "report").mkdir()
@@ -457,6 +468,13 @@ BAD_INVOCATIONS = [
     ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_valid.csv --out {root}/o",
      2, "valid"),
     ("export-plotdata --report {root}/report --out {root}/o", 2, "valid"),
+    ("train-flow --config {root}/config.json --data {root}/a_dir --out {root}/o.npz", 2, "a_dir"),
+    ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz "
+     "--weights {root}/a_dir --out {root}/o.npz", 2, "a_dir"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/a_dir --out {root}/o",
+     2, "a_dir"),
+    ("generate --checkpoint {root}/flow.npz --count 2 --out {root}/a_file", 2, "a_file"),
+    ("prepare-data --synthetic 5 --out {root}/a_file", 2, "a_file"),
     ("generate --checkpoint {root}/flow.npz --count -3 --out {root}/o", 1, "--count"),
     ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
      "--count 0 --out {root}/o", 1, "--count"),
@@ -525,6 +543,22 @@ def test_cli_dock_weights_names_the_scorer_failure_reason(tmp_path, capsys):
                 "--out", str(tmp_path / "dock")]) == 3
     err = capsys.readouterr().err
     assert err.count("reason=not_found") == 2
+    assert "scorer not_found: no molecule could be scored" in err
+
+
+def test_cli_dock_weights_reports_a_scorer_that_is_not_executable(tmp_path, capsys):
+    # a scorer file without the execute bit used to end in a PermissionError
+    # traceback (exit 1)
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text("#!/usr/bin/env python3\nprint('SCORE -1.0')\n")
+    scorer.chmod(0o644)
+    cfg = write_config(tmp_path, scorer_command=[str(scorer)])
+    data = tmp_path / "d.smi"
+    data.write_text("CCO\nCC\n")
+    assert cli(["dock-weights", "--config", cfg, "--data", str(data),
+                "--out", str(tmp_path / "dock")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("reason=not_found") == 2 and "Traceback" not in err
     assert "scorer not_found: no molecule could be scored" in err
 
 

@@ -1,0 +1,49 @@
+"""Every top-level function, class and constant in ``src/molflow`` has a
+caller in ``src/``: helpers only tests use belong in ``tests/oracles.py``."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "molflow"
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    # dunder names such as __version__ are read by the Python tooling
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.asname or sub.name)
+            out.add(sub.name)
+    return out
+
+
+def test_every_top_level_name_in_src_is_used_in_src():
+    statements = [(path.name, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    refs = [referenced_names(stmt) for _, stmt in statements]
+    # statements referencing each name
+    count = Counter(name for r in refs for name in r)
+    unused = []
+    for (module, stmt), r in zip(statements, refs):
+        # a reference from the defining statement itself (a recursive call,
+        # a dataclass method naming its own class) does not count
+        unused += [(module, name) for name in defined_names(stmt)
+                   if count[name] == (name in r)]
+    assert not unused, f"defined in src/ but used nowhere there: {unused}"
