@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import sys
 from collections import Counter
@@ -91,6 +92,16 @@ def _refuse_directory_out(path) -> None:
         raise ValueError(f"--out {path} is a directory, not a checkpoint file path")
 
 
+def _refuse_file_out(path) -> None:
+    """A report command's --out is a directory: an existing file there (or
+    in place of a parent directory) is refused before any work, since the
+    reports could not be written at the end."""
+    out = Path(path)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise FileExistsError(errno.EEXIST, "File exists", str(blocker))
+
+
 def _read_csv(path, columns: set[str]) -> list[dict]:
     """The rows of a report CSV that must carry `columns`."""
     with Path(path).open(newline="") as fh:
@@ -125,6 +136,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_prepare_data(args) -> int:
+    _refuse_file_out(args.out)
     config = _load_config(args)
     out = Path(args.out)
     if args.synthetic:
@@ -145,6 +157,7 @@ def cmd_prepare_data(args) -> int:
 
 
 def cmd_dock_weights(args) -> int:
+    _refuse_file_out(args.out)
     config = _load_config(args)
     ds = _load_dataset(args.data, config)
     seen = set()
@@ -256,6 +269,7 @@ def cmd_train_fusion(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _refuse_file_out(args.out)
     config, flow_params, _ = load_checkpoint(args.checkpoint)
     training = set()
     if args.data:
@@ -290,6 +304,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_generate_similar(args) -> int:
+    _refuse_file_out(args.out)
     config, flow_params, sphere = load_checkpoint(args.checkpoint)
     if sphere is None:
         raise UsageError("checkpoint has no geometry encoder; run train-fusion first")
@@ -323,6 +338,7 @@ def cmd_generate_similar(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_file_out(args.out)
     config = _load_config(args)
     ds = _load_dataset(args.data, config)
     rng = SeededRng(config.seed).spawn("evaluate")
@@ -346,6 +362,7 @@ _PROPERTIES = {"plogp": compute_plogp, "qed": compute_qed_lite}
 
 
 def cmd_optimize_property(args) -> int:
+    _refuse_file_out(args.out)
     config, flow_params, _ = load_checkpoint(args.checkpoint)
     ds = _load_dataset(args.data, config)
     prop_fn = _PROPERTIES[args.property]
@@ -386,6 +403,7 @@ def cmd_optimize_property(args) -> int:
 
 
 def cmd_optimize_fragment(args) -> int:
+    _refuse_file_out(args.out)
     config, flow_params, _ = load_checkpoint(args.checkpoint)
     host = parse_smiles(args.host)
     atoms = args.fragment_atoms
@@ -409,6 +427,7 @@ def cmd_optimize_fragment(args) -> int:
 
 
 def cmd_export_plotdata(args) -> int:
+    _refuse_file_out(args.out)
     report_dir = Path(args.report)
     out = Path(args.out)
     smiles: list[str] = []

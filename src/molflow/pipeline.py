@@ -296,9 +296,10 @@ def similarity_triple(mol: Molecule, seed: Molecule) -> tuple[float, float, floa
 
 
 # each round draws the next MIX_BATCH noise mixes of every pending latent, up
-# to MAX_MIXES per latent; one decode_batch call takes at most DECODE_BLOCK
-# latents, the mixes of DECODE_BLOCK // MIX_BATCH latents
-MIX_BATCH = 32
+# to MAX_MIXES per latent (most latents fit within their first few); one
+# decode_batch call takes at most DECODE_BLOCK latents, the mixes of
+# DECODE_BLOCK // MIX_BATCH latents
+MIX_BATCH = 4
 MAX_MIXES = 100
 DECODE_BLOCK = 1024
 
@@ -308,8 +309,8 @@ def _search_mixes(flow_params: FlowParams, u_stars: list[np.ndarray], lam: float
     """For each latent ``u_stars[k]``, decode noise mixes of it
     (``mix_noise`` draws from ``rngs[k]``) in order until one passes the
     valency check and ``accept(molecule)`` returns something other than
-    None. Returns, per latent, (mixes drawn so far, that value), or None
-    once MAX_MIXES mixes have been drawn without one.
+    None. Returns, per latent, (the 1-based position of that mix, that
+    value), or None once MAX_MIXES mixes have been drawn without one.
 
     The latents still pending after a round go on together, so one round
     costs one decode per DECODE_BLOCK latents, not one per latent."""
@@ -319,17 +320,17 @@ def _search_mixes(flow_params: FlowParams, u_stars: list[np.ndarray], lam: float
     drawn = 0
     while pending and drawn < MAX_MIXES:
         n_draw = min(MIX_BATCH, MAX_MIXES - drawn)
-        drawn += n_draw
         for start in range(0, len(pending), per_block):
             block = pending[start:start + per_block]
             zs = np.stack([mix_noise(u_stars[k], lam, rngs[k])
                            for k in block for _ in range(n_draw)])
             cands = decode_batch(flow_params, zs)
             for j, k in enumerate(block):
-                for cand in cands[j * n_draw:(j + 1) * n_draw]:
+                for i, cand in enumerate(cands[j * n_draw:(j + 1) * n_draw]):
                     if valency_check(cand) and (value := accept(cand)) is not None:
-                        found[k] = (drawn, value)
+                        found[k] = (drawn + i + 1, value)
                         break
+        drawn += n_draw
         pending = [k for k in pending if found[k] is None]
     return found
 
@@ -594,7 +595,8 @@ def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params:
     The excised fragment's flow latent seeds similar generation
     (``_search_mixes`` on a batch of one). Candidates are attached under
     the valence-fit rule until one yields a chemically valid molecule;
-    `candidates_tried` counts the noise mixes drawn.
+    `candidates_tried` counts the noise mixes tried, the accepted one
+    included (MAX_MIXES when none fits).
     """
     pieces = excise_fragment(host, fragment_atoms)
     (u_star,), _ = encode_molecules(flow_params, [pieces.fragment], [rng.spawn("embed")])

@@ -13,7 +13,7 @@ from scipy.special import lpmv
 
 import molflow.autodiff as ad
 from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_batch, dequantize,
-                          encode_tensors)
+                          encode_molecules, encode_tensors)
 from molflow.chem import (
     MORGAN_BITS,
     MORGAN_RADIUS,
@@ -35,10 +35,12 @@ from molflow.geom3d import (
 )
 from molflow.pipeline import (
     MAX_MIXES,
-    MIX_BATCH,
     OptimizationTrajectory,
     SimilarityReport,
+    SubstructureResult,
     TrajectoryPoint,
+    attach_fragment,
+    excise_fragment,
     safe_canonical,
     similarity_triple,
 )
@@ -645,9 +647,10 @@ def reference_optimize_property(z0: np.ndarray, head, steps: int, step_size: flo
 def reference_generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
                                seeds, lam: float, rng: ad.SeededRng):
     """generate_similar one seed after another: encode the seed, decode its
-    noise mixes MIX_BATCH at a time (seed `s_i` draws from
+    noise mixes in fixed rounds of 32 (seed `s_i` draws from
     ``rng.spawn(f"seed{s_i}")``) and keep the first valency-checked,
-    canonicalizable one, drawing at most MAX_MIXES."""
+    canonicalizable one, drawing at most MAX_MIXES. The rounds are not
+    generate_similar's, so a match shows that no row depends on them."""
     rows = []
     out = []
     for s_i, rec in enumerate(seeds):
@@ -656,7 +659,7 @@ def reference_generate_similar(flow_params: FlowParams, sphere_params: SphereNet
         mol = smiles = None
         drawn = 0
         while mol is None and drawn < MAX_MIXES:
-            n_draw = min(MIX_BATCH, MAX_MIXES - drawn)
+            n_draw = min(32, MAX_MIXES - drawn)
             zs = np.stack([mix_noise(u_star, lam, seed_rng) for _ in range(n_draw)])
             drawn += n_draw
             for cand in decode_batch(flow_params, zs):
@@ -675,3 +678,21 @@ def reference_generate_similar(flow_params: FlowParams, sphere_params: SphereNet
         failures=len(seeds) - len(rows),
     )
     return out, report
+
+
+def reference_optimize_substructure(host: Molecule, fragment_atoms: set[int],
+                                    flow_params: FlowParams, rng: ad.SeededRng,
+                                    lam: float = 0.2) -> SubstructureResult:
+    """optimize_substructure trying one noise mix at a time, from the same
+    spawn streams, and counting each mix as it is tried."""
+    pieces = excise_fragment(host, fragment_atoms)
+    (u_star,), _ = encode_molecules(flow_params, [pieces.fragment], [rng.spawn("embed")])
+    mix_rng = rng.spawn("mix")
+    for tried in range(1, MAX_MIXES + 1):
+        (cand,) = decode_batch(flow_params, mix_noise(u_star, lam, mix_rng)[None])
+        if not valency_check(cand):
+            continue
+        merged = attach_fragment(pieces.remainder, pieces.attachments, cand)
+        if merged is not None and safe_canonical(merged) is not None:
+            return SubstructureResult(merged, tried, True)
+    return SubstructureResult(None, MAX_MIXES, False)

@@ -475,6 +475,16 @@ BAD_INVOCATIONS = [
      2, "a_dir"),
     ("generate --checkpoint {root}/flow.npz --count 2 --out {root}/a_file", 2, "a_file"),
     ("prepare-data --synthetic 5 --out {root}/a_file", 2, "a_file"),
+    ("generate --checkpoint {root}/flow.npz --count 2 --out {root}/a_file/o", 2, "a_file"),
+    ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
+     "--count 2 --out {root}/a_file", 2, "a_file"),
+    ("dock-weights --data {root}/data/dataset.xyz --out {root}/a_file", 2, "a_file"),
+    ("evaluate --data {root}/data/dataset.xyz --out {root}/a_file", 2, "a_file"),
+    ("optimize-property --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
+     "--property plogp --seeds 1 --out {root}/a_file", 2, "a_file"),
+    ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 2 "
+     "--out {root}/a_file", 2, "a_file"),
+    ("export-plotdata --report {root}/report --out {root}/a_file", 2, "a_file"),
     ("generate --checkpoint {root}/flow.npz --count -3 --out {root}/o", 1, "--count"),
     ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
      "--count 0 --out {root}/o", 1, "--count"),
@@ -501,6 +511,27 @@ def test_cli_refuses_bad_paths_columns_and_counts(bad_inputs, capsys, argv, code
     # nothing trained before a bad --out was refused, and nothing was written
     assert "epoch=" not in err
     assert not (bad_inputs / "o").exists() and not (bad_inputs / "o.npz").exists()
+
+
+# every command whose --out is a directory, with an existing file as --out
+FILE_OUT_INVOCATIONS = [argv for argv, _, _ in BAD_INVOCATIONS if "--out {root}/a_file" in argv]
+
+
+@pytest.mark.parametrize("argv", FILE_OUT_INVOCATIONS)
+def test_cli_refuses_a_file_out_before_any_work(bad_inputs, monkeypatch, capsys, argv):
+    # --out is refused before any loader or generator runs
+    import molflow.cli as cli_module
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_checkpoint", "_load_dataset", "synthetic_corpus", "_read_csv",
+                 "generate_random", "generate_similar"):
+        monkeypatch.setattr(cli_module, name, work)
+    capsys.readouterr()
+    assert cli(argv.format(root=bad_inputs).split()) == 2
+    assert f"File exists: '{bad_inputs / 'a_file'}'" in capsys.readouterr().err
+    assert (bad_inputs / "a_file").read_text() == "not a directory\n"
 
 
 def test_cli_optimize_fragment_without_a_fitting_mix_exits_0(bad_inputs, tmp_path, monkeypatch,

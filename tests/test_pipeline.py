@@ -15,6 +15,8 @@ from molflow.dataset import DatasetRecord, synthetic_corpus
 from molflow.flow import FlowConfig, encode_molecules, init_flow
 from molflow.pipeline import (
     CRIPPEN_CONTRIB,
+    MAX_MIXES,
+    MIX_BATCH,
     attach_fragment,
     compute_plogp,
     compute_qed_lite,
@@ -36,7 +38,7 @@ from molflow.pipeline import (
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet
 from oracles import (LinearHead, is_isomorphic, reference_generate_similar,
-                     reference_optimize_property)
+                     reference_optimize_property, reference_optimize_substructure)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -414,11 +416,32 @@ def test_noise_mix_sampling_is_pinned():
     assert [row[1] for row in report.rows] == ["CCC", "CC"]
     host = parse_smiles("CC(C)CO")
     found = optimize_substructure(host, {3, 4}, flow, SeededRng(18), lam=0.5)
-    assert (write_smiles(found.molecule), found.candidates_tried) == ("CC(C)C#C", 64)
-    # a flow that never fits draws all 100 mixes (batches of 32, 32, 32, 4)
+    # candidates_tried is the position of the mix that fits
+    assert (write_smiles(found.molecule), found.candidates_tried) == ("CC(C)C#C", 41)
+    # a flow that never fits draws all 100 mixes
     other = init_flow(cfg, SeededRng(2), zero_last=False)
     missed = optimize_substructure(host, {3, 4}, other, SeededRng(2002), lam=0.2)
     assert (missed.molecule, missed.candidates_tried, missed.replaced_ok) == (None, 100, False)
+
+
+def test_optimize_substructure_matches_one_mix_at_a_time():
+    # hits in the first round and in later ones, and misses: the molecule and
+    # candidates_tried (the accepted mix's position) are the one-at-a-time ones
+    cfg = FlowConfig(atom_hidden=8, bond_hidden=8, atom_layers=2, bond_layers=2)
+    hosts = [("CC(C)CO", {3, 4}), ("CC(C)CO", {0}), ("NCC(=O)O", {2, 3, 4}), ("CC#N", {2})]
+    tried = set()
+    for flow_seed in (5, 7, 2):
+        flow = init_flow(cfg, SeededRng(flow_seed), zero_last=False)
+        for smiles, atoms in hosts:
+            for lam in (0.2, 0.5):
+                host = parse_smiles(smiles)
+                got = optimize_substructure(host, atoms, flow, SeededRng(18 + flow_seed), lam)
+                want = reference_optimize_substructure(host, atoms, flow,
+                                                       SeededRng(18 + flow_seed), lam)
+                assert got == want
+                tried.add(got.candidates_tried)
+    assert min(tried) <= MIX_BATCH and any(8 * MIX_BATCH < t < 100 for t in tried)
+    assert 100 in tried
 
 
 def _recording_decodes(monkeypatch):
@@ -434,7 +457,7 @@ def _recording_decodes(monkeypatch):
 
 def test_generate_similar_matches_per_seed_loop_on_pinned_model(monkeypatch):
     # 40 seeds drawn with replacement from the benchmark's pinned model and
-    # fusion set: repeated seeds, and a first round of two decode blocks
+    # fusion set, some of them repeated
     spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
     fixture = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fixture)
@@ -446,14 +469,27 @@ def test_generate_similar_matches_per_seed_loop_on_pinned_model(monkeypatch):
     want_out, want = reference_generate_similar(flow, sphere, seeds, 0.2, SeededRng(41))
     sizes = _recording_decodes(monkeypatch)
     out, report = generate_similar(flow, sphere, seeds, 0.2, SeededRng(41))
-    assert sizes == [1024, 8 * 32]  # every seed accepts in round 1
+    # one block per round (40 seeds times MIX_BATCH mixes is under 1024)
+    assert [size // MIX_BATCH for size in sizes] == [40, 14, 12, 8, 7, 7, 2, 1]
+    assert [size % MIX_BATCH for size in sizes] == [0] * len(sizes)
+    assert report.failures == 0
+    assert out == want_out
+    assert report == want
+    # blocks of 16 seeds split the first rounds: the rows stay the same
+    import molflow.pipeline as pipeline_module
+
+    monkeypatch.setattr(pipeline_module, "DECODE_BLOCK", 16 * MIX_BATCH)
+    sizes.clear()
+    out, report = generate_similar(flow, sphere, seeds, 0.2, SeededRng(41))
+    assert [size // MIX_BATCH for size in sizes[:4]] == [16, 16, 8, 14]
     assert out == want_out
     assert report == want
 
 
 def test_generate_similar_matches_per_seed_loop_over_rounds(monkeypatch):
-    # an untrained flow: seeds accept in rounds 1, 2 and 3, and two draw
-    # all 100 mixes (32, 32, 32, 4) and fail; the last two seeds repeat records
+    # an untrained flow: seeds accept over several rounds, and two draw all
+    # 100 mixes and fail; the last two seeds repeat records. The reference
+    # draws in rounds of 32, so the rows do not depend on the rounds
     cfg = FlowConfig(atom_hidden=8, bond_hidden=8, atom_layers=2, bond_layers=2)
     flow = init_flow(cfg, SeededRng(7), zero_last=False)
     sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=cfg.d_total), SeededRng(1007))
@@ -462,9 +498,12 @@ def test_generate_similar_matches_per_seed_loop_over_rounds(monkeypatch):
     want_out, want = reference_generate_similar(flow, sphere, seeds, 0.5, SeededRng(7))
     sizes = _recording_decodes(monkeypatch)
     out, report = generate_similar(flow, sphere, seeds, 0.5, SeededRng(7))
-    pending = [size // 32 for size in sizes[:3]] + [sizes[3] // 4]
-    assert len(sizes) == 4 and pending[0] == len(seeds)
-    assert pending[0] > pending[1] > pending[2] > pending[3] == report.failures > 0
+    # a seed that never fits goes through every round, one block each
+    assert len(sizes) == MAX_MIXES // MIX_BATCH
+    pending = [size // MIX_BATCH for size in sizes]
+    assert [size % MIX_BATCH for size in sizes] == [0] * len(sizes)
+    assert pending[0] == len(seeds) and pending == sorted(pending, reverse=True)
+    assert pending[0] > pending[-1] == report.failures > 0
     assert out == want_out
     assert report == want
 
