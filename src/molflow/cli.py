@@ -5,9 +5,14 @@ generate, generate-similar, evaluate, optimize-property, optimize-fragment,
 export-plotdata. Exit codes: 0 success, 1 usage error, 2 data error,
 3 external-scorer failure.
 
+`main` runs every subcommand alike: it refuses a bad --out, loads the
+--checkpoint, resolves the config (the --config file, else the checkpoint's,
+else the defaults, plus the validated override flags), loads the --data,
+calls the `cmd_*` body and logs `event=<command>`, its pairs and `elapsed_s`.
+
 Reports are byte-deterministic for a given config and seed: CSV rows and
-JSON summaries carry no timestamps (diagnostics go to stderr as key=value
-lines), and every summary echoes the effective config.
+JSON summaries carry no timestamps (diagnostics and timings go to stderr as
+key=value lines), and every summary echoes the effective config.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ import dataclasses
 import errno
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import SeededRng
-from .chem import SmilesError, parse_smiles, morgan_fingerprint, write_smiles
+from .chem import SmilesError, molecular_weight, morgan_fingerprint, parse_smiles, write_smiles
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .dataset import DataError, Dataset, ingest, synthetic_corpus, write_dataset
@@ -52,7 +58,6 @@ from .pipeline import (
     train_property_head,
     uniqueness_pct,
 )
-from .chem import molecular_weight
 from .spherenet import init_spherenet, train_fusion
 
 
@@ -64,25 +69,35 @@ def log(**kv) -> None:
     print(" ".join(f"{k}={v}" for k, v in kv.items()), file=sys.stderr)
 
 
-def _load_config(args, default: RunConfig | None = None) -> RunConfig:
+# the commands whose --out is a checkpoint file; every other --out is a directory
+CHECKPOINT_WRITERS = ("train-flow", "train-fusion")
+
+# flags that override the config field of the same name
+_OVERRIDES = ("seed", "epochs", "fusion_epochs", "temperature", "noise_fraction")
+
+
+def _load_config(args, default: RunConfig | None) -> RunConfig:
     """The --config file, else `default` or the defaults, plus the
     command-line overrides."""
-    config = RunConfig.from_file(args.config) if args.config else default or RunConfig()
-    overrides = {}
-    for key in ("seed", "epochs", "temperature", "fusion_epochs"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    return config.with_overrides(overrides)
+    path = getattr(args, "config", None)
+    config = RunConfig.from_file(path) if path else default or RunConfig()
+    return config.with_overrides({key: getattr(args, key, None) for key in _OVERRIDES})
 
 
 def _load_dataset(paths, config: RunConfig) -> Dataset:
-    if not paths:
-        raise UsageError("no dataset paths given (--data)")
     ds = ingest(paths, n_max=config.n_max)
     log(event="ingest", records=len(ds.records), **{f"skip_{k}": v for k, v in ds.skipped.items()})
     if not ds.records:
         raise DataError(paths[0], 0, "dataset is empty after ingestion")
     return ds
+
+
+def _geometry_records(args, ds: Dataset) -> list:
+    """The --data records that carry 3D coordinates; there must be one."""
+    usable = ds.with_geometry()
+    if not usable:
+        raise DataError(args.data[0], 0, "no record carries geometry")
+    return usable
 
 
 def _refuse_directory_out(path) -> None:
@@ -122,8 +137,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:
@@ -131,19 +145,16 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: cmd_x(args, config, checkpoint, ds) returns the key=value
+# pairs of its closing stderr line (checkpoint and ds are None without the flag)
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare_data(args) -> int:
-    _refuse_file_out(args.out)
-    config = _load_config(args)
+def cmd_prepare_data(args, config, checkpoint, ds) -> dict:
     out = Path(args.out)
     if args.synthetic:
         ds = synthetic_corpus(args.synthetic, SeededRng(config.seed).spawn("corpus"),
                               n_max=config.n_max, with_geometry=not args.no_geometry)
-    else:
-        ds = _load_dataset(args.input, config)
     smi, xyz = write_dataset(ds, out)
     _write_json(out / "prepare_summary.json", {
         "config": config.to_dict(),
@@ -152,20 +163,13 @@ def cmd_prepare_data(args) -> int:
         "skipped": dict(ds.skipped),
         "files": [p.name for p in (smi, xyz) if p is not None],
     })
-    log(event="prepare-data", records=len(ds.records), out=str(out))
-    return 0
+    return {"records": len(ds.records), "out": str(out)}
 
 
-def cmd_dock_weights(args) -> int:
-    _refuse_file_out(args.out)
-    config = _load_config(args)
-    ds = _load_dataset(args.data, config)
-    seen = set()
-    molecules = []
+def cmd_dock_weights(args, config, checkpoint, ds) -> dict:
+    molecules = {}
     for rec in ds.records:
-        if rec.smiles not in seen:
-            seen.add(rec.smiles)
-            molecules.append((rec.smiles, rec.molecule))
+        molecules.setdefault(rec.smiles, rec.molecule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache = ScoreCache.load(out / "score_cache.csv")
@@ -173,7 +177,7 @@ def cmd_dock_weights(args) -> int:
     if config.scorer_command:
         scorer = ScorerConfig(config.scorer_command, config.scorer_timeout,
                               config.scorer_retries, config.scorer_parallelism)
-    result = score_batch(molecules, scorer, cache)
+    result = score_batch(list(molecules.items()), scorer, cache)
     for mid, reason in sorted(result.failures.items()):
         log(event="score-failure", id=mid, reason=reason)
     if not result.records:
@@ -194,8 +198,7 @@ def cmd_dock_weights(args) -> int:
         "alpha_min": table.alpha_min,
         "alpha_max": table.alpha_max,
     })
-    log(event="dock-weights", scored=len(result.records), failures=len(result.failures))
-    return 0
+    return {"scored": len(result.records), "failures": len(result.failures)}
 
 
 def _read_weight_table(path: Path, records, config: RunConfig) -> WeightTable:
@@ -217,10 +220,7 @@ def _read_weight_table(path: Path, records, config: RunConfig) -> WeightTable:
                        min(alphas), max(alphas), config.weight_floor)
 
 
-def cmd_train_flow(args) -> int:
-    _refuse_directory_out(args.out)
-    config = _load_config(args)
-    ds = _load_dataset(args.data, config)
+def cmd_train_flow(args, config, checkpoint, ds) -> dict:
     rng = SeededRng(config.seed)
     params = init_flow(config.flow_config(), rng.spawn("flow-init"))
     table = None
@@ -239,20 +239,12 @@ def cmd_train_flow(args) -> int:
         log(event="flow-probe", epoch=epoch, raw_validity=f"{v:.4f}")
     log(event="flow-best", epoch=result.best_epoch, raw_validity=f"{result.best_validity:.4f}")
     save_checkpoint(args.out, config, params)
-    log(event="train-flow", checkpoint=args.out)
-    return 0
+    return {"checkpoint": args.out}
 
 
-def cmd_train_fusion(args) -> int:
-    _refuse_directory_out(args.out)
-    config_ckpt, flow_params, _ = load_checkpoint(args.checkpoint)
-    config = _load_config(args, default=config_ckpt)
-    ds = _load_dataset(args.data, config)
-    usable = ds.with_geometry()
-    if args.subset:
-        usable = usable[: args.subset]
-    if not usable:
-        raise DataError(args.data[0], 0, "no record carries geometry")
+def cmd_train_fusion(args, config, checkpoint, ds) -> dict:
+    _, flow_params, _ = checkpoint
+    usable = _geometry_records(args, ds)[: args.subset]
     rng = SeededRng(config.seed)
     # the encoder's output must match the loaded flow, whatever the config says
     sphere_config = dataclasses.replace(config.sphere_config(),
@@ -264,21 +256,15 @@ def cmd_train_fusion(args) -> int:
     for epoch, loss in enumerate(result.epoch_losses):
         log(event="fusion-epoch", epoch=epoch, loss=f"{loss:.4f}")
     save_checkpoint(args.out, config, flow_params, sphere)
-    log(event="train-fusion", checkpoint=args.out)
-    return 0
+    return {"checkpoint": args.out}
 
 
-def cmd_generate(args) -> int:
-    _refuse_file_out(args.out)
-    config, flow_params, _ = load_checkpoint(args.checkpoint)
-    training = set()
-    if args.data:
-        training = _load_dataset(args.data, config).smiles_set()
+def cmd_generate(args, config, checkpoint, ds) -> dict:
+    _, flow_params, _ = checkpoint
     rng = SeededRng(config.seed).spawn("generate")
-    temperature = args.temperature if args.temperature is not None else config.temperature
-    molecules, report = generate_random(
-        flow_params, args.count, check=args.check, temperature=temperature,
-        rng=rng, training=training,
+    _, report = generate_random(
+        flow_params, args.count, check=args.check, temperature=config.temperature,
+        rng=rng, training=ds.smiles_set() if ds else set(),
     )
     out = Path(args.out)
     _write_csv(out / "gen_report.csv", ["index", "valid", "smiles"],
@@ -286,7 +272,7 @@ def cmd_generate(args) -> int:
     _write_json(out / "gen_summary.json", {
         "config": config.to_dict(),
         "seed": config.seed,
-        "temperature": temperature,
+        "temperature": config.temperature,
         "check": args.check,
         "requested": report.requested,
         "returned": report.returned,
@@ -297,26 +283,19 @@ def cmd_generate(args) -> int:
         "uniqueness_pct": report.uniqueness_pct,
         "cap_exhausted": report.cap_exhausted,
     })
-    log(event="generate", returned=report.returned,
-        validity=f"{report.validity_pct:.2f}",
-        validity_wo_check=f"{report.validity_wo_check_pct:.2f}")
-    return 0
+    return {"returned": report.returned, "validity": f"{report.validity_pct:.2f}",
+            "validity_wo_check": f"{report.validity_wo_check_pct:.2f}"}
 
 
-def cmd_generate_similar(args) -> int:
-    _refuse_file_out(args.out)
-    config, flow_params, sphere = load_checkpoint(args.checkpoint)
+def cmd_generate_similar(args, config, checkpoint, ds) -> dict:
+    _, flow_params, sphere = checkpoint
     if sphere is None:
         raise UsageError("checkpoint has no geometry encoder; run train-fusion first")
-    ds = _load_dataset(args.data, config)
-    usable = ds.with_geometry()
-    if not usable:
-        raise DataError(args.data[0], 0, "no record carries geometry")
+    usable = _geometry_records(args, ds)
     rng = SeededRng(config.seed).spawn("generate-similar")
     pick = rng.spawn("seeds")
     seeds = [usable[int(i)] for i in pick.integers(0, len(usable), args.count)]
-    lam = config.noise_fraction if args.noise_fraction is None else args.noise_fraction
-    _, report = generate_similar(flow_params, sphere, seeds, lam, rng)
+    _, report = generate_similar(flow_params, sphere, seeds, config.noise_fraction, rng)
     out = Path(args.out)
     _write_csv(out / "similar_report.csv",
                ["index", "smiles", "tanimoto", "fraggle", "maccs"],
@@ -324,7 +303,7 @@ def cmd_generate_similar(args) -> int:
     _write_json(out / "similar_summary.json", {
         "config": config.to_dict(),
         "seed": config.seed,
-        "noise_fraction": lam,
+        "noise_fraction": config.noise_fraction,
         "seeds": report.seed_smiles,
         "generated": len(report.rows),
         "failures": report.failures,
@@ -332,15 +311,11 @@ def cmd_generate_similar(args) -> int:
         "mean_fraggle": report.mean_fraggle,
         "mean_maccs": report.mean_maccs,
     })
-    log(event="generate-similar", generated=len(report.rows), failures=report.failures,
-        mean_fraggle=f"{report.mean_fraggle:.4f}")
-    return 0
+    return {"generated": len(report.rows), "failures": report.failures,
+            "mean_fraggle": f"{report.mean_fraggle:.4f}"}
 
 
-def cmd_evaluate(args) -> int:
-    _refuse_file_out(args.out)
-    config = _load_config(args)
-    ds = _load_dataset(args.data, config)
+def cmd_evaluate(args, config, checkpoint, ds) -> dict:
     rng = SeededRng(config.seed).spawn("evaluate")
     baseline = evaluate_similarity_baseline(ds.records, rng,
                                             sample_size=min(2000, len(ds.records)))
@@ -354,17 +329,14 @@ def cmd_evaluate(args) -> int:
             "novelty_pct": novelty_pct(smiles, ds.smiles_set()),
         }
     _write_json(Path(args.out) / "eval_summary.json", payload)
-    log(event="evaluate", baseline_fraggle=f"{baseline['mean_fraggle']:.4f}")
-    return 0
+    return {"baseline_fraggle": f"{baseline['mean_fraggle']:.4f}"}
 
 
 _PROPERTIES = {"plogp": compute_plogp, "qed": compute_qed_lite}
 
 
-def cmd_optimize_property(args) -> int:
-    _refuse_file_out(args.out)
-    config, flow_params, _ = load_checkpoint(args.checkpoint)
-    ds = _load_dataset(args.data, config)
+def cmd_optimize_property(args, config, checkpoint, ds) -> dict:
+    _, flow_params, _ = checkpoint
     prop_fn = _PROPERTIES[args.property]
     rng = SeededRng(config.seed).spawn("optimize-property")
     enc_rng = rng.spawn("latents")
@@ -394,17 +366,13 @@ def cmd_optimize_property(args) -> int:
         "seed": config.seed,
         "property": args.property,
         "holdout_r2": r2,
-        "top3": [
-            {"smiles": r[3], "value": float(r[4])} for r in rows_best
-        ],
+        "top3": [{"smiles": r[3], "value": float(r[4])} for r in rows_best],
     })
-    log(event="optimize-property", seeds=len(rows), improved=len(rows_best))
-    return 0
+    return {"seeds": len(rows), "improved": len(rows_best)}
 
 
-def cmd_optimize_fragment(args) -> int:
-    _refuse_file_out(args.out)
-    config, flow_params, _ = load_checkpoint(args.checkpoint)
+def cmd_optimize_fragment(args, config, checkpoint, ds) -> dict:
+    _, flow_params, _ = checkpoint
     host = parse_smiles(args.host)
     atoms = args.fragment_atoms
     if max(atoms) >= host.num_atoms:
@@ -422,15 +390,12 @@ def cmd_optimize_fragment(args) -> int:
         "result": write_smiles(result.molecule) if result.molecule else None,
     }
     _write_json(Path(args.out) / "fragment_summary.json", payload)
-    log(event="optimize-fragment", ok=result.replaced_ok, tried=result.candidates_tried)
-    return 0
+    return {"ok": result.replaced_ok, "tried": result.candidates_tried}
 
 
-def cmd_export_plotdata(args) -> int:
-    _refuse_file_out(args.out)
+def cmd_export_plotdata(args, config, checkpoint, ds) -> dict:
     report_dir = Path(args.report)
     out = Path(args.out)
-    smiles: list[str] = []
     gen_csv = report_dir / "gen_report.csv"
     sim_csv = report_dir / "similar_report.csv"
     if gen_csv.exists():
@@ -456,17 +421,13 @@ def cmd_export_plotdata(args) -> int:
         for row in _read_csv(sim_csv, set(sims)):
             for k in sims:
                 sims[k].append(float(row[k]))
-        counts = {k: np.histogram(v, bins=bins)[0] for k, v in sims.items()}
-        for b in range(20):
-            hist_rows.append((
-                _fmt(bins[b]), _fmt(bins[b + 1]),
-                int(counts["tanimoto"][b]), int(counts["fraggle"][b]), int(counts["maccs"][b]),
-            ))
+        counts = [np.histogram(v, bins=bins)[0] for v in sims.values()]
+        hist_rows = [(_fmt(bins[b]), _fmt(bins[b + 1]), *(int(c[b]) for c in counts))
+                     for b in range(20)]
     _write_csv(out / "similarity_hist.csv",
                ["bin_lo", "bin_hi", "tanimoto_count", "fraggle_count", "maccs_count"],
                hist_rows)
-    log(event="export-plotdata", molecules=len(smiles), out=str(out))
-    return 0
+    return {"molecules": len(smiles), "out": str(out)}
 
 
 # ---------------------------------------------------------------------------
@@ -505,87 +466,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def command(name, func, help, config=False):
+        p = sub.add_parser(name, help=help)
         if config:
             p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--out", required=True, help="checkpoint path (.npz)"
+                       if name in CHECKPOINT_WRITERS else "output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("prepare-data", help="ingest or synthesize a dataset")
-    common(p)
-    p.add_argument("--input", nargs="*", default=[], help="SMILES or XYZ files")
-    p.add_argument("--synthetic", type=int, default=0, help="synthesize N molecules")
+    p = command("prepare-data", cmd_prepare_data, "ingest or synthesize a dataset", config=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", dest="data", nargs="+", metavar="FILE",
+                        help="SMILES or XYZ files")
+    source.add_argument("--synthetic", type=_positive_int, help="synthesize N molecules")
     p.add_argument("--no-geometry", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_prepare_data)
 
-    p = sub.add_parser("dock-weights", help="score molecules and derive sampling weights")
-    common(p)
+    p = command("dock-weights", cmd_dock_weights,
+                "score molecules and derive sampling weights", config=True)
     p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dock_weights)
 
-    p = sub.add_parser("train-flow", help="train the generative flow")
-    common(p)
+    p = command("train-flow", cmd_train_flow, "train the generative flow", config=True)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--weights", default=None, help="weights.csv from dock-weights")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--out", required=True, help="checkpoint path (.npz)")
-    p.set_defaults(func=cmd_train_flow)
 
-    p = sub.add_parser("train-fusion", help="train the geometry encoder against the flow latent")
-    common(p)
+    p = command("train-fusion", cmd_train_fusion,
+                "train the geometry encoder against the flow latent", config=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--subset", type=_positive_int, default=None,
                    help="use only the first N geometry records")
     p.add_argument("--fusion-epochs", dest="fusion_epochs", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_fusion)
 
-    p = sub.add_parser("generate", help="random generation with metrics")
+    p = command("generate", cmd_generate, "random generation with metrics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--count", type=_positive_int, default=1000)
     p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--data", nargs="*", default=[], help="training data for novelty")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("generate-similar", help="seed-conditioned generation")
+    p = command("generate-similar", cmd_generate_similar, "seed-conditioned generation")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--count", type=_positive_int, default=100, help="number of seeds")
     p.add_argument("--noise-fraction", dest="noise_fraction", type=float, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate_similar)
 
-    p = sub.add_parser("evaluate", help="similarity baseline and set metrics")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "similarity baseline and set metrics", config=True)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--generated", default=None, help="gen_report.csv to evaluate")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("optimize-property", help="latent gradient ascent on a property")
+    p = command("optimize-property", cmd_optimize_property,
+                "latent gradient ascent on a property")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--property", choices=sorted(_PROPERTIES), required=True)
     p.add_argument("--seeds", type=_positive_int, default=50)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_optimize_property)
 
-    p = sub.add_parser("optimize-fragment", help="substructure replacement")
+    p = command("optimize-fragment", cmd_optimize_fragment, "substructure replacement")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--host", required=True, help="host molecule SMILES")
     p.add_argument("--fragment-atoms", type=_atom_indices, required=True,
                    help="comma-separated atom indices")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_optimize_fragment)
 
-    p = sub.add_parser("export-plotdata", help="fingerprint/property/similarity CSVs")
+    p = command("export-plotdata", cmd_export_plotdata, "fingerprint/property/similarity CSVs")
     p.add_argument("--report", required=True, help="a generate/generate-similar output dir")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_plotdata)
 
     return parser
 
@@ -596,8 +542,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        if args.command in CHECKPOINT_WRITERS:
+            _refuse_directory_out(args.out)
+        else:
+            _refuse_file_out(args.out)
+        checkpoint = load_checkpoint(args.checkpoint) if hasattr(args, "checkpoint") else None
+        config = _load_config(args, default=checkpoint[0] if checkpoint else None)
+        paths = getattr(args, "data", None)
+        ds = _load_dataset(paths, config) if paths else None
+        summary = args.func(args, config, checkpoint, ds)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -607,6 +562,8 @@ def main(argv=None) -> int:
     except (DataError, SmilesError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    log(event=args.command, **summary, elapsed_s=f"{time.perf_counter() - start:.3f}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -498,6 +498,18 @@ BAD_INVOCATIONS = [
      "--out {root}/o", 1, "--fragment-atoms"),
     ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 0,99 "
      "--out {root}/o", 1, "--fragment-atoms: index 99 is out of range for a host of 3 atoms"),
+    ("generate --checkpoint {root}/flow.npz --count 2 --temperature nan --out {root}/o",
+     2, "temperature must be finite"),
+    ("generate --checkpoint {root}/flow.npz --count 2 --temperature -1 --out {root}/o",
+     2, "temperature must be non-negative"),
+    ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
+     "--count 2 --noise-fraction 1.5 --out {root}/o", 2, "noise_fraction must be in [0, 1]"),
+    ("prepare-data --out {root}/o", 1, "one of the arguments --input --synthetic is required"),
+    ("prepare-data --synthetic 3 --input {root}/missing.smi --out {root}/o",
+     1, "argument --input: not allowed with argument --synthetic"),
+    ("prepare-data --synthetic 0 --out {root}/o", 1, "--synthetic"),
+    ("generate-similar --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
+     "--count 2 --out {root}/o", 1, "checkpoint has no geometry encoder"),
 ]
 
 
@@ -532,6 +544,95 @@ def test_cli_refuses_a_file_out_before_any_work(bad_inputs, monkeypatch, capsys,
     assert cli(argv.format(root=bad_inputs).split()) == 2
     assert f"File exists: '{bad_inputs / 'a_file'}'" in capsys.readouterr().err
     assert (bad_inputs / "a_file").read_text() == "not a directory\n"
+
+
+# a working invocation of each subcommand, in pipeline order: {root} is the
+# bad_inputs directory and {out} the directory for this run's outputs
+WORKING_INVOCATIONS = [
+    "prepare-data --config {root}/config.json --input {root}/data/dataset.xyz --out {out}/data",
+    "dock-weights --config {root}/config.json --data {root}/data/dataset.xyz --out {out}/dock",
+    "train-flow --config {root}/config.json --data {root}/data/dataset.xyz --out {out}/flow.npz",
+    "train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz --subset 2 "
+    "--out {out}/fused.npz",
+    "generate --checkpoint {root}/flow.npz --count 2 --no-check --data {root}/data/dataset.xyz "
+    "--out {out}/gen",
+    "generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz --count 2 "
+    "--out {out}/similar",
+    "evaluate --config {root}/config.json --data {root}/data/dataset.xyz --out {out}/eval",
+    "optimize-property --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
+    "--property plogp --seeds 1 --out {out}/prop",
+    "optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 2 "
+    "--out {out}/frag",
+    "export-plotdata --report {out}/gen --out {out}/plot",
+]
+
+PATH_FLAGS = ("--config", "--checkpoint", "--data", "--input", "--weights", "--generated",
+              "--report")
+
+
+def _subparsers() -> dict:
+    """The subparsers of the CLI's parser, by command name."""
+    import argparse
+
+    from molflow.cli import build_parser
+
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+SUBPARSERS = _subparsers()
+
+# every path flag of every subcommand, on that command's working invocation
+MISSING_INPUTS = [(argv, flag) for argv in WORKING_INVOCATIONS for flag in PATH_FLAGS
+                  if flag in SUBPARSERS[argv.split()[0]]._option_string_actions]
+
+
+def test_every_subcommand_is_swept_and_has_its_out_checked():
+    commands = set(SUBPARSERS)
+    assert {argv.split()[0] for argv in WORKING_INVOCATIONS} == commands
+    assert {flag for _, flag in MISSING_INPUTS} == set(PATH_FLAGS)
+    checkpoint_outs = [argv for argv, _, _ in BAD_INVOCATIONS if "--out {root}/a_dir" in argv]
+    assert {argv.split()[0] for argv in FILE_OUT_INVOCATIONS + checkpoint_outs} == commands
+
+
+def test_cli_each_command_closes_with_its_event_and_elapsed_time(bad_inputs, tmp_path, capsys):
+    for argv in WORKING_INVOCATIONS:
+        capsys.readouterr()
+        assert cli(argv.format(root=bad_inputs, out=tmp_path).split()) == 0, argv
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"event={argv.split()[0]} "), last
+        pairs = dict(pair.split("=", 1) for pair in last.split())
+        assert float(pairs["elapsed_s"]) >= 0
+        assert len(pairs["elapsed_s"].split(".")[1]) == 3
+
+
+@pytest.mark.parametrize("argv, flag", MISSING_INPUTS)
+def test_cli_names_a_missing_input_path(bad_inputs, tmp_path, capsys, argv, flag):
+    missing = str(tmp_path / "missing" / flag.lstrip("-"))
+    words = argv.format(root=bad_inputs, out=tmp_path / "out").split()
+    if flag in words:
+        words[words.index(flag) + 1] = missing
+    else:
+        words += [flag, missing]
+    capsys.readouterr()
+    assert cli(words) == 2
+    err = capsys.readouterr().err
+    assert missing in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "train-fusion --checkpoint {root}/flow.npz --data {smi} --out {out}/fused.npz",
+    "generate-similar --checkpoint {root}/fused.npz --data {smi} --count 2 --out {out}/sim",
+])
+def test_cli_geometry_commands_refuse_data_without_coordinates(bad_inputs, tmp_path, capsys,
+                                                               argv):
+    smi = tmp_path / "flat.smi"
+    smi.write_text("CCO\nCCN\n")
+    capsys.readouterr()
+    assert cli(argv.format(root=bad_inputs, smi=smi, out=tmp_path / "out").split()) == 2
+    assert f"{smi}:0: no record carries geometry" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_optimize_fragment_without_a_fitting_mix_exits_0(bad_inputs, tmp_path, monkeypatch,
