@@ -320,19 +320,17 @@ def sqrt(x):
     return out
 
 
-def tsum(x, axis=None, keepdims=False):
+def tsum(x, axis=None):
     if not _is_traced(x):
-        return _as_f64(x).sum(axis=axis, keepdims=keepdims)
-    y = x.data.sum(axis=axis, keepdims=keepdims)
+        return _as_f64(x).sum(axis=axis)
+    y = x.data.sum(axis=axis)
     out = Tensor(y, (x,), op="sum")
 
     def bwd(g):
         if axis is None:
             _accumulate(x, np.broadcast_to(g.reshape((1,) * x.data.ndim), x.data.shape).copy())
         else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
     out._backward = bwd
     return out

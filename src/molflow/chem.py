@@ -394,26 +394,17 @@ def to_tensors(m: Molecule, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return atom, bond
 
 
-def from_tensors(atom: np.ndarray, bond: np.ndarray) -> Molecule:
-    """Decode (possibly real-valued) tensors into a Molecule.
-
-    Bond logits are symmetrized by averaging the (i,j) and (j,i) entries
-    before the per-pair argmax; rows whose argmax is the padding type are
-    dropped along with their bonds. The result may be chemically invalid
-    and is meant to be screened by ``valency_check``.
-    """
-    types = np.asarray(atom).argmax(axis=1)
-    keep = [i for i, t in enumerate(types) if t != PADDING_TYPE]
-    remap = {i: k for k, i in enumerate(keep)}
-    elements = tuple(ELEMENTS[types[i]] for i in keep)
-    sym = (np.asarray(bond) + np.asarray(bond).transpose(1, 0, 2)) / 2.0
-    q = sym.argmax(axis=2)
-    bonds = []
-    for i in keep:
-        for j in keep:
-            if i < j and q[i, j] != 0:
-                bonds.append((remap[i], remap[j], int(q[i, j])))
-    return Molecule.build(elements, bonds)
+def from_tensors(types: np.ndarray, orders: np.ndarray) -> Molecule:
+    """The molecule of one decoded row: (n,) atom types, where
+    ``PADDING_TYPE`` marks an absent atom, and symmetric (n, n) bond orders,
+    0 meaning no bond. Padding rows are dropped with their bonds. The
+    result may be chemically invalid and is meant to be screened by
+    ``valency_check``."""
+    keep = np.flatnonzero(types != PADDING_TYPE)
+    kept = orders[np.ix_(keep, keep)]
+    i, j = np.nonzero(np.triu(kept, 1))
+    return Molecule(tuple(ELEMENTS[t] for t in types[keep].tolist()),
+                    tuple(zip(i.tolist(), j.tolist(), kept[i, j].tolist())))
 
 
 def connected_components(m: Molecule) -> list[set[int]]:
@@ -445,6 +436,21 @@ def valency_check(m: Molecule) -> bool:
         if m.bond_order_sum(i) > VALENCE[m.elements[i]]:
             return False
     return len(connected_components(m)) == 1
+
+
+# bond-order capacity of each atom type; the padding type has none
+_CAPACITY = np.array([VALENCE[el] for el in ELEMENTS] + [0])
+
+
+def valence_prescreen(types: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Per row of decoded (batch, n) atom types and (batch, n, n) bond
+    orders, a necessary condition for ``valency_check`` of its
+    ``from_tensors``: at least one real atom, and no real atom's bond orders
+    to real atoms above its valence. Connectivity is left to the full
+    check."""
+    real = types < PADDING_TYPE
+    bond_sum = (orders * (real[:, :, None] & real[:, None, :])).sum(axis=2)
+    return (bond_sum <= _CAPACITY[types]).all(axis=1) & real.any(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,9 @@ def cmd_prepare_data(args, config, checkpoint, ds) -> dict:
     if args.synthetic:
         ds = synthetic_corpus(args.synthetic, SeededRng(config.seed).spawn("corpus"),
                               n_max=config.n_max, with_geometry=not args.no_geometry)
+    elif args.no_geometry:
+        ds = Dataset([dataclasses.replace(r, elements=None, coords=None) for r in ds.records],
+                     ds.skipped)
     smi, xyz = write_dataset(ds, out)
     _write_json(out / "prepare_summary.json", {
         "config": config.to_dict(),
@@ -201,7 +204,7 @@ def cmd_dock_weights(args, config, checkpoint, ds) -> dict:
     return {"scored": len(result.records), "failures": len(result.failures)}
 
 
-def _read_weight_table(path: Path, records, config: RunConfig) -> WeightTable:
+def _read_weight_table(path: Path, records) -> WeightTable:
     """Each record's weight from a dock-weights `weights.csv`, used as the
     file gives it (looked up by SMILES)."""
     with path.open(newline="") as fh:
@@ -217,7 +220,7 @@ def _read_weight_table(path: Path, records, config: RunConfig) -> WeightTable:
     if not all(0.0 <= w <= 1.0 for w in weights):
         raise DataError(path, 0, "weights must lie in [0, 1]")
     return WeightTable(tuple(str(i) for i in range(len(records))), np.array(weights),
-                       min(alphas), max(alphas), config.weight_floor)
+                       min(alphas), max(alphas))
 
 
 def cmd_train_flow(args, config, checkpoint, ds) -> dict:
@@ -225,7 +228,7 @@ def cmd_train_flow(args, config, checkpoint, ds) -> dict:
     params = init_flow(config.flow_config(), rng.spawn("flow-init"))
     table = None
     if args.weights:
-        table = _read_weight_table(Path(args.weights), ds.records, config)
+        table = _read_weight_table(Path(args.weights), ds.records)
     result = train_flow(
         params, ds.records, epochs=config.epochs, rng=rng.spawn("flow-train"),
         lr=config.learning_rate, batch_size=config.batch_size,
@@ -316,13 +319,14 @@ def cmd_generate_similar(args, config, checkpoint, ds) -> dict:
 
 
 def cmd_evaluate(args, config, checkpoint, ds) -> dict:
+    if args.generated:
+        smiles = [row["smiles"] for row in _read_csv(args.generated, {"smiles", "valid"})
+                  if int(row["valid"])]
     rng = SeededRng(config.seed).spawn("evaluate")
     baseline = evaluate_similarity_baseline(ds.records, rng,
                                             sample_size=min(2000, len(ds.records)))
     payload = {"config": config.to_dict(), "seed": config.seed, "baseline": baseline}
     if args.generated:
-        smiles = [row["smiles"] for row in _read_csv(args.generated, {"smiles", "valid"})
-                  if int(row["valid"])]
         payload["generated"] = {
             "count": len(smiles),
             "uniqueness_pct": uniqueness_pct(smiles),

@@ -51,7 +51,6 @@ class DatasetRecord:
     molecule: Molecule
     elements: tuple[str, ...] | None = None   # heavy atoms as listed in the XYZ
     coords: np.ndarray | None = None          # (n, 3) heavy-atom coordinates
-    energy: float | None = None               # cached docking energy
 
     @property
     def has_geometry(self) -> bool:
@@ -89,8 +88,8 @@ def _admit(mol: Molecule, n_max: int, skipped: collections.Counter) -> bool:
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-def _ingest_smiles_lines(path: Path, n_max: int, records, skipped) -> None:
-    for raw in path.read_text().splitlines():
+def _ingest_smiles_lines(path: Path, lines: list[str], n_max: int, records, skipped) -> None:
+    for raw in lines:
         line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
@@ -104,8 +103,7 @@ def _ingest_smiles_lines(path: Path, n_max: int, records, skipped) -> None:
         records.append(DatasetRecord(smiles=write_smiles(mol), molecule=mol))
 
 
-def _ingest_xyz(path: Path, n_max: int, records, skipped) -> None:
-    lines = path.read_text().splitlines()
+def _ingest_xyz(path: Path, lines: list[str], n_max: int, records, skipped) -> None:
     i = 0
     while i < len(lines):
         if not lines[i].strip():
@@ -183,17 +181,14 @@ def ingest(paths, n_max: int = 9) -> Dataset:
     skipped: collections.Counter = collections.Counter()
     for p in paths:
         path = Path(p)
-        text = path.read_text()
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
+        lines = path.read_text().splitlines()
+        first = next((ln for ln in lines if ln.strip()), "")
         try:
             int(first.strip())
-            is_xyz = True
         except ValueError:
-            is_xyz = False
-        if is_xyz:
-            _ingest_xyz(path, n_max, records, skipped)
+            _ingest_smiles_lines(path, lines, n_max, records, skipped)
         else:
-            _ingest_smiles_lines(path, n_max, records, skipped)
+            _ingest_xyz(path, lines, n_max, records, skipped)
     return Dataset(records, skipped)
 
 
@@ -298,9 +293,10 @@ def random_molecule(rng: SeededRng, n_max: int = 9) -> Molecule:
 
 
 _BOND_LENGTH = {1: 1.5, 2: 1.32, 3: 1.2}
+_LAYOUT_STEPS = 400
 
 
-def layout_coordinates(mol: Molecule, rng: SeededRng, steps: int = 400) -> np.ndarray:
+def layout_coordinates(mol: Molecule, rng: SeededRng) -> np.ndarray:
     """Deterministic 3D layout: harmonic bond springs toward order-dependent
     lengths plus short-range repulsion between non-bonded atoms."""
     n = mol.num_atoms
@@ -315,7 +311,7 @@ def layout_coordinates(mol: Molecule, rng: SeededRng, steps: int = 400) -> np.nd
         dtype=int,
     ).reshape(-1, 2)
     lr = 0.05
-    for _ in range(steps):
+    for _ in range(_LAYOUT_STEPS):
         grad = np.zeros_like(coords)
         if len(bond_idx):
             d = coords[bond_idx[:, 0]] - coords[bond_idx[:, 1]]

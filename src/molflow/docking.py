@@ -48,7 +48,6 @@ class WeightTable:
     weights: np.ndarray
     alpha_min: float
     alpha_max: float
-    floor: float
 
 
 def compute_weights(records: list[DockingRecord], floor: float = 0.01) -> WeightTable:
@@ -73,7 +72,7 @@ def compute_weights(records: list[DockingRecord], floor: float = 0.01) -> Weight
         weights = np.ones_like(alphas)
     else:
         weights = np.maximum((alphas - a_min) / (a_max - a_min), floor)
-    return WeightTable(ids, weights, a_min, a_max, floor)
+    return WeightTable(ids, weights, a_min, a_max)
 
 
 def sample_epoch(table: WeightTable, rng: SeededRng, mode: str = "bernoulli") -> list[int]:

@@ -3,7 +3,7 @@
 Two stacked affine-coupling flows: a bond flow on the (n, n, m) bond tensor
 with alternating channel masks, and an atom flow on the (n, l) atom tensor
 with alternating row masks whose scale/translation networks are additionally
-conditioned on the discrete bond tensor through two rounds of neighborhood
+conditioned on the discrete bond orders through two rounds of neighborhood
 aggregation. Scales go through a sigmoid, so every factor lies in (0, 1)
 and the inverse is exact algebra. Training maximizes the exact
 log-likelihood: standard-normal density of the latent plus the accumulated
@@ -151,31 +151,33 @@ def dequantize(onehot: Array, noise_scale: float, rng: SeededRng) -> Array:
 
 
 def discretize_bonds(xb: Array) -> Array:
-    """Symmetrize-then-argmax a continuous bond tensor into a one-hot one.
+    """Symmetrize-then-argmax a continuous (batch, n, n, m) bond tensor
+    into (batch, n, n) bond orders, 0 meaning no bond.
 
     The (i,j) and (j,i) logits are averaged before the argmax, and the
-    diagonal is forced to the no-bond channel, so the result is exactly
-    symmetric with a no-bond diagonal.
+    diagonal is forced to 0, so the result is exactly symmetric with a
+    no-bond diagonal.
     """
     sym = (xb + xb.transpose(0, 2, 1, 3)) / 2.0
     q = sym.argmax(axis=3)
     idx = np.arange(xb.shape[1])
     q[:, idx, idx] = 0
-    return (q[..., None] == np.arange(xb.shape[3])).astype(np.float64)
+    return q
 
 
-def atom_condition(bond_disc: Array) -> list[tuple[Array, Array]]:
-    """The atom track's condition, built once per stack from a discrete
-    (batch, n, n, m) bond tensor. Entry p serves the layers that keep the
-    rows of parity p, as (by_order, adj_sum):
+def atom_condition(orders: Array, m: int) -> list[tuple[Array, Array]]:
+    """The atom track's condition, built once per stack from (batch, n, n)
+    bond orders below `m`. Entry p serves the layers that keep the rows of
+    parity p, as (by_order, adj_sum):
 
     - by_order (batch, n*(m-1), kept): row i*(m-1) + q-1 marks atom i's
       bonds of order q to each kept row;
     - adj_sum (batch, transformed, n): each transformed row's bonds of any
       order to every row."""
-    batch, n, _, m = bond_disc.shape
-    by_order = bond_disc[..., 1:].transpose(0, 1, 3, 2).reshape(batch, n * (m - 1), n)
-    adj_sum = bond_disc[..., 1:].sum(axis=3)
+    batch, n, _ = orders.shape
+    by_order = (orders[:, :, None, :] == np.arange(1, m)[:, None]).astype(np.float64)
+    by_order = by_order.reshape(batch, n * (m - 1), n)
+    adj_sum = (orders > 0).astype(np.float64)
     return [(np.ascontiguousarray(by_order[:, :, p::2]),
              np.ascontiguousarray(adj_sum[:, 1 - p::2])) for p in (0, 1)]
 
@@ -200,7 +202,7 @@ def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
     get zero gradient and keep their initial values."""
     if inverse and not isinstance(x, np.ndarray):
         raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
-    batch, n, l = x.shape if isinstance(x, np.ndarray) else x.data.shape
+    batch, n, l = x.shape
     kept_rows, trans_rows = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     by_order, adj_sum = cond[index % 2]
     x_kept = ad.gather(x, kept_rows, axis=1)
@@ -228,7 +230,7 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     channels of parity `index` are kept, the others become x*sigmoid(s)+t
     with (s, t) from `mlp` over the kept channels. Returns (z, per-sample
     logdet); with `inverse` the exact inverse and logdet None."""
-    batch, n, _, m = x.shape if isinstance(x, np.ndarray) else x.data.shape
+    batch, n, _, m = x.shape
     kept_ch, trans_ch = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     n_trans = len(range(m)[trans_ch])
     kept = ad.gather(x, kept_ch, axis=3)
@@ -252,8 +254,8 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def atom_flow_forward(params: FlowParams, x, bond_disc: Array):
-    cond = atom_condition(bond_disc)
+def atom_flow_forward(params: FlowParams, x, orders: Array):
+    cond = atom_condition(orders, params.config.n_bond_types)
     logdet = None
     for i, mlp in enumerate(params.atom):
         x, ld = atom_coupling(x, mlp, i, cond)
@@ -261,8 +263,8 @@ def atom_flow_forward(params: FlowParams, x, bond_disc: Array):
     return x, logdet
 
 
-def atom_flow_inverse(params: FlowParams, z: Array, bond_disc: Array) -> Array:
-    cond = atom_condition(bond_disc)
+def atom_flow_inverse(params: FlowParams, z: Array, orders: Array) -> Array:
+    cond = atom_condition(orders, params.config.n_bond_types)
     for i in reversed(range(len(params.atom))):
         z, _ = atom_coupling(z, params.atom[i], i, cond, inverse=True)
     return z
@@ -284,7 +286,7 @@ def bond_flow_inverse(params: FlowParams, z: Array) -> Array:
 
 def gauss_log_density(z, d: int):
     """Standard-normal log density summed over the last flattened dims."""
-    axes = tuple(range(1, z.data.ndim if isinstance(z, Tensor) else z.ndim))
+    axes = tuple(range(1, len(z.shape)))
     return ad.tsum(z * z, axis=axes) * -0.5 - 0.5 * d * np.log(2.0 * np.pi)
 
 
@@ -294,17 +296,15 @@ def encode_continuous(params: FlowParams, xa: Array, xb: Array):
     The atom track is conditioned on the discretized bond input. Returns
     (za, zb, logdet_atom, logdet_bond), all batched.
     """
-    bond_disc = discretize_bonds(xb)
     zb, ld_b = bond_flow_forward(params, xb)
-    za, ld_a = atom_flow_forward(params, xa, bond_disc)
+    za, ld_a = atom_flow_forward(params, xa, discretize_bonds(xb))
     return za, zb, ld_a, ld_b
 
 
 def decode_continuous(params: FlowParams, za: Array, zb: Array) -> tuple[Array, Array]:
     """Exact inverse of ``encode_continuous``."""
     xb = bond_flow_inverse(params, zb)
-    bond_disc = discretize_bonds(xb)
-    xa = atom_flow_inverse(params, za, bond_disc)
+    xa = atom_flow_inverse(params, za, discretize_bonds(xb))
     return xa, xb
 
 
@@ -340,20 +340,21 @@ def encode_molecules(params: FlowParams, molecules: list[Molecule],
 
 
 def decode_tensors(params: FlowParams, z: Array) -> tuple[Array, Array]:
-    """Invert a (batch, d_total) latent block into the continuous atom
-    tensor and the discretized bond tensor that ``from_tensors`` reads."""
+    """Invert a (batch, d_total) latent block into what ``from_tensors``
+    reads: the (batch, n) atom types (the last type is padding) and the
+    symmetric (batch, n, n) bond orders."""
     cfg = params.config
     za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
     zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
     xa, xb = decode_continuous(params, za, zb)
-    return xa, discretize_bonds(xb)
+    return xa.argmax(axis=2), discretize_bonds(xb)
 
 
 def decode_batch(params: FlowParams, z: Array) -> list[Molecule]:
     """Invert a (batch, d_total) latent block into raw molecules (no
     valency screening)."""
-    xa, bond_disc = decode_tensors(params, z)
-    return [from_tensors(xa[i], bond_disc[i]) for i in range(z.shape[0])]
+    types, orders = decode_tensors(params, z)
+    return [from_tensors(types[i], orders[i]) for i in range(z.shape[0])]
 
 
 def sample_prior(rng: SeededRng, config: FlowConfig,

@@ -86,9 +86,10 @@ def build_geometry(elements, coords, cutoff: float = DEFAULT_CUTOFF) -> Geometry
     )
 
 
-def envelope(d: np.ndarray | float, p: int = ENVELOPE_ORDER):
-    """Smooth polynomial cutoff reaching 0 with two vanishing derivatives at
-    d = 1."""
+def envelope(d: np.ndarray | float):
+    """Smooth polynomial cutoff of order ``ENVELOPE_ORDER``, reaching 0 with
+    two vanishing derivatives at d = 1."""
+    p = ENVELOPE_ORDER
     a = -(p + 1) * (p + 2) / 2.0
     b = p * (p + 2)
     c = -p * (p + 1) / 2.0

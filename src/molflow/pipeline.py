@@ -16,7 +16,6 @@ from . import autodiff as ad
 # unused here, but perfbench's tracer patches pipeline.adam_step
 from .autodiff import SeededRng, Tensor, adam_step  # noqa: F401
 from .chem import (
-    VALENCE,
     Molecule,
     connected_components,
     fraggle_similarity,
@@ -32,6 +31,7 @@ from .chem import (
     rotatable_bond_count,
     subgraph,
     tanimoto,
+    valence_prescreen,
     valency_check,
     write_smiles,
 )
@@ -205,21 +205,6 @@ class GenerationReport:
     entries: list[tuple[int, bool, str]]  # (index, valid, canonical smiles or "")
 
 
-def _valence_prescreen(atom_x: np.ndarray, bond_disc: np.ndarray) -> np.ndarray:
-    """Vectorized necessary condition for validity: per-atom bond order within
-    capacity and at least one real atom. Connectivity still needs the full
-    check on survivors."""
-    types = atom_x.argmax(axis=2)
-    real = types < len(VALENCE)
-    caps = np.array([VALENCE["C"], VALENCE["N"], VALENCE["O"], VALENCE["F"], 0], dtype=float)
-    cap = caps[types]
-    q = bond_disc.argmax(axis=3).astype(float)
-    pair_real = real[:, :, None] & real[:, None, :]
-    orders = q * pair_real
-    bond_sum = orders.sum(axis=2)
-    return (bond_sum <= cap).all(axis=1) & (real.sum(axis=1) >= 1)
-
-
 def generate_random(params: FlowParams, count: int, check: bool, temperature: float,
                     rng: SeededRng, training: set[str] | None = None,
                     max_attempts_per: int = 100, batch_size: int = 1024):
@@ -244,11 +229,11 @@ def generate_random(params: FlowParams, count: int, check: bool, temperature: fl
         if take <= 0:
             break
         z = sample_prior(rng, cfg, temperature=temperature, count=take)
-        xa, bond_disc = decode_tensors(params, z)
+        types, orders = decode_tensors(params, z)
         raw_attempts += take
-        rows = np.nonzero(_valence_prescreen(xa, bond_disc))[0] if check else range(take)
+        rows = np.nonzero(valence_prescreen(types, orders))[0] if check else range(take)
         for i in rows:
-            mol = from_tensors(xa[i], bond_disc[i])
+            mol = from_tensors(types[i], orders[i])
             ok = valency_check(mol)
             raw_valid += ok
             if (ok or not check) and len(molecules) < count:
@@ -415,9 +400,14 @@ class PropertyHead(ParamTree):
         return self.mlp.named("head")
 
 
+# the property head: hidden width, Adam learning rate and minibatch size
+HEAD_HIDDEN = 64
+HEAD_LR = 3e-3
+HEAD_BATCH = 32
+
+
 def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
-                        hidden: int = 64, epochs: int = 200, lr: float = 3e-3,
-                        batch_size: int = 32):
+                        epochs: int = 200):
     """MSE regression from latents to property values; returns the head and
     its R^2 on a holdout of a fifth of the pairs. The first layer starts
     small so the hidden tanh units operate near their linear range."""
@@ -430,16 +420,16 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
     order = rng.permutation(len(latents))
     n_hold = max(1, int(len(latents) * 0.2))
     hold, train = order[:n_hold], order[n_hold:]
-    head = PropertyHead(mlp_init(rng.spawn("head"), latents.shape[1], hidden, 1,
+    head = PropertyHead(mlp_init(rng.spawn("head"), latents.shape[1], HEAD_HIDDEN, 1,
                                  zero_last=False, w1_scale=0.1))
-    opt = make_optimizer(head, lr=lr)
+    opt = make_optimizer(head, lr=HEAD_LR)
     mu, sd = float(values[train].mean()), float(values[train].std())
     sd = sd if sd > 0 else 1.0
     shuffle = rng.spawn("shuffle")
     for _ in range(epochs):
         perm = shuffle.permutation(len(train))
-        for k in range(0, len(train), batch_size):
-            idx = train[perm[k:k + batch_size]]
+        for k in range(0, len(train), HEAD_BATCH):
+            idx = train[perm[k:k + HEAD_BATCH]]
 
             def mse(view: PropertyHead):
                 pred = ad.reshape(apply_mlp(view.mlp, latents[idx]), (-1,))
@@ -550,10 +540,7 @@ def attach_fragment(remainder: Molecule, attachments: list[tuple[int, int]],
     leftover free valence on the used atoms) wins; ties break on the
     candidate's canonical ranks. Returns None when nothing fits.
     """
-    free = [
-        VALENCE[candidate.elements[a]] - candidate.bond_order_sum(a)
-        for a in range(candidate.num_atoms)
-    ]
+    free = [candidate.implicit_hydrogens(a) for a in range(candidate.num_atoms)]
     ranks = canonical_rank(candidate)
     offset = remainder.num_atoms
     best = None

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 # unused here, but perfbench's tracer patches spherenet.adam_step
-from .autodiff import SeededRng, Tensor, adam_step  # noqa: F401
+from .autodiff import SeededRng, adam_step  # noqa: F401
 from .chem import ELEMENTS
 from .dataset import DatasetRecord
 from .flow import (FlowParams, Mlp, ParamTree, apply_mlp, encode_molecules, fit_step,
@@ -158,8 +158,7 @@ def encode_geometry(g: Geometry, params: SphereNetParams):
 def fusion_loss(z_m, u_star):
     """Euclidean distance between the flow latent and the encoder output;
     for (B, d) batches, the mean of the B row distances."""
-    shape_z = z_m.data.shape if isinstance(z_m, Tensor) else np.shape(z_m)
-    shape_u = u_star.data.shape if isinstance(u_star, Tensor) else np.shape(u_star)
+    shape_z, shape_u = np.shape(z_m), np.shape(u_star)
     if shape_z != shape_u:
         raise ValueError(f"length mismatch {shape_z} vs {shape_u}")
     diff = z_m - u_star

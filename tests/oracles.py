@@ -15,8 +15,11 @@ import molflow.autodiff as ad
 from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_batch, dequantize,
                           encode_molecules, encode_tensors)
 from molflow.chem import (
+    ELEMENTS,
     MORGAN_BITS,
     MORGAN_RADIUS,
+    PADDING_TYPE,
+    VALENCE,
     Fingerprint,
     Molecule,
     _hash_tuple,
@@ -539,17 +542,39 @@ def reference_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarr
     return za, zb, ld_a, ld_b
 
 
-def reference_decode_tensors(params: FlowParams, z: np.ndarray):
-    """decode_tensors through the reference kernels."""
-    cfg = params.config
-    za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
-    zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
+def reference_decode_continuous(params: FlowParams, za: np.ndarray, zb: np.ndarray):
+    """decode_continuous through the reference kernels: (xa, xb)."""
     for i in reversed(range(len(params.bond))):
         zb, _ = permuted_bond_coupling(zb, params.bond[i], i, inverse=True)
     bond_disc = scatter_discretize_bonds(zb)
     for i in reversed(range(len(params.atom))):
         za, _ = masked_atom_coupling(za, params.atom[i], i, bond_disc, inverse=True)
-    return za, scatter_discretize_bonds(zb)
+    return za, zb
+
+
+def onehot_from_tensors(atom: np.ndarray, bond: np.ndarray) -> Molecule:
+    """from_tensors on a (n, l) atom tensor and a (n, n, m) bond tensor:
+    the atom argmax, the bond logits symmetrized and argmaxed per pair, and
+    the bonds read by a pair loop over the non-padding rows."""
+    types = np.asarray(atom).argmax(axis=1)
+    keep = [i for i, t in enumerate(types) if t != PADDING_TYPE]
+    remap = {i: k for k, i in enumerate(keep)}
+    elements = tuple(ELEMENTS[types[i]] for i in keep)
+    sym = (np.asarray(bond) + np.asarray(bond).transpose(1, 0, 2)) / 2.0
+    q = sym.argmax(axis=2)
+    bonds = []
+    for i in keep:
+        for j in keep:
+            if i < j and q[i, j] != 0:
+                bonds.append((remap[i], remap[j], int(q[i, j])))
+    return Molecule.build(elements, bonds)
+
+
+def within_valence(m: Molecule) -> bool:
+    """valency_check less its connectivity part: at least one atom, and
+    none bonded beyond its valence."""
+    return m.num_atoms > 0 and all(m.bond_order_sum(i) <= VALENCE[el]
+                                   for i, el in enumerate(m.elements))
 
 
 # ---------------------------------------------------------------------------

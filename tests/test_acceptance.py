@@ -115,7 +115,7 @@ def test_03_gradient_fidelity():
         cfg = FlowConfig(n_max=2, n_atom_types=2, n_bond_types=2,
                          atom_layers=2, bond_layers=2, atom_hidden=6, bond_hidden=6)
         params = init_flow(cfg, rng.spawn("flow"), zero_last=False)
-        cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))))
+        cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))), 2)
 
         def check(fn, shape, points=10, tol=1e-5):
             for _ in range(points):

@@ -8,6 +8,9 @@ from oracles import is_isomorphic
 from molflow.autodiff import SeededRng
 from molflow.chem import (
     MORGAN_HASH_CACHE_SIZE,
+    N_ATOM_TYPES,
+    N_BOND_TYPES,
+    PADDING_TYPE,
     PATH_HASH_CACHE_SIZE,
     Fingerprint,
     Molecule,
@@ -38,6 +41,7 @@ from molflow.chem import (
     subgraph,
     tanimoto,
     to_tensors,
+    valence_prescreen,
     valency_check,
     write_smiles,
 )
@@ -210,28 +214,40 @@ def test_tensor_round_trip_on_corpus():
     for _ in range(200):
         m = random_molecule(rng)
         atom, bond = to_tensors(m, 9)
-        assert is_isomorphic(from_tensors(atom, bond), m)
+        assert is_isomorphic(from_tensors(atom.argmax(axis=1), bond.argmax(axis=2)), m)
 
 
 def test_all_padding_decodes_to_empty_invalid_molecule():
-    atom = np.zeros((9, 5))
-    atom[:, 4] = 1.0
-    bond = np.zeros((9, 9, 4))
-    bond[:, :, 0] = 1.0
-    m = from_tensors(atom, bond)
+    m = from_tensors(np.full(9, PADDING_TYPE), np.zeros((9, 9), dtype=int))
     assert m.num_atoms == 0
     assert not valency_check(m)
 
 
-def test_from_tensors_symmetrizes_real_valued_input():
-    atom = np.zeros((3, 5))
-    atom[0, 0] = atom[1, 0] = 1.0
-    atom[2, 4] = 1.0
-    bond = np.zeros((3, 3, 4))
-    bond[:, :, 0] = 0.6
-    bond[0, 1, 2] = 2.0   # asymmetric logit; the (0,1)/(1,0) average still wins
-    m = from_tensors(atom, bond)
-    assert m.bonds == ((0, 1, 2),)
+def test_from_tensors_drops_padding_rows_and_their_bonds():
+    types = np.array([0, PADDING_TYPE, 3, 1])
+    orders = np.zeros((4, 4), dtype=int)
+    orders[0, 1] = orders[1, 0] = 2   # bond to a padding row
+    orders[0, 2] = orders[2, 0] = 1
+    orders[2, 3] = orders[3, 2] = 3
+    m = from_tensors(types, orders)
+    assert m.elements == ("C", "F", "N")
+    assert m.bonds == ((0, 1, 1), (1, 2, 3))
+
+
+def test_valence_prescreen_matches_per_molecule_capacity():
+    # random decoded rows: the screen holds exactly where the molecule has
+    # an atom and no atom over its valence (connectivity aside)
+    gen = np.random.default_rng(31)
+    types = gen.integers(0, N_ATOM_TYPES, (400, 6))
+    upper = np.triu(gen.integers(0, N_BOND_TYPES, (400, 6, 6)) * (gen.random((400, 6, 6)) < 0.3), 1)
+    orders = upper + upper.transpose(0, 2, 1)
+    types[:20] = PADDING_TYPE
+    screen = valence_prescreen(types, orders)
+    mols = [from_tensors(t, o) for t, o in zip(types, orders)]
+    within = [oracles.within_valence(m) for m in mols]
+    assert screen.tolist() == within
+    assert 0 < sum(within) < len(within)
+    assert all(s for s, m in zip(screen, mols) if valency_check(m))
 
 
 # ---------------------------------------------------------------------------

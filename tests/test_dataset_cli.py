@@ -92,6 +92,20 @@ def test_xyz_unsupported_element_skipped(tmp_path):
     assert ds.skipped["unsupported_element"] == 1
 
 
+def test_ingest_reads_each_file_once(tmp_path, monkeypatch):
+    smi = tmp_path / "a.smi"
+    smi.write_text("CCO\n")
+    xyz = tmp_path / "b.xyz"
+    xyz.write_text("2\n\nC 0 0 0\nO 1.4 0 0\nCO\n")
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text",
+                        lambda self, *a, **k: reads.append(self.name) or read_text(self, *a, **k))
+    ds = ingest([smi, xyz])
+    assert [r.smiles for r in ds.records] == ["CCO", "CO"] and ds.records[1].has_geometry
+    assert reads == ["a.smi", "b.xyz"]
+
+
 def test_malformed_xyz_reports_line_numbers(tmp_path):
     truncated = tmp_path / "t.xyz"
     truncated.write_text("4\ncomment\nC 0 0 0\n")
@@ -633,6 +647,40 @@ def test_cli_geometry_commands_refuse_data_without_coordinates(bad_inputs, tmp_p
     assert cli(argv.format(root=bad_inputs, smi=smi, out=tmp_path / "out").split()) == 2
     assert f"{smi}:0: no record carries geometry" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_prepare_data_input_without_geometry_writes_smiles_only(bad_inputs, tmp_path):
+    # with --input, --no-geometry used to be ignored: every coordinate was kept
+    xyz = bad_inputs / "data" / "dataset.xyz"
+    out = tmp_path / "flat"
+    assert cli(["prepare-data", "--config", str(bad_inputs / "config.json"), "--input", str(xyz),
+                "--no-geometry", "--out", str(out)]) == 0
+    summary = json.loads((out / "prepare_summary.json").read_text())
+    want = [r.smiles for r in ingest([xyz]).records]
+    assert summary["with_geometry"] == 0 and summary["records"] == len(want) > 0
+    assert summary["files"] == ["dataset.smi"]
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.smi", "prepare_summary.json"]
+    assert (out / "dataset.smi").read_text().split() == want
+
+
+@pytest.mark.parametrize("generated, named", [
+    ("missing.csv", "No such file"), ("no_smiles.csv", "smiles"), ("no_valid.csv", "valid")])
+def test_cli_evaluate_checks_generated_before_the_baseline(bad_inputs, tmp_path, monkeypatch,
+                                                            capsys, generated, named):
+    # a bad --generated used to be found only after the similarity baseline
+    import molflow.cli as cli_module
+
+    def baseline(*args, **kwargs):
+        raise AssertionError("the baseline ran before --generated was read")
+
+    monkeypatch.setattr(cli_module, "evaluate_similarity_baseline", baseline)
+    path = bad_inputs / generated
+    capsys.readouterr()
+    assert cli(["evaluate", "--data", str(bad_inputs / "data" / "dataset.xyz"), "--generated",
+                str(path), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_cli_optimize_fragment_without_a_fitting_mix_exits_0(bad_inputs, tmp_path, monkeypatch,

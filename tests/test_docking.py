@@ -86,7 +86,7 @@ def test_sampler_full_weights_select_everything():
 
 def test_sampler_inclusion_frequency_within_binomial_bounds():
     # the w=1 companion keeps every epoch non-empty, so no fallback noise
-    table = WeightTable(("a", "b"), np.array([0.5, 1.0]), 0.0, 1.0, 0.01)
+    table = WeightTable(("a", "b"), np.array([0.5, 1.0]), 0.0, 1.0)
     rng = SeededRng(81)
     n = 10_000
     hits = sum(0 in sample_epoch(table, rng) for _ in range(n))
@@ -101,7 +101,7 @@ def test_sampler_floor_molecule_still_appears():
 
 
 def test_sampler_empty_epoch_falls_back_to_everything():
-    table = WeightTable(("a", "b"), np.array([1e-12, 1e-12]), 0.0, 1.0, 0.0)
+    table = WeightTable(("a", "b"), np.array([1e-12, 1e-12]), 0.0, 1.0)
     rng = SeededRng(83)
     assert sample_epoch(table, rng) == [0, 1]
 
@@ -123,7 +123,7 @@ def test_sampler_categorical_mode():
 def test_epoch_stream_yields_epochs():
     # successive epochs drawn from one stream, as train_flow draws them; an
     # epoch whose draws all miss falls back to every molecule, never to none
-    table = WeightTable(("a", "b", "c"), np.full(3, 1e-3), 0.0, 1.0, 0.0)
+    table = WeightTable(("a", "b", "c"), np.full(3, 1e-3), 0.0, 1.0)
     rng = SeededRng(85)
     epochs = [sample_epoch(table, rng) for _ in range(5)]
     assert all(epoch and set(epoch) <= {0, 1, 2} for epoch in epochs)

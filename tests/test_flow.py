@@ -1,11 +1,14 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import molflow.autodiff as ad
 from molflow.autodiff import SeededRng, Tensor
-from molflow.chem import parse_smiles, valency_check
+from molflow.chem import (PADDING_TYPE, from_tensors, parse_smiles, valence_prescreen,
+                          valency_check)
 from molflow.dataset import synthetic_corpus, tensor_batches
 from molflow.flow import (
     FlowConfig,
@@ -26,8 +29,19 @@ from molflow.flow import (
     sample_prior,
     train_step,
 )
-from oracles import (is_isomorphic, reference_decode_tensors, reference_encode_continuous,
-                     reference_flow_encode)
+from oracles import (is_isomorphic, onehot_from_tensors, reference_decode_continuous,
+                     reference_encode_continuous, reference_flow_encode, scatter_discretize_bonds,
+                     within_valence)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_pinned_model():
+    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    return fixture.load_model()[0]
 
 
 def small_config():
@@ -108,7 +122,7 @@ def test_coupling_round_trip_random_layer():
     cfg = FlowConfig()
     params = init_flow(cfg, SeededRng(11), zero_last=False)
     rng = SeededRng(12)
-    cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (4, 9, 9, 4))))
+    cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (4, 9, 9, 4))), 4)
     x = rng.uniform(0, 1, (4, 9, 5))
     z, _ = atom_coupling(x, params.atom[2], 2, cond)
     back, _ = atom_coupling(z, params.atom[2], 2, cond, inverse=True)
@@ -122,9 +136,11 @@ def test_coupling_kernels_match_reference_stack():
     rng = SeededRng(41)
     for temperature in (0.12, 0.7):
         z = sample_prior(rng, cfg, temperature=temperature, count=256)
-        xa, bond_disc = decode_tensors(params, z)
-        ref_xa, ref_disc = reference_decode_tensors(params, z)
-        assert np.array_equal(xa, ref_xa) and np.array_equal(bond_disc, ref_disc)
+        za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
+        zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
+        xa, xb = decode_continuous(params, za, zb)
+        ref_xa, ref_xb = reference_decode_continuous(params, za, zb)
+        assert np.array_equal(xa, ref_xa) and np.array_equal(xb, ref_xb)
 
     # train_step's loss: forward latents, logdets and every parameter gradient
     corpus = synthetic_corpus(48, rng.spawn("corpus"), with_geometry=False)
@@ -281,9 +297,57 @@ def test_decoded_bond_tensor_symmetric_with_no_bond_diagonal():
     rng = SeededRng(23)
     xb = rng.normal((5, 9, 9, 4))
     disc = discretize_bonds(xb)
-    assert np.array_equal(disc, disc.transpose(0, 2, 1, 3))
-    assert (disc[:, np.arange(9), np.arange(9), 0] == 1.0).all()
-    assert ((disc.sum(axis=3)) == 1.0).all()
+    assert np.array_equal(disc, disc.transpose(0, 2, 1))
+    assert (disc[:, np.arange(9), np.arange(9)] == 0).all()
+    assert np.array_equal(disc, scatter_discretize_bonds(xb).argmax(axis=3))
+
+
+def test_discretize_bonds_averages_asymmetric_logits():
+    xb = np.zeros((1, 3, 3, 4))
+    xb[..., 0] = 0.6
+    xb[0, 0, 1, 2] = 2.0   # asymmetric logit; the (0,1)/(1,0) average still wins
+    orders = discretize_bonds(xb)
+    assert orders[0].tolist() == [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
+    assert from_tensors(np.array([0, 0, PADDING_TYPE]), orders[0]).bonds == ((0, 1, 2),)
+
+
+def test_atom_condition_reads_bond_orders_as_the_onehot_tensor():
+    # by_order and adj_sum from the bond orders equal the per-order
+    # adjacency slices of the one-hot tensor, bit for bit
+    rng = SeededRng(24)
+    for m in (2, 3, 4):
+        xb = rng.normal((3, 5, 5, m))
+        onehot = scatter_discretize_bonds(xb)
+        by_order = onehot[..., 1:].transpose(0, 1, 3, 2).reshape(3, 5 * (m - 1), 5)
+        adj_sum = onehot[..., 1:].sum(axis=3)
+        cond = atom_condition(discretize_bonds(xb), m)
+        for p in (0, 1):
+            assert np.array_equal(cond[p][0], by_order[:, :, p::2])
+            assert np.array_equal(cond[p][1], adj_sum[:, 1 - p::2])
+
+
+def test_decode_tensors_gives_the_onehot_molecules_on_pinned_model():
+    # from_tensors on the decoded atom types and bond orders builds the same
+    # molecules as the one-hot reference on the continuous decode
+    flow = load_pinned_model()
+    cfg = flow.config
+    rng = SeededRng(25)
+    for temperature in (0.12, 0.7):
+        z = sample_prior(rng, cfg, temperature=temperature, count=2048)
+        types, orders = decode_tensors(flow, z)
+        za = z[:, : cfg.d_atom].reshape(-1, cfg.n_max, cfg.n_atom_types)
+        zb = z[:, cfg.d_atom:].reshape(-1, cfg.n_max, cfg.n_max, cfg.n_bond_types)
+        xa, xb = decode_continuous(flow, za, zb)
+        onehot = scatter_discretize_bonds(xb)
+        got = [from_tensors(types[i], orders[i]) for i in range(len(z))]
+        want = [onehot_from_tensors(xa[i], onehot[i]) for i in range(len(z))]
+        assert got == want
+        assert got == decode_batch(flow, z)
+        valid = [valency_check(m) for m in got]
+        assert 0 < sum(valid) < len(got)
+        screen = valence_prescreen(types, orders)
+        assert screen.tolist() == [within_valence(m) for m in got]
+        assert all(s for s, ok in zip(screen, valid) if ok)
 
 
 def test_round_trip_with_odd_bond_type_count():
@@ -384,7 +448,7 @@ def test_gradient_check_full_coupling_layer():
     cfg = small_config()
     params = init_flow(cfg, SeededRng(32), zero_last=False)
     rng = SeededRng(33)
-    cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))))
+    cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))), 2)
 
     def f(x):
         z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
