@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import SeededRng
-from .chem import SmilesError, molecular_weight, morgan_fingerprint, parse_smiles, write_smiles
+from .chem import Molecule, molecular_weight, morgan_fingerprint, parse_smiles, write_smiles
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .dataset import DataError, Dataset, ingest, synthetic_corpus, write_dataset
@@ -117,14 +117,30 @@ def _refuse_file_out(path) -> None:
         raise FileExistsError(errno.EEXIST, "File exists", str(blocker))
 
 
-def _read_csv(path, columns: set[str]) -> list[dict]:
-    """The rows of a report CSV that must carry `columns`."""
+def _read_csv(path, columns: set[str], read) -> list:
+    """``read(row)`` of every row of a report CSV that must carry `columns`,
+    leaving out rows read as None (a short row's missing cells read as "").
+    A missing column, or a ValueError from `read`, is a DataError naming the
+    file and line, so every cell is checked before a caller writes."""
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         missing = columns - set(reader.fieldnames or ())
         if missing:
             raise DataError(path, 1, f"missing column(s) {', '.join(sorted(missing))}")
-        return list(reader)
+        try:
+            return [out for row in reader if (out := read(row)) is not None]
+        except ValueError as exc:   # SmilesError is a ValueError
+            raise DataError(path, reader.line_num, str(exc)) from None
+
+
+def _read_generated(path) -> list[tuple[str, Molecule]]:
+    """(SMILES, molecule) of each row of a gen_report.csv whose integer
+    valid is not 0."""
+    return _read_csv(path, {"smiles", "valid"}, lambda row: (
+        (row["smiles"], parse_smiles(row["smiles"])) if int(row["valid"]) else None))
+
+
+SIMILARITIES = ("tanimoto", "fraggle", "maccs")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -207,12 +223,9 @@ def cmd_dock_weights(args, config, checkpoint, ds) -> dict:
 def _read_weight_table(path: Path, records) -> WeightTable:
     """Each record's weight from a dock-weights `weights.csv`, used as the
     file gives it (looked up by SMILES)."""
-    with path.open(newline="") as fh:
-        try:
-            by_smiles = {row["smiles"]: (float(row["alpha"]), float(row["weight"]))
-                         for row in csv.DictReader(fh)}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(path, 0, f"needs numeric alpha and weight columns ({exc})") from None
+    by_smiles = dict(_read_csv(path, {"smiles", "alpha", "weight"},
+                               lambda row: (row["smiles"],
+                                            (float(row["alpha"]), float(row["weight"])))))
     missing = [r.smiles for r in records if r.smiles not in by_smiles]
     if missing:
         raise DataError(path, 0, f"{len(missing)} records lack weights")
@@ -320,8 +333,7 @@ def cmd_generate_similar(args, config, checkpoint, ds) -> dict:
 
 def cmd_evaluate(args, config, checkpoint, ds) -> dict:
     if args.generated:
-        smiles = [row["smiles"] for row in _read_csv(args.generated, {"smiles", "valid"})
-                  if int(row["valid"])]
+        smiles = [s for s, _ in _read_generated(args.generated)]
     rng = SeededRng(config.seed).spawn("evaluate")
     baseline = evaluate_similarity_baseline(ds.records, rng,
                                             sample_size=min(2000, len(ds.records)))
@@ -402,36 +414,34 @@ def cmd_export_plotdata(args, config, checkpoint, ds) -> dict:
     out = Path(args.out)
     gen_csv = report_dir / "gen_report.csv"
     sim_csv = report_dir / "similar_report.csv"
+    similar = _read_csv(sim_csv, {"smiles", *SIMILARITIES}, lambda row: (
+        row["smiles"], parse_smiles(row["smiles"]), [float(row[k]) for k in SIMILARITIES]
+    )) if sim_csv.exists() else None
     if gen_csv.exists():
-        smiles = [row["smiles"] for row in _read_csv(gen_csv, {"smiles", "valid"})
-                  if int(row["valid"])]
-    elif sim_csv.exists():
-        smiles = [row["smiles"] for row in _read_csv(sim_csv, {"smiles"})]
+        molecules = _read_generated(gen_csv)
+    elif similar is not None:
+        molecules = [(s, m) for s, m, _ in similar]
     else:
         raise DataError(report_dir, 0, "no gen_report.csv or similar_report.csv found")
 
-    mols = [parse_smiles(s) for s in smiles]
     _write_csv(out / "fingerprints.csv", ["smiles", "morgan_hex"],
-               [(s, morgan_fingerprint(m).to_hex()) for s, m in zip(smiles, mols)])
+               [(s, morgan_fingerprint(m).to_hex()) for s, m in molecules])
     _write_csv(out / "properties.csv",
                ["smiles", "mol_weight", "plogp", "qed_lite", "sa_proxy", "crippen_logp"],
                [(s, _fmt(molecular_weight(m)), _fmt(compute_plogp(m)),
                  _fmt(compute_qed_lite(m)), _fmt(sa_proxy(m)), _fmt(crippen_logp(m)))
-                for s, m in zip(smiles, mols)])
+                for s, m in molecules])
     bins = np.linspace(0.0, 1.0, 21)
     hist_rows = []
-    if sim_csv.exists():
-        sims = {"tanimoto": [], "fraggle": [], "maccs": []}
-        for row in _read_csv(sim_csv, set(sims)):
-            for k in sims:
-                sims[k].append(float(row[k]))
-        counts = [np.histogram(v, bins=bins)[0] for v in sims.values()]
+    if similar is not None:
+        counts = [np.histogram([scores[k] for *_, scores in similar], bins=bins)[0]
+                  for k in range(len(SIMILARITIES))]
         hist_rows = [(_fmt(bins[b]), _fmt(bins[b + 1]), *(int(c[b]) for c in counts))
                      for b in range(20)]
     _write_csv(out / "similarity_hist.csv",
                ["bin_lo", "bin_hi", "tanimoto_count", "fraggle_count", "maccs_count"],
                hist_rows)
-    return {"molecules": len(smiles), "out": str(out)}
+    return {"molecules": len(molecules), "out": str(out)}
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +573,7 @@ def main(argv=None) -> int:
     except ScorerError as exc:
         print(f"scorer error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, SmilesError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:   # DataError and SmilesError are ValueErrors
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     log(event=args.command, **summary, elapsed_s=f"{time.perf_counter() - start:.3f}")

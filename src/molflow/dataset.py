@@ -30,6 +30,7 @@ from .chem import (
     Molecule,
     SmilesError,
     parse_smiles,
+    to_tensors,
     valency_check,
     write_smiles,
 )
@@ -360,8 +361,6 @@ def synthetic_corpus(count: int, rng: SeededRng, n_max: int = 9,
 
 def tensor_batches(records: list[DatasetRecord], n_max: int):
     """Stacked one-hot atom/bond tensors for a record list."""
-    from .chem import to_tensors
-
     atoms, bonds = [], []
     for r in records:
         a, b = to_tensors(r.molecule, n_max)

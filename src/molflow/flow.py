@@ -18,9 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, SeededRng, Tensor, adam_step
-from .chem import Molecule, from_tensors, to_tensors
-# unused here, but perfbench's tracer patches flow.valency_check
-from .chem import valency_check  # noqa: F401
+from .chem import Molecule, from_tensors, to_tensors, valence_prescreen, valency_check
 
 Array = np.ndarray
 
@@ -350,11 +348,18 @@ def decode_tensors(params: FlowParams, z: Array) -> tuple[Array, Array]:
     return xa.argmax(axis=2), discretize_bonds(xb)
 
 
-def decode_batch(params: FlowParams, z: Array) -> list[Molecule]:
-    """Invert a (batch, d_total) latent block into raw molecules (no
-    valency screening)."""
+def decode_batch(params: FlowParams, z: Array) -> list[Molecule | None]:
+    """Invert a (batch, d_total) latent block into each row's molecule, or
+    None for a row that fails ``valency_check``. Only the rows that pass
+    ``valence_prescreen``, a necessary condition for it, are built with
+    ``from_tensors`` and checked."""
     types, orders = decode_tensors(params, z)
-    return [from_tensors(types[i], orders[i]) for i in range(z.shape[0])]
+    out: list[Molecule | None] = [None] * len(types)
+    for i in np.flatnonzero(valence_prescreen(types, orders)):
+        mol = from_tensors(types[i], orders[i])
+        if valency_check(mol):
+            out[i] = mol
+    return out
 
 
 def sample_prior(rng: SeededRng, config: FlowConfig,

@@ -31,7 +31,6 @@ from .chem import (
     rotatable_bond_count,
     subgraph,
     tanimoto,
-    valence_prescreen,
     valency_check,
     write_smiles,
 )
@@ -43,7 +42,6 @@ from .flow import (
     ParamTree,
     apply_mlp,
     decode_batch,
-    decode_tensors,
     encode_molecules,
     fit_step,
     make_optimizer,
@@ -208,19 +206,17 @@ class GenerationReport:
 def generate_random(params: FlowParams, count: int, check: bool, temperature: float,
                     rng: SeededRng, training: set[str] | None = None,
                     max_attempts_per: int = 100, batch_size: int = 1024):
-    """Sample the prior and decode `count` molecules.
+    """Sample the prior and decode `count` molecules with ``decode_batch``.
 
     With `check` on, invalid samples are rejected and resampled up to
-    `max_attempts_per * count` total attempts; everything returned then
-    passes the valency check by construction. Validity-without-check is
-    measured on all raw decodes either way.
+    `max_attempts_per * count` total attempts, so every returned molecule
+    passes the valency check; with it off, a sample that fails comes back
+    as None. Validity-without-check is measured on all raw decodes either
+    way.
     """
-    from .chem import from_tensors  # per call: perfbench's tracer patches chem.from_tensors
-
     training = training or set()
     cfg = params.config
-    molecules: list[Molecule] = []
-    valid: list[bool] = []   # valency_check of each kept molecule
+    molecules: list[Molecule | None] = []
     raw_attempts = 0
     raw_valid = 0
     cap = count * max_attempts_per
@@ -228,23 +224,17 @@ def generate_random(params: FlowParams, count: int, check: bool, temperature: fl
         take = min(batch_size, cap - raw_attempts if check else count - len(molecules))
         if take <= 0:
             break
-        z = sample_prior(rng, cfg, temperature=temperature, count=take)
-        types, orders = decode_tensors(params, z)
+        decoded = decode_batch(params, sample_prior(rng, cfg, temperature=temperature, count=take))
         raw_attempts += take
-        rows = np.nonzero(valence_prescreen(types, orders))[0] if check else range(take)
-        for i in rows:
-            mol = from_tensors(types[i], orders[i])
-            ok = valency_check(mol)
-            raw_valid += ok
-            if (ok or not check) and len(molecules) < count:
-                molecules.append(mol)
-                valid.append(ok)
+        raw_valid += sum(mol is not None for mol in decoded)
+        kept = [mol for mol in decoded if mol is not None or not check]
+        molecules += kept[:count - len(molecules)]
     cap_exhausted = check and len(molecules) < count
 
     entries = []
     valid_smiles = []
-    for idx, (mol, ok) in enumerate(zip(molecules, valid)):
-        smi = safe_canonical(mol) if ok else None
+    for idx, mol in enumerate(molecules):
+        smi = safe_canonical(mol) if mol is not None else None
         if smi is not None:
             valid_smiles.append(smi)
         entries.append((idx, smi is not None, smi or ""))
@@ -292,8 +282,8 @@ DECODE_BLOCK = 1024
 def _search_mixes(flow_params: FlowParams, u_stars: list[np.ndarray], lam: float,
                   rngs: list[SeededRng], accept) -> list[tuple[int, object] | None]:
     """For each latent ``u_stars[k]``, decode noise mixes of it
-    (``mix_noise`` draws from ``rngs[k]``) in order until one passes the
-    valency check and ``accept(molecule)`` returns something other than
+    (``mix_noise`` draws from ``rngs[k]``) in order until one decodes to a
+    valid molecule and ``accept(molecule)`` returns something other than
     None. Returns, per latent, (the 1-based position of that mix, that
     value), or None once MAX_MIXES mixes have been drawn without one.
 
@@ -312,7 +302,7 @@ def _search_mixes(flow_params: FlowParams, u_stars: list[np.ndarray], lam: float
             cands = decode_batch(flow_params, zs)
             for j, k in enumerate(block):
                 for i, cand in enumerate(cands[j * n_draw:(j + 1) * n_draw]):
-                    if valency_check(cand) and (value := accept(cand)) is not None:
+                    if cand is not None and (value := accept(cand)) is not None:
                         found[k] = (drawn + i + 1, value)
                         break
         drawn += n_draw
@@ -490,7 +480,7 @@ def optimize_property(z0: np.ndarray, head, steps: int, step_size: float,
     if flow_params is not None:
         mols = decode_batch(flow_params, np.stack([p.latent for p in points]))
         for point, mol in zip(points, mols):
-            if valency_check(mol):
+            if mol is not None:
                 point.molecule = mol
                 if property_fn is not None:
                     point.actual = float(property_fn(mol))
@@ -642,11 +632,6 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     epoch_nll: list[float] = []
     probe_history: list[tuple[int, float]] = []
     best = (-1.0, -1, None)
-
-    def probe(epoch: int) -> float:
-        mols = decode_batch(params, probe_z)
-        return sum(valency_check(m) for m in mols) / len(mols)
-
     for epoch in range(epochs):
         if weight_table is not None:
             selected = sample_epoch(weight_table, sampler_rng, sampler_mode)
@@ -660,7 +645,7 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
                                      step_rng, clip_norm=clip_norm))
         epoch_nll.append(float(np.mean(losses)))
         if (epoch + 1) % probe_every == 0 or epoch == epochs - 1:
-            v = probe(epoch)
+            v = sum(m is not None for m in decode_batch(params, probe_z)) / probe_count
             probe_history.append((epoch, v))
             if v > best[0]:
                 best = (v, epoch, {n: a.copy() for n, a in params.named_params()})

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
-from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_batch, dequantize,
+from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_tensors, dequantize,
                           encode_molecules, encode_tensors)
 from molflow.chem import (
     ELEMENTS,
@@ -23,6 +23,7 @@ from molflow.chem import (
     Fingerprint,
     Molecule,
     _hash_tuple,
+    from_tensors,
     path_fingerprint,
     subgraph,
     tanimoto,
@@ -570,6 +571,14 @@ def onehot_from_tensors(atom: np.ndarray, bond: np.ndarray) -> Molecule:
     return Molecule.build(elements, bonds)
 
 
+def raw_decode_batch(params: FlowParams, z: np.ndarray) -> list[Molecule]:
+    """Every row of a (batch, d_total) latent block as a molecule, built with
+    from_tensors on decode_tensors and never screened: decode_batch with no
+    prescreen and no valency_check."""
+    types, orders = decode_tensors(params, z)
+    return [from_tensors(types[i], orders[i]) for i in range(len(z))]
+
+
 def within_valence(m: Molecule) -> bool:
     """valency_check less its connectivity part: at least one atom, and
     none bonded beyond its valence."""
@@ -654,7 +663,7 @@ def reference_optimize_property(z0: np.ndarray, head, steps: int, step_size: flo
     points = []
     for k in range(steps + 1):
         value, grad = head.value_and_grad(z)
-        mol = decode_batch(flow_params, z[None])[0]
+        mol = raw_decode_batch(flow_params, z[None])[0]
         if not valency_check(mol):
             mol = None
         actual = float(property_fn(mol)) if mol is not None and property_fn else None
@@ -687,7 +696,7 @@ def reference_generate_similar(flow_params: FlowParams, sphere_params: SphereNet
             n_draw = min(32, MAX_MIXES - drawn)
             zs = np.stack([mix_noise(u_star, lam, seed_rng) for _ in range(n_draw)])
             drawn += n_draw
-            for cand in decode_batch(flow_params, zs):
+            for cand in raw_decode_batch(flow_params, zs):
                 if valency_check(cand) and (smi := safe_canonical(cand)) is not None:
                     mol, smiles = cand, smi
                     break
@@ -714,7 +723,7 @@ def reference_optimize_substructure(host: Molecule, fragment_atoms: set[int],
     (u_star,), _ = encode_molecules(flow_params, [pieces.fragment], [rng.spawn("embed")])
     mix_rng = rng.spawn("mix")
     for tried in range(1, MAX_MIXES + 1):
-        (cand,) = decode_batch(flow_params, mix_noise(u_star, lam, mix_rng)[None])
+        (cand,) = raw_decode_batch(flow_params, mix_noise(u_star, lam, mix_rng)[None])
         if not valency_check(cand):
             continue
         merged = attach_fragment(pieces.remainder, pieces.attachments, cand)

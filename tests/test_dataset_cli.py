@@ -464,6 +464,17 @@ def bad_inputs(tmp_path_factory):
     (root / "no_valid.csv").write_text("index,smiles\n0,CCO\n")
     (root / "report").mkdir()
     (root / "report" / "gen_report.csv").write_text("index,smiles\n0,CCO\n")
+    # reports with one bad cell on line 2
+    (root / "valid_yes.csv").write_text("index,valid,smiles\n0,yes,CCO\n")
+    (root / "open_ring.csv").write_text("index,valid,smiles\n0,1,C1CC\n")
+    (root / "weight_abc.csv").write_text("smiles,energy,alpha,weight\nCCO,-1.0,1.0,abc\n")
+    for name, report, text in [
+            ("report_yes", "gen_report.csv", "index,valid,smiles\n0,yes,CCO\n"),
+            ("report_ring", "gen_report.csv", "index,valid,smiles\n0,1,C1CC\n"),
+            ("report_score", "similar_report.csv",
+             "index,smiles,tanimoto,fraggle,maccs\n0,CCO,abc,0.5,0.5\n")]:
+        (root / name).mkdir()
+        (root / name / report).write_text(text)
     return root
 
 
@@ -482,6 +493,17 @@ BAD_INVOCATIONS = [
     ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_valid.csv --out {root}/o",
      2, "valid"),
     ("export-plotdata --report {root}/report --out {root}/o", 2, "valid"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/valid_yes.csv --out {root}/o",
+     2, "valid_yes.csv:2: invalid literal for int() with base 10: 'yes'"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/open_ring.csv --out {root}/o",
+     2, "open_ring.csv:2: unclosed ring 1"),
+    ("export-plotdata --report {root}/report_yes --out {root}/o", 2, "gen_report.csv:2: invalid"),
+    ("export-plotdata --report {root}/report_ring --out {root}/o",
+     2, "gen_report.csv:2: unclosed ring 1"),
+    ("export-plotdata --report {root}/report_score --out {root}/o",
+     2, "similar_report.csv:2: could not convert string to float: 'abc'"),
+    ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz "
+     "--weights {root}/weight_abc.csv --out {root}/o.npz", 2, "weight_abc.csv:2: could not"),
     ("train-flow --config {root}/config.json --data {root}/a_dir --out {root}/o.npz", 2, "a_dir"),
     ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz "
      "--weights {root}/a_dir --out {root}/o.npz", 2, "a_dir"),

@@ -5,10 +5,10 @@ import pytest
 
 from molflow.autodiff import SeededRng
 from molflow.chem import ELEMENTS, to_tensors, valency_check
-from molflow.flow import decode_batch, dequantize, encode_tensors
+from molflow.flow import dequantize, encode_tensors
 from molflow.pipeline import optimize_substructure
 from molflow.spherenet import encode_geometry
-from oracles import is_isomorphic
+from oracles import is_isomorphic, raw_decode_batch
 
 
 def test_training_molecules_outscore_random_tensors(desk, corpus):
@@ -48,7 +48,7 @@ def test_noise_free_conditioning_frequently_reconstructs_seed(desk):
     for rec in desk["fusion_set"]:
         g = rec.geometry(cutoff=desk["sphere_config"].cutoff)
         u_star = encode_geometry(g, desk["sphere"])
-        (mol,) = decode_batch(desk["flow"], u_star[None])
+        (mol,) = raw_decode_batch(desk["flow"], u_star[None])
         if mol.num_atoms and is_isomorphic(mol, rec.molecule):
             hits += 1
     rate = hits / len(desk["fusion_set"])

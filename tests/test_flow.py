@@ -29,9 +29,9 @@ from molflow.flow import (
     sample_prior,
     train_step,
 )
-from oracles import (is_isomorphic, onehot_from_tensors, reference_decode_continuous,
-                     reference_encode_continuous, reference_flow_encode, scatter_discretize_bonds,
-                     within_valence)
+from oracles import (is_isomorphic, onehot_from_tensors, raw_decode_batch,
+                     reference_decode_continuous, reference_encode_continuous,
+                     reference_flow_encode, scatter_discretize_bonds, within_valence)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -250,7 +250,7 @@ def test_decode_of_encode_reconstructs_molecule():
     corpus = synthetic_corpus(100, rng.spawn("mols"), with_geometry=False)
     z, _ = encode_molecules(params, [rec.molecule for rec in corpus.records],
                             [rng.spawn(f"m{i}") for i in range(len(corpus.records))])
-    for out, rec in zip(decode_batch(params, z), corpus.records, strict=True):
+    for out, rec in zip(raw_decode_batch(params, z), corpus.records, strict=True):
         assert is_isomorphic(out, rec.molecule)
 
 
@@ -276,8 +276,8 @@ def test_decode_is_deterministic():
     cfg = FlowConfig()
     params = init_flow(cfg, SeededRng(20), zero_last=False)
     z = np.zeros((1, cfg.d_total))
-    (first,) = decode_batch(params, z)
-    (second,) = decode_batch(params, z)
+    (first,) = raw_decode_batch(params, z)
+    (second,) = raw_decode_batch(params, z)
     assert first == second
 
 
@@ -286,8 +286,9 @@ def test_decode_rejects_invalid_when_checking():
     params = init_flow(cfg, SeededRng(21), zero_last=False)
     rng = SeededRng(22)
     zs = sample_prior(rng, cfg, temperature=0.7, count=200)
-    rejected = sum(not valency_check(decode_batch(params, zs[i:i + 1])[0]) for i in range(200))
-    raw = decode_batch(params, zs)
+    rejected = sum(not valency_check(raw_decode_batch(params, zs[i:i + 1])[0])
+                   for i in range(200))
+    raw = raw_decode_batch(params, zs)
     invalid = sum(not valency_check(m) for m in raw)
     assert rejected == invalid
     assert rejected > 0  # untrained model at high temperature mostly invalid
@@ -342,12 +343,34 @@ def test_decode_tensors_gives_the_onehot_molecules_on_pinned_model():
         got = [from_tensors(types[i], orders[i]) for i in range(len(z))]
         want = [onehot_from_tensors(xa[i], onehot[i]) for i in range(len(z))]
         assert got == want
-        assert got == decode_batch(flow, z)
         valid = [valency_check(m) for m in got]
+        assert decode_batch(flow, z) == [m if ok else None for m, ok in zip(got, valid)]
         assert 0 < sum(valid) < len(got)
         screen = valence_prescreen(types, orders)
         assert screen.tolist() == [within_valence(m) for m in got]
         assert all(s for s, ok in zip(screen, valid) if ok)
+
+
+def test_decode_batch_screens_rows_and_builds_only_prescreened_ones(monkeypatch):
+    # decode_batch is the raw decode with each invalid row as None, and it
+    # calls from_tensors once per row that passes valence_prescreen
+    import molflow.flow as flow_module
+
+    built = []
+    monkeypatch.setattr(flow_module, "from_tensors",
+                        lambda types, orders: built.append(1) or from_tensors(types, orders))
+    pinned = load_pinned_model()
+    untrained = init_flow(FlowConfig(), SeededRng(27), zero_last=False)
+    rng = SeededRng(26)
+    for flow, temperature in ((pinned, 0.12), (pinned, 0.7), (untrained, 0.7)):
+        z = sample_prior(rng, flow.config, temperature=temperature, count=2048)
+        raw = raw_decode_batch(flow, z)
+        screened = int(valence_prescreen(*decode_tensors(flow, z)).sum())
+        valid = [m if valency_check(m) else None for m in raw]
+        built.clear()
+        assert decode_batch(flow, z) == valid
+        assert len(built) == screened
+        assert 0 < sum(m is not None for m in valid) < screened < len(z)
 
 
 def test_round_trip_with_odd_bond_type_count():

@@ -390,11 +390,10 @@ def test_generate_similar_canonicalizes_each_accepted_molecule_once(monkeypatch)
     flow = init_flow(cfg, SeededRng(1))
     sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=cfg.d_total), SeededRng(2))
     seeds = synthetic_corpus(2, SeededRng(3), with_geometry=True).records
-    over = Molecule.build(("C",) + ("F",) * 5, [(0, k, 1) for k in range(1, 6)])
     good = parse_smiles("CC(=O)N")
-    # each decoded batch: one over-valent candidate, then accepted ones
+    # each decoded batch: one row that failed the valency check, then accepted ones
     monkeypatch.setattr(pipeline_module, "decode_batch",
-                        lambda params, zs: [over] + [good] * (len(zs) - 1))
+                        lambda params, zs: [None] + [good] * (len(zs) - 1))
     written = []
     real_write = pipeline_module.write_smiles
     monkeypatch.setattr(pipeline_module, "write_smiles",

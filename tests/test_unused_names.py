@@ -1,5 +1,6 @@
 """Every top-level function, class and constant in ``src/molflow`` has a
-caller in ``src/``: helpers only tests use belong in ``tests/oracles.py``."""
+caller in ``src/``: helpers only tests use belong in ``tests/oracles.py``.
+And ``src/molflow`` imports only at module level."""
 
 import ast
 from collections import Counter
@@ -47,3 +48,14 @@ def test_every_top_level_name_in_src_is_used_in_src():
         unused += [(module, name) for name in defined_names(stmt)
                    if count[name] == (name in r)]
     assert not unused, f"defined in src/ but used nowhere there: {unused}"
+
+
+def test_src_imports_only_at_module_level():
+    # an import inside a function runs on every call and hides a dependency
+    # from the module's import block
+    nested = sorted({f"{path.name}:{node.lineno}"
+                     for path in SRC.glob("*.py")
+                     for func in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert not nested, f"imports inside functions in src/: {nested}"
