@@ -539,21 +539,22 @@ def rotatable_bond_count(m: Molecule) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    kind: str
-    nbits: int
-    bits: frozenset[int]
+def _bitset(bits) -> int:
+    """The fingerprint with the given set bits: every fingerprint is an int
+    bitset, so Tanimoto is two popcounts."""
+    on = 0
+    for b in bits:
+        on |= 1 << b
+    return on
 
-    def __post_init__(self):
-        if any(not 0 <= b < self.nbits for b in self.bits):
-            raise ValueError("bit index out of range")
 
-    def to_hex(self) -> str:
-        buf = bytearray((self.nbits + 7) // 8)
-        for b in self.bits:
-            buf[b // 8] |= 0x80 >> (b % 8)
-        return buf.hex()
+# each byte's bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
+def to_hex(fp: int, nbits: int) -> str:
+    """``nbits`` bits as hex, bit b as bit b % 8 from the top of byte b // 8."""
+    return fp.to_bytes((nbits + 7) // 8, "little").translate(_REVERSED_BYTE).hex()
 
 
 # distinct canonical paths seen by `_path_hash`; a few thousand cover a corpus
@@ -596,7 +597,7 @@ MORGAN_HASH_CACHE_SIZE = 4096
 _env_hash = lru_cache(maxsize=MORGAN_HASH_CACHE_SIZE)(_hash_tuple)
 
 
-def morgan_fingerprint(m: Molecule) -> Fingerprint:
+def morgan_fingerprint(m: Molecule) -> int:
     """Circular fingerprint: hashed atom environments for radius
     0..``MORGAN_RADIUS``, folded to ``MORGAN_BITS`` bits.
 
@@ -611,15 +612,15 @@ def morgan_fingerprint(m: Molecule) -> Fingerprint:
         )
         for i in range(m.num_atoms)
     ]
-    on: set[int] = {h % MORGAN_BITS for h in env}
+    on = _bitset(h % MORGAN_BITS for h in env)
     for radius in range(1, MORGAN_RADIUS + 1):
         hash_env = _hash_tuple if radius == MORGAN_RADIUS else _env_hash
         env = [
             hash_env(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
             for i in range(m.num_atoms)
         ]
-        on |= {h % MORGAN_BITS for h in env}
-    return Fingerprint("morgan", MORGAN_BITS, frozenset(on))
+        on |= _bitset(h % MORGAN_BITS for h in env)
+    return on
 
 
 # simple paths of 0..PATH_MAX_BONDS bonds, folded to PATH_BITS bits
@@ -654,20 +655,18 @@ def _path_table(m: Molecule) -> tuple[tuple[int, int], ...]:
     return tuple(table)
 
 
-def path_fingerprint(m: Molecule) -> Fingerprint:
+def path_fingerprint(m: Molecule) -> int:
     """Linear-path fingerprint over simple paths of 0..``PATH_MAX_BONDS``
     bonds."""
-    return Fingerprint("path", PATH_BITS, frozenset(bit for _, bit in _path_table(m)))
+    return _bitset(bit for _, bit in _path_table(m))
 
 
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
+def tanimoto(a: int, b: int) -> float:
     """|a AND b| / |a OR b|; 1.0 when both fingerprints are empty."""
-    if a.kind != b.kind or a.nbits != b.nbits:
-        raise ValueError(f"fingerprint mismatch: {a.kind}/{a.nbits} vs {b.kind}/{b.nbits}")
-    union = len(a.bits | b.bits)
+    union = (a | b).bit_count()
     if union == 0:
         return 1.0
-    return len(a.bits & b.bits) / union
+    return (a & b).bit_count() / union
 
 
 # ---------------------------------------------------------------------------
@@ -676,37 +675,22 @@ def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
 
 
 def _has_bond_pattern(m: Molecule, el_a: str, el_b: str, order: int) -> bool:
-    for i, j, o in m.bonds:
-        if o != order:
-            continue
-        pair = {m.elements[i], m.elements[j]}
-        if pair == {el_a, el_b} or (el_a == el_b and pair == {el_a}):
-            return True
-    return False
+    return any(o == order and {m.elements[i], m.elements[j]} == {el_a, el_b}
+               for i, j, o in m.bonds)
 
 
 def _has_any_bond(m: Molecule, el_a: str, el_b: str) -> bool:
-    return any(_has_bond_pattern(m, el_a, el_b, o) for o in BOND_ORDERS)
+    return any({m.elements[i], m.elements[j]} == {el_a, el_b} for i, j, _ in m.bonds)
 
 
-def _carboxyl_like(m: Molecule) -> bool:
+def _carbonyl_carbon_with(m: Molecule, partner) -> bool:
+    """Whether some carbon has a C=O bond and a neighbor for which
+    ``partner(element, order)`` holds."""
     for c in range(m.num_atoms):
         if m.elements[c] != "C":
             continue
-        double_o = any(m.elements[j] == "O" and o == 2 for j, o in m.adjacency[c])
-        single_o = any(m.elements[j] == "O" and o == 1 for j, o in m.adjacency[c])
-        if double_o and single_o:
-            return True
-    return False
-
-
-def _amide_like(m: Molecule) -> bool:
-    for c in range(m.num_atoms):
-        if m.elements[c] != "C":
-            continue
-        double_o = any(m.elements[j] == "O" and o == 2 for j, o in m.adjacency[c])
-        any_n = any(m.elements[j] == "N" for j, _ in m.adjacency[c])
-        if double_o and any_n:
+        neighbors = [(m.elements[j], o) for j, o in m.adjacency[c]]
+        if ("O", 2) in neighbors and any(partner(el, o) for el, o in neighbors):
             return True
     return False
 
@@ -754,14 +738,13 @@ STRUCTURAL_KEYS: tuple[tuple[str, object], ...] = (
     ("nn_bond", lambda m: _has_any_bond(m, "N", "N")),
     ("no_bond", lambda m: _has_any_bond(m, "N", "O")),
     ("oo_bond", lambda m: _has_any_bond(m, "O", "O")),
-    ("carboxyl_like", _carboxyl_like),
-    ("amide_like", _amide_like),
+    ("carboxyl_like", lambda m: _carbonyl_carbon_with(m, lambda el, o: el == "O" and o == 1)),
+    ("amide_like", lambda m: _carbonyl_carbon_with(m, lambda el, _: el == "N")),
     ("quaternary_carbon", lambda m: any(el == "C" and m.degree(i) == 4
                                         for i, el in enumerate(m.elements))),
     ("methyl", lambda m: any(el == "C" and m.degree(i) == 1 and m.implicit_hydrogens(i) == 3
                              for i, el in enumerate(m.elements))),
-    ("fluorine_on_carbon", lambda m: any(
-        o >= 1 and {m.elements[i], m.elements[j]} == {"C", "F"} for i, j, o in m.bonds)),
+    ("fluorine_on_carbon", lambda m: _has_any_bond(m, "C", "F")),
     ("geminal_difluoride", lambda m: any(
         el == "C" and sum(1 for j, _ in m.adjacency[i] if m.elements[j] == "F") >= 2
         for i, el in enumerate(m.elements))),
@@ -772,9 +755,8 @@ STRUCTURAL_KEYS: tuple[tuple[str, object], ...] = (
 )
 
 
-def structural_keys(m: Molecule) -> Fingerprint:
-    on = frozenset(i for i, (_, pred) in enumerate(STRUCTURAL_KEYS) if pred(m))
-    return Fingerprint("structural-keys", len(STRUCTURAL_KEYS), on)
+def structural_keys(m: Molecule) -> int:
+    return _bitset(i for i, (_, pred) in enumerate(STRUCTURAL_KEYS) if pred(m))
 
 
 def maccs_similarity(a: Molecule, b: Molecule) -> float:
@@ -822,7 +804,7 @@ def _fragment_candidates(m: Molecule) -> list[int]:
     return list(kept)
 
 
-def _fragment_fingerprints(m: Molecule) -> list[Fingerprint]:
+def _fragment_fingerprints(m: Molecule) -> list[int]:
     """Path fingerprint of each ``_fragment_candidates`` fragment, in order.
 
     A fragment is a component left by cutting bridges, so it is an induced
@@ -830,10 +812,8 @@ def _fragment_fingerprints(m: Molecule) -> list[Fingerprint]:
     inside it, and its fingerprint filters the parent's path table.
     """
     table = _path_table(m)
-    return [
-        Fingerprint("path", PATH_BITS, frozenset(bit for mask, bit in table if not mask & ~frag))
-        for frag in _fragment_candidates(m)
-    ]
+    return [_bitset(bit for mask, bit in table if not mask & ~frag)
+            for frag in _fragment_candidates(m)]
 
 
 def fraggle_similarity(a: Molecule, b: Molecule) -> float:
@@ -848,7 +828,7 @@ def fraggle_similarity(a: Molecule, b: Molecule) -> float:
     fp_a, fp_b = path_fingerprint(a), path_fingerprint(b)
     whole = tanimoto(fp_a, fp_b)
 
-    def one_way(x: Molecule, fp_y: Fingerprint) -> float:
+    def one_way(x: Molecule, fp_y: int) -> float:
         return max([whole] + [tanimoto(fp, fp_y) for fp in _fragment_fingerprints(x)])
 
     return max(one_way(a, fp_b), one_way(b, fp_a))

@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import SeededRng
-from .chem import Molecule, molecular_weight, morgan_fingerprint, parse_smiles, write_smiles
+from .chem import (MORGAN_BITS, Molecule, molecular_weight, morgan_fingerprint, parse_smiles,
+                   to_hex, write_smiles)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .dataset import DataError, Dataset, ingest, synthetic_corpus, write_dataset
@@ -335,8 +336,7 @@ def cmd_evaluate(args, config, checkpoint, ds) -> dict:
     if args.generated:
         smiles = [s for s, _ in _read_generated(args.generated)]
     rng = SeededRng(config.seed).spawn("evaluate")
-    baseline = evaluate_similarity_baseline(ds.records, rng,
-                                            sample_size=min(2000, len(ds.records)))
+    baseline = evaluate_similarity_baseline(ds.records, rng)
     payload = {"config": config.to_dict(), "seed": config.seed, "baseline": baseline}
     if args.generated:
         payload["generated"] = {
@@ -425,7 +425,7 @@ def cmd_export_plotdata(args, config, checkpoint, ds) -> dict:
         raise DataError(report_dir, 0, "no gen_report.csv or similar_report.csv found")
 
     _write_csv(out / "fingerprints.csv", ["smiles", "morgan_hex"],
-               [(s, morgan_fingerprint(m).to_hex()) for s, m in molecules])
+               [(s, to_hex(morgan_fingerprint(m), MORGAN_BITS)) for s, m in molecules])
     _write_csv(out / "properties.csv",
                ["smiles", "mol_weight", "plogp", "qed_lite", "sa_proxy", "crippen_logp"],
                [(s, _fmt(molecular_weight(m)), _fmt(compute_plogp(m)),

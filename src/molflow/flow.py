@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, SeededRng, Tensor, adam_step
-from .chem import Molecule, from_tensors, to_tensors, valence_prescreen, valency_check
+from .chem import (N_ATOM_TYPES, N_BOND_TYPES, Molecule, from_tensors, to_tensors,
+                   valence_prescreen, valency_check)
 
 Array = np.ndarray
 
@@ -26,8 +27,8 @@ Array = np.ndarray
 @dataclass(frozen=True)
 class FlowConfig:
     n_max: int = 9
-    n_atom_types: int = 5   # elements plus the padding type
-    n_bond_types: int = 4   # no-bond plus the three bond orders
+    n_atom_types: int = N_ATOM_TYPES
+    n_bond_types: int = N_BOND_TYPES
     atom_layers: int = 6
     bond_layers: int = 6
     atom_hidden: int = 64

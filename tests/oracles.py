@@ -20,7 +20,6 @@ from molflow.chem import (
     MORGAN_RADIUS,
     PADDING_TYPE,
     VALENCE,
-    Fingerprint,
     Molecule,
     _hash_tuple,
     from_tensors,
@@ -57,6 +56,16 @@ def moving_average(xs: list[float], window: int) -> list[float]:
     if window <= 1:
         return list(xs)
     return [float(np.mean(xs[i:i + window])) for i in range(len(xs) - window + 1)]
+
+
+def set_bits(fp: int) -> set[int]:
+    """The indices of a fingerprint's set bits, read one bit at a time."""
+    return {b for b in range(fp.bit_length()) if fp >> b & 1}
+
+
+def from_bits(bits) -> int:
+    """The fingerprint whose set bits are ``bits``."""
+    return sum(1 << b for b in set(bits))
 
 
 def tanimoto_sets(a: set, b: set) -> float:
@@ -128,7 +137,7 @@ def longest_chain(m: Molecule) -> int:
     return best
 
 
-def reference_morgan_fingerprint(m: Molecule) -> Fingerprint:
+def reference_morgan_fingerprint(m: Molecule) -> int:
     """Circular fingerprint with every atom environment hashed afresh, at
     every radius."""
     env = [
@@ -143,7 +152,7 @@ def reference_morgan_fingerprint(m: Molecule) -> Fingerprint:
             for i in range(m.num_atoms)
         ]
         on |= {h % MORGAN_BITS for h in env}
-    return Fingerprint("morgan", MORGAN_BITS, frozenset(on))
+    return from_bits(on)
 
 
 def brute_force_uniqueness(smiles: list[str]) -> float:

@@ -480,34 +480,34 @@ def bad_inputs(tmp_path_factory):
 
 # (argv with {root} for the fixture directory, exit code, text stderr names)
 BAD_INVOCATIONS = [
-    ("generate --checkpoint {root}/truncated.npz --out {root}/o", 2, "truncated.npz"),
-    ("generate --checkpoint {root}/array.npy --out {root}/o", 2, "array.npy"),
-    ("generate --checkpoint {root}/a_dir --out {root}/o", 2, "a_dir"),
-    ("prepare-data --config {root}/a_dir --synthetic 5 --out {root}/o", 2, "a_dir"),
+    ("generate --checkpoint {root}/truncated.npz --out {out}/o", 2, "truncated.npz"),
+    ("generate --checkpoint {root}/array.npy --out {out}/o", 2, "array.npy"),
+    ("generate --checkpoint {root}/a_dir --out {out}/o", 2, "a_dir"),
+    ("prepare-data --config {root}/a_dir --synthetic 5 --out {out}/o", 2, "a_dir"),
     ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz --out {root}/a_dir",
      2, "a_dir"),
     ("train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
      "--out {root}/a_dir", 2, "a_dir"),
-    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_smiles.csv --out {root}/o",
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_smiles.csv --out {out}/o",
      2, "smiles"),
-    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_valid.csv --out {root}/o",
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_valid.csv --out {out}/o",
      2, "valid"),
-    ("export-plotdata --report {root}/report --out {root}/o", 2, "valid"),
-    ("evaluate --data {root}/data/dataset.xyz --generated {root}/valid_yes.csv --out {root}/o",
+    ("export-plotdata --report {root}/report --out {out}/o", 2, "valid"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/valid_yes.csv --out {out}/o",
      2, "valid_yes.csv:2: invalid literal for int() with base 10: 'yes'"),
-    ("evaluate --data {root}/data/dataset.xyz --generated {root}/open_ring.csv --out {root}/o",
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/open_ring.csv --out {out}/o",
      2, "open_ring.csv:2: unclosed ring 1"),
-    ("export-plotdata --report {root}/report_yes --out {root}/o", 2, "gen_report.csv:2: invalid"),
-    ("export-plotdata --report {root}/report_ring --out {root}/o",
+    ("export-plotdata --report {root}/report_yes --out {out}/o", 2, "gen_report.csv:2: invalid"),
+    ("export-plotdata --report {root}/report_ring --out {out}/o",
      2, "gen_report.csv:2: unclosed ring 1"),
-    ("export-plotdata --report {root}/report_score --out {root}/o",
+    ("export-plotdata --report {root}/report_score --out {out}/o",
      2, "similar_report.csv:2: could not convert string to float: 'abc'"),
     ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz "
-     "--weights {root}/weight_abc.csv --out {root}/o.npz", 2, "weight_abc.csv:2: could not"),
-    ("train-flow --config {root}/config.json --data {root}/a_dir --out {root}/o.npz", 2, "a_dir"),
+     "--weights {root}/weight_abc.csv --out {out}/o.npz", 2, "weight_abc.csv:2: could not"),
+    ("train-flow --config {root}/config.json --data {root}/a_dir --out {out}/o.npz", 2, "a_dir"),
     ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz "
-     "--weights {root}/a_dir --out {root}/o.npz", 2, "a_dir"),
-    ("evaluate --data {root}/data/dataset.xyz --generated {root}/a_dir --out {root}/o",
+     "--weights {root}/a_dir --out {out}/o.npz", 2, "a_dir"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/a_dir --out {out}/o",
      2, "a_dir"),
     ("generate --checkpoint {root}/flow.npz --count 2 --out {root}/a_file", 2, "a_file"),
     ("prepare-data --synthetic 5 --out {root}/a_file", 2, "a_file"),
@@ -521,44 +521,46 @@ BAD_INVOCATIONS = [
     ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 2 "
      "--out {root}/a_file", 2, "a_file"),
     ("export-plotdata --report {root}/report --out {root}/a_file", 2, "a_file"),
-    ("generate --checkpoint {root}/flow.npz --count -3 --out {root}/o", 1, "--count"),
+    ("generate --checkpoint {root}/flow.npz --count -3 --out {out}/o", 1, "--count"),
     ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
-     "--count 0 --out {root}/o", 1, "--count"),
+     "--count 0 --out {out}/o", 1, "--count"),
     ("train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz --subset 0 "
-     "--out {root}/o.npz", 1, "--subset"),
+     "--out {out}/o.npz", 1, "--subset"),
     ("train-fusion --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz --subset -1 "
-     "--out {root}/o.npz", 1, "--subset"),
+     "--out {out}/o.npz", 1, "--subset"),
     ("optimize-property --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
-     "--property plogp --seeds 0 --out {root}/o", 1, "--seeds"),
+     "--property plogp --seeds 0 --out {out}/o", 1, "--seeds"),
     ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms a "
-     "--out {root}/o", 1, "--fragment-atoms"),
+     "--out {out}/o", 1, "--fragment-atoms"),
     ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 0,99 "
-     "--out {root}/o", 1, "--fragment-atoms: index 99 is out of range for a host of 3 atoms"),
-    ("generate --checkpoint {root}/flow.npz --count 2 --temperature nan --out {root}/o",
+     "--out {out}/o", 1, "--fragment-atoms: index 99 is out of range for a host of 3 atoms"),
+    ("generate --checkpoint {root}/flow.npz --count 2 --temperature nan --out {out}/o",
      2, "temperature must be finite"),
-    ("generate --checkpoint {root}/flow.npz --count 2 --temperature -1 --out {root}/o",
+    ("generate --checkpoint {root}/flow.npz --count 2 --temperature -1 --out {out}/o",
      2, "temperature must be non-negative"),
     ("generate-similar --checkpoint {root}/fused.npz --data {root}/data/dataset.xyz "
-     "--count 2 --noise-fraction 1.5 --out {root}/o", 2, "noise_fraction must be in [0, 1]"),
-    ("prepare-data --out {root}/o", 1, "one of the arguments --input --synthetic is required"),
-    ("prepare-data --synthetic 3 --input {root}/missing.smi --out {root}/o",
+     "--count 2 --noise-fraction 1.5 --out {out}/o", 2, "noise_fraction must be in [0, 1]"),
+    ("prepare-data --out {out}/o", 1, "one of the arguments --input --synthetic is required"),
+    ("prepare-data --synthetic 3 --input {root}/missing.smi --out {out}/o",
      1, "argument --input: not allowed with argument --synthetic"),
-    ("prepare-data --synthetic 0 --out {root}/o", 1, "--synthetic"),
+    ("prepare-data --synthetic 0 --out {out}/o", 1, "--synthetic"),
     ("generate-similar --checkpoint {root}/flow.npz --data {root}/data/dataset.xyz "
-     "--count 2 --out {root}/o", 1, "checkpoint has no geometry encoder"),
+     "--count 2 --out {out}/o", 1, "checkpoint has no geometry encoder"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, named", BAD_INVOCATIONS)
-def test_cli_refuses_bad_paths_columns_and_counts(bad_inputs, capsys, argv, code, named):
-    # each of these used to end in a traceback or run on with exit 0
+def test_cli_refuses_bad_paths_columns_and_counts(bad_inputs, tmp_path, capsys, argv, code,
+                                                  named):
+    # each of these used to end in a traceback or run on with exit 0; each
+    # row writes under its own tmp_path, so a row that writes fails alone
     capsys.readouterr()
-    assert cli(argv.format(root=bad_inputs).split()) == code
+    assert cli(argv.format(root=bad_inputs, out=tmp_path).split()) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     # nothing trained before a bad --out was refused, and nothing was written
     assert "epoch=" not in err
-    assert not (bad_inputs / "o").exists() and not (bad_inputs / "o.npz").exists()
+    assert not (tmp_path / "o").exists() and not (tmp_path / "o.npz").exists()
 
 
 # every command whose --out is a directory, with an existing file as --out

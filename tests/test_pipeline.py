@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -6,8 +7,11 @@ import pytest
 
 from molflow.autodiff import SeededRng
 from molflow.chem import (
+    MORGAN_BITS,
     Molecule,
+    morgan_fingerprint,
     parse_smiles,
+    to_hex,
     valency_check,
     write_smiles,
 )
@@ -170,6 +174,23 @@ def test_baseline_matches_brute_force_on_fixed_split():
     assert result["mean_tanimoto"] == pytest.approx(np.mean([t[0] for t in triples]), abs=1e-12)
     assert result["mean_fraggle"] == pytest.approx(np.mean([t[1] for t in triples]), abs=1e-12)
     assert result["mean_maccs"] == pytest.approx(np.mean([t[2] for t in triples]), abs=1e-12)
+
+
+def test_similarity_scores_and_morgan_hex_are_pinned():
+    # every similarity_triple, the baseline means and each Morgan hex of a
+    # fixed corpus, hashed; the digest was recorded with set-based
+    # fingerprints, before they became int bitsets
+    corpus = synthetic_corpus(400, SeededRng(19).spawn("pinned-similarity"), with_geometry=False)
+    mols = [r.molecule for r in corpus.records]
+    digest = hashlib.sha256()
+    for a, b in zip(mols[::2], mols[1::2]):
+        digest.update(repr(similarity_triple(a, b)).encode())
+    baseline = evaluate_similarity_baseline(corpus.records, SeededRng(19).spawn("baseline"))
+    digest.update(repr(baseline).encode())
+    for m in mols:
+        digest.update(to_hex(morgan_fingerprint(m), MORGAN_BITS).encode())
+    assert len(mols) == 400 and baseline["pairs"] == 200.0
+    assert digest.hexdigest() == "a8cb1f32e1d75003e96bdbe401e7b896b4232598fc586324c09b8d32f289a532"
 
 
 def test_baseline_needs_two_molecules():
