@@ -29,6 +29,7 @@ from molflow.chem import (
     to_tensors,
     valency_check,
 )
+from molflow.dataset import _BOND_LENGTH, _LAYOUT_STEPS
 from molflow.geom3d import (
     DEFAULT_CUTOFF,
     DEFAULT_MAX_DEGREE,
@@ -586,6 +587,41 @@ def raw_decode_batch(params: FlowParams, z: np.ndarray) -> list[Molecule]:
     prescreen and no valency_check."""
     types, orders = decode_tensors(params, z)
     return [from_tensors(types[i], orders[i]) for i in range(len(z))]
+
+
+def reference_layout_coordinates(mol: Molecule, rng: ad.SeededRng) -> np.ndarray:
+    """layout_coordinates with bonds and repulsion as two separate passes
+    per step, each summed into the gradient with np.add.at."""
+    n = mol.num_atoms
+    coords = rng.normal((n, 3), scale=1.2)
+    if n == 1:
+        return coords
+    bond_idx = np.array([(i, j) for i, j, _ in mol.bonds], dtype=int).reshape(-1, 2)
+    bond_len = np.array([_BOND_LENGTH[o] for *_, o in mol.bonds])
+    bonded = {(i, j) for i, j, _ in mol.bonds}
+    non_idx = np.array(
+        [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in bonded],
+        dtype=int,
+    ).reshape(-1, 2)
+    lr = 0.05
+    for _ in range(_LAYOUT_STEPS):
+        grad = np.zeros_like(coords)
+        if len(bond_idx):
+            d = coords[bond_idx[:, 0]] - coords[bond_idx[:, 1]]
+            dist = np.linalg.norm(d, axis=1)
+            pull = (2.0 * (dist - bond_len) / np.maximum(dist, 1e-9))[:, None] * d
+            np.add.at(grad, bond_idx[:, 0], pull)
+            np.add.at(grad, bond_idx[:, 1], -pull)
+        if len(non_idx):
+            d = coords[non_idx[:, 0]] - coords[non_idx[:, 1]]
+            dist = np.linalg.norm(d, axis=1)
+            close = dist < 2.4
+            push = np.zeros_like(d)
+            push[close] = (-2.0 * (2.4 - dist[close]) / np.maximum(dist[close], 1e-9))[:, None] * d[close]
+            np.add.at(grad, non_idx[:, 0], push)
+            np.add.at(grad, non_idx[:, 1], -push)
+        coords = coords - lr * grad
+    return coords - coords.mean(axis=0)
 
 
 def within_valence(m: Molecule) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from molflow.autodiff import SeededRng
-from molflow.chem import valency_check
+from molflow.chem import Molecule, valency_check
 from molflow.checkpoint import load_checkpoint, save_checkpoint
 from molflow.cli import main as cli
 from molflow.config import RunConfig
@@ -19,6 +20,8 @@ from molflow.dataset import (
 )
 from molflow.flow import FlowConfig, init_flow, sample_prior, decode_batch
 from molflow.pipeline import generate_random
+
+from oracles import reference_layout_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +168,33 @@ def test_layout_deterministic_and_bonded_atoms_close(rng):
     assert np.array_equal(c1, c2)
     for i, j, _ in m.bonds:
         assert 0.8 < np.linalg.norm(c1[i] - c1[j]) < 2.5
+
+
+LAYOUT_EDGE_CASES = [
+    Molecule.build(("C",), []),                                       # no pair at all
+    Molecule.build(("C", "O"), [(0, 1, 2)]),                          # no non-bonded pair
+    Molecule.build(("C",) * 6, [(k, (k + 1) % 6, 1) for k in range(6)]),  # ring closure
+    Molecule.build(("C", "C", "N"), [(0, 1, 1), (1, 2, 3)]),          # triple bond
+    Molecule.build(("C", "C", "O", "N"), [(0, 1, 1), (2, 3, 1)]),     # two fragments
+]
+
+
+def test_layout_matches_add_at_reference_byte_for_byte():
+    rng = SeededRng(2020)
+    mols = LAYOUT_EDGE_CASES + [random_molecule(rng) for _ in range(200)]
+    for k, m in enumerate(mols):
+        got = layout_coordinates(m, SeededRng(31).spawn(f"xyz{k}"))
+        want = reference_layout_coordinates(m, SeededRng(31).spawn(f"xyz{k}"))
+        assert got.tobytes() == want.tobytes(), (k, m)
+
+
+def test_desk_corpus_coordinates_pinned(corpus):
+    """Every coordinate bit of the desk corpus, as laid out before the
+    single-pass layout step (the np.add.at kernel in tests/oracles.py)."""
+    digest = hashlib.sha256()
+    for r in corpus.records:
+        digest.update(r.coords.tobytes())
+    assert digest.hexdigest() == "27bbc52f7aa8fea46f1ec7cc821846d7536530975496630b667790ea4fcd0cd5"
 
 
 # ---------------------------------------------------------------------------
