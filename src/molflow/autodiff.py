@@ -6,9 +6,11 @@ so the set of live tensors forms an implicit acyclic tape. Calling
 and accumulates gradients into every reachable node. Leaves are tensors
 created directly from data.
 
-The same math functions (``sigmoid``, ``matmul``, ...) accept plain numpy
+The same math functions (``matmul``, ``mlp``, ...) accept plain numpy
 arrays and return numpy arrays, which gives model code a single
 implementation for both the traced training path and the untraced fast path.
+An operation with two outputs, such as a flow coupling layer's latent and
+log-determinant, is one node of the tape through ``two_outputs``.
 """
 
 from __future__ import annotations
@@ -241,38 +243,33 @@ def matmul(a, b):
                    lambda g: _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
 
 
-def _sigmoid_np(x: Array) -> Array:
-    # exp(-|x|) never overflows; the quotient equals 1/(1+exp(-x)) for
-    # x >= 0 and exp(x)/(1+exp(x)) below, bit for bit
-    e = np.abs(x, out=np.empty_like(x))
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    num /= e
-    return num
+def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
+    """The hidden layer tanh(x @ w1 + b1) and the output hidden @ w2 + b2,
+    on arrays; `x` may carry stacked leading axes."""
+    # numpy's stacked matmul on the un-flattened x keeps the bits of the
+    # separate matmul, add and tanh nodes
+    h = x @ w1
+    h += b1
+    np.tanh(h, out=h)
+    y = h @ w2
+    y += b2
+    return h, y
 
 
-def sigmoid(x):
-    if not _is_traced(x):
-        return _sigmoid_np(_as_f64(x))
-    y = _sigmoid_np(x.data)
-    out = Tensor(y, (x,), op="sigmoid")
-    out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
-    return out
-
-
-def log_sigmoid(x):
-    """log(sigmoid(x)) computed stably for large |x|."""
-
-    def stable(v: Array) -> Array:
-        return np.minimum(v, 0.0) - np.log1p(np.exp(-np.abs(v)))
-
-    if not _is_traced(x):
-        return stable(_as_f64(x))
-    out = Tensor(stable(x.data), (x,), op="log_sigmoid")
-    out._backward = lambda g: _accumulate(x, g * _sigmoid_np(-x.data))
-    return out
+def mlp_backward(g: Array, x: Array, h: Array, w1: Array, w2: Array,
+                 want) -> list[Array | None]:
+    """The gradients of ``mlp``'s arguments (x, w1, b1, w2, b2) for the
+    output gradient `g`, given the input `x` and the hidden layer `h`; each
+    is computed where `want` is true and None elsewhere."""
+    g2 = g.reshape(-1, g.shape[-1])
+    h2 = h.reshape(-1, h.shape[-1])
+    gh = g2 @ w2.T
+    gh *= 1.0 - h2 * h2
+    return [(gh @ w1.T).reshape(x.shape) if want[0] else None,
+            x.reshape(-1, x.shape[-1]).T @ gh if want[1] else None,
+            gh.sum(axis=0) if want[2] else None,
+            h2.T @ g2 if want[3] else None,
+            g2.sum(axis=0) if want[4] else None]
 
 
 def mlp(x, w1, b1, w2, b2):
@@ -280,32 +277,16 @@ def mlp(x, w1, b1, w2, b2):
     leading axes, the weights are 2-D and the biases 1-D."""
     args = (x, w1, b1, w2, b2)
     xd, w1d, b1d, w2d, b2d = (_data(a) for a in args)
-    # numpy's stacked matmul on the un-flattened x keeps the bits of the
-    # separate matmul, add and tanh nodes
-    h = xd @ w1d
-    h += b1d
-    np.tanh(h, out=h)
-    y = h @ w2d
-    y += b2d
+    h, y = mlp_forward(xd, w1d, b1d, w2d, b2d)
     if not _is_traced(*args):
         return y
     out = Tensor(y, tuple(a for a in args if isinstance(a, Tensor)), op="mlp")
+    want = [isinstance(a, Tensor) for a in args]
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        h2 = h.reshape(-1, h.shape[-1])
-        gh = g2 @ w2d.T
-        gh *= 1.0 - h2 * h2
-        if isinstance(x, Tensor):
-            _accumulate(x, (gh @ w1d.T).reshape(xd.shape))
-        if isinstance(w1, Tensor):
-            _accumulate(w1, xd.reshape(-1, xd.shape[-1]).T @ gh)
-        if isinstance(b1, Tensor):
-            _accumulate(b1, gh.sum(axis=0))
-        if isinstance(w2, Tensor):
-            _accumulate(w2, h2.T @ g2)
-        if isinstance(b2, Tensor):
-            _accumulate(b2, g2.sum(axis=0))
+        for a, ga in zip(args, mlp_backward(g, xd, h, w1d, w2d, want)):
+            if ga is not None:
+                _accumulate(a, ga)
 
     out._backward = bwd
     return out
@@ -349,54 +330,6 @@ def _axis_key(indices, axis: int, ndim: int) -> tuple:
     return (slice(None),) * (axis % ndim) + (indices,)
 
 
-def gather(x, indices: slice, axis):
-    """Select the slice `indices` along `axis` (the tape's slice primitive):
-    a view, whose gradient is assigned back into place."""
-    if not isinstance(indices, slice):
-        raise TypeError(f"gather takes a slice, got {type(indices).__name__}")
-    data = _data(x)
-    key = _axis_key(indices, axis, data.ndim)
-    if not isinstance(x, Tensor):
-        return data[key]
-    out = Tensor(data[key], (x,), op="gather")
-
-    def bwd(g):
-        full = np.zeros_like(data)
-        full[key] = g
-        _accumulate(x, full)
-
-    out._backward = bwd
-    return out
-
-
-def assemble(parts, slices, axis):
-    """The inverse of slicing: one array whose `slices` along `axis` hold
-    `parts`, in order. The slices must cover the axis exactly once."""
-    datas = [_data(p) for p in parts]
-    size = sum(d.shape[axis] for d in datas)
-    covered = sorted(i for sl in slices for i in range(size)[sl])
-    if covered != list(range(size)) or any(
-            len(range(size)[sl]) != d.shape[axis] for sl, d in zip(slices, datas)):
-        raise ValueError("assemble slices must tile the axis and match the parts")
-    shape = list(datas[0].shape)
-    shape[axis] = size
-    out_data = np.empty(shape)
-    keys = [_axis_key(sl, axis, len(shape)) for sl in slices]
-    for key, d in zip(keys, datas):
-        out_data[key] = d
-    if not _is_traced(*parts):
-        return out_data
-    out = Tensor(out_data, tuple(p for p in parts if isinstance(p, Tensor)), op="assemble")
-
-    def bwd(g):
-        for key, p in zip(keys, parts):
-            if isinstance(p, Tensor):
-                _accumulate(p, g[key])
-
-    out._backward = bwd
-    return out
-
-
 def concat(xs, axis=0):
     if not _is_traced(*xs):
         return np.concatenate([_as_f64(x) for x in xs], axis=axis)
@@ -414,6 +347,34 @@ def concat(xs, axis=0):
 
     out._backward = bwd
     return out
+
+
+def two_outputs(args, ya: Array, yb: Array, backward, op: str) -> tuple[Tensor, Tensor]:
+    """`ya` and `yb`, the two outputs of one operation on `args`, as tape
+    nodes. ``backward(ga, gb)`` returns one gradient (or None) per arg and
+    runs once, after both output gradients are final; an output the loss
+    does not reach gets zeros. Only Tensor args receive their gradient."""
+    joint = Tensor(np.empty(0), tuple(a for a in args if isinstance(a, Tensor)), op=op)
+    # The joint node's grad is the pair of output gradients. Tensor.backward
+    # clears it before each pass and runs the joint node after its outputs.
+    outs = (Tensor(ya, (joint,), op=op), Tensor(yb, (joint,), op=op))
+
+    def arrive(i):
+        def bwd(g):
+            if joint.grad is None:
+                joint.grad = [None, None]
+            joint.grad[i] = g
+        return bwd
+
+    def joint_bwd(pair):
+        grads = backward(*(np.zeros_like(y) if g is None else g for g, y in zip(pair, (ya, yb))))
+        for a, ga in zip(args, grads):
+            if isinstance(a, Tensor) and ga is not None:
+                _accumulate(a, ga)
+
+    outs[0]._backward, outs[1]._backward = arrive(0), arrive(1)
+    joint._backward = joint_bwd
+    return outs
 
 
 # ---------------------------------------------------------------------------

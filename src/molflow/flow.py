@@ -186,6 +186,76 @@ def atom_condition(orders: Array, m: int) -> list[tuple[Array, Array]]:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(x: Array) -> Array:
+    # exp(-|x|) never overflows; the quotient equals 1/(1+exp(-x)) for
+    # x >= 0 and exp(x)/(1+exp(x)) below, bit for bit
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
+
+
+def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
+              inverse: bool):
+    """The affine coupling both tracks share. ``x[kept]`` passes through;
+    ``features(x[kept])`` is the input of `mlp`, whose output's last axis
+    holds [s | t] for ``x[trans]``, which becomes x*sigmoid(s)+t. Returns
+    (z, per-sample logdet); with `inverse` the exact inverse (numpy only)
+    and logdet None.
+
+    When `x` or a weight is a Tensor, z and the logdet are the two outputs
+    of one tape node. Its backward takes the mlp input's gradient back to
+    ``x[kept]`` through ``features_grad``, the transpose of `features`."""
+    if inverse and not isinstance(x, np.ndarray):
+        raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
+    args = (x, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
+    xd, w1, b1, w2, b2 = (a.data if isinstance(a, Tensor) else a for a in args)
+    x_kept, x_trans = xd[kept], xd[trans]
+    feats = features(x_kept)
+    h, st = ad.mlp_forward(feats, w1, b1, w2, b2)
+    half = st.shape[-1] // 2
+    s = st[..., :half].reshape(x_trans.shape)
+    t = st[..., half:].reshape(x_trans.shape)
+    scale = _sigmoid(s)
+    z = np.empty(xd.shape)
+    z[kept] = x_kept
+    new = z[trans]
+    if inverse:
+        np.subtract(x_trans, t, out=new)
+        new /= scale
+        return z, None
+    np.multiply(x_trans, scale, out=new)
+    new += t
+    log_scale = np.minimum(s, 0.0) - np.log1p(np.exp(-np.abs(s)))
+    logdet = log_scale.sum(axis=tuple(range(1, s.ndim)))
+    want = [isinstance(a, Tensor) for a in args]
+    if not any(want):
+        return z, logdet
+
+    def backward(g_z, g_ld):
+        # y = x_trans*sigmoid(s) + t and logdet = sum(log sigmoid(s)), with
+        # the products in the order of the separate mul and sigmoid nodes
+        g_y = g_z[trans]
+        g_s = g_y * x_trans
+        g_s *= scale
+        g_s *= 1.0 - scale
+        g_s += g_ld.reshape((-1,) + (1,) * (s.ndim - 1)) * _sigmoid(-s)
+        rows = st.shape[:-1] + (half,)
+        g_st = np.concatenate([g_s.reshape(rows), g_y.reshape(rows)], axis=-1)
+        g_feats, *g_params = ad.mlp_backward(g_st, feats, h, w1, w2, want)
+        if g_feats is None:
+            return [None, *g_params]
+        g_x = np.empty(xd.shape)
+        np.add(g_z[kept], features_grad(g_feats), out=g_x[kept])
+        np.multiply(g_y, scale, out=g_x[trans])
+        return [g_x, *g_params]
+
+    return ad.two_outputs(args, z, logdet, backward, "coupling")
+
+
 def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
                   inverse: bool = False):
     """Atom-track coupling layer `index` on a (batch, n, l) tensor: rows of
@@ -199,29 +269,24 @@ def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
     its neighbours of each bond order, h2 sums h1 over all its neighbours.
     So the first l input rows of ``mlp.w1`` only ever multiply zeros: they
     get zero gradient and keep their initial values."""
-    if inverse and not isinstance(x, np.ndarray):
-        raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
     batch, n, l = x.shape
     kept_rows, trans_rows = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     by_order, adj_sum = cond[index % 2]
-    x_kept = ad.gather(x, kept_rows, axis=1)
-    h1 = ad.reshape(by_order @ x_kept, (batch, n, -1))
-    h2 = adj_sum @ h1
     n_trans = adj_sum.shape[1]
-    feats = ad.concat([np.zeros((batch, n_trans, l)), ad.gather(h1, trans_rows, axis=1), h2],
-                      axis=2)
-    st = apply_mlp(mlp, feats)
-    s_raw = ad.gather(st, slice(0, l), axis=2)
-    t = ad.gather(st, slice(l, None), axis=2)
-    scale = ad.sigmoid(s_raw)
-    x_trans = ad.gather(x, trans_rows, axis=1)
-    if inverse:
-        new = (x_trans - t) / scale
-        logdet = None
-    else:
-        new = x_trans * scale + t
-        logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2))
-    return ad.assemble([x_kept, new], [kept_rows, trans_rows], axis=1), logdet
+
+    def features(x_kept):
+        h1 = (by_order @ x_kept).reshape(batch, n, -1)
+        return np.concatenate([np.zeros((batch, n_trans, l)), h1[:, trans_rows], adj_sum @ h1],
+                              axis=2)
+
+    def features_grad(g):
+        width = (g.shape[2] - l) // 2  # of h1 and of h2
+        g_h1 = np.swapaxes(adj_sum, 1, 2) @ g[:, :, l + width:]
+        g_h1[:, trans_rows] += g[:, :, l:l + width]
+        return np.swapaxes(by_order, 1, 2) @ g_h1.reshape(batch, -1, l)
+
+    return _coupling(x, mlp, (slice(None), kept_rows), (slice(None), trans_rows),
+                     features, features_grad, inverse)
 
 
 def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
@@ -230,22 +295,11 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     with (s, t) from `mlp` over the kept channels. Returns (z, per-sample
     logdet); with `inverse` the exact inverse and logdet None."""
     batch, n, _, m = x.shape
-    kept_ch, trans_ch = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
-    n_trans = len(range(m)[trans_ch])
-    kept = ad.gather(x, kept_ch, axis=3)
-    st = apply_mlp(mlp, ad.reshape(kept, (batch, -1)))
-    half = n * n * n_trans
-    s_raw = ad.reshape(ad.gather(st, slice(0, half), axis=1), (batch, n, n, n_trans))
-    t = ad.reshape(ad.gather(st, slice(half, None), axis=1), (batch, n, n, n_trans))
-    scale = ad.sigmoid(s_raw)
-    trans = ad.gather(x, trans_ch, axis=3)
-    if inverse:
-        new_trans = (trans - t) / scale
-        logdet = None
-    else:
-        new_trans = trans * scale + t
-        logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2, 3))
-    return ad.assemble([kept, new_trans], [kept_ch, trans_ch], axis=3), logdet
+    kept_ch = slice(index % 2, None, 2)
+    kept_shape = (batch, n, n, len(range(m)[kept_ch]))
+    return _coupling(x, mlp, (..., kept_ch), (..., slice(1 - index % 2, None, 2)),
+                     lambda kept: kept.reshape(batch, -1), lambda g: g.reshape(kept_shape),
+                     inverse)
 
 
 # ---------------------------------------------------------------------------

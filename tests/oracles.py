@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
-from molflow.flow import (FlowParams, Mlp, apply_mlp, decode_tensors, dequantize,
+from molflow.flow import (FlowParams, Mlp, _sigmoid, apply_mlp, decode_tensors, dequantize,
                           encode_molecules, encode_tensors)
 from molflow.chem import (
     ELEMENTS,
@@ -413,7 +413,8 @@ def edge_feature_rows(g: Geometry, n_radial: int = DEFAULT_N_RADIAL,
 
 # ---------------------------------------------------------------------------
 # reference flow kernels: boolean-mask sigmoid, unfused MLP, masked atom
-# coupling over every row, concat-plus-permutation bond coupling
+# coupling over every row, concat-plus-permutation bond coupling, and the
+# couplings composed of slice, sigmoid and assemble tape nodes
 # ---------------------------------------------------------------------------
 
 
@@ -464,6 +465,80 @@ def index_gather(x, indices, axis):
     return out
 
 
+def sigmoid(x):
+    """The flow's stable sigmoid on arrays or as a tape node."""
+    if not isinstance(x, ad.Tensor):
+        return _sigmoid(np.asarray(x, dtype=np.float64))
+    y = _sigmoid(x.data)
+    out = ad.Tensor(y, (x,), op="sigmoid")
+    out._backward = lambda g: ad._accumulate(x, g * y * (1.0 - y))
+    return out
+
+
+def log_sigmoid(x):
+    """log(sigmoid(x)) computed stably for large |x|, on arrays or as a tape
+    node."""
+
+    def stable(v):
+        return np.minimum(v, 0.0) - np.log1p(np.exp(-np.abs(v)))
+
+    if not isinstance(x, ad.Tensor):
+        return stable(np.asarray(x, dtype=np.float64))
+    out = ad.Tensor(stable(x.data), (x,), op="log_sigmoid")
+    out._backward = lambda g: ad._accumulate(x, g * _sigmoid(-x.data))
+    return out
+
+
+def gather(x, indices: slice, axis):
+    """Select the slice `indices` along `axis`: a view, whose gradient is
+    assigned back into a zero array of x's shape."""
+    if not isinstance(indices, slice):
+        raise TypeError(f"gather takes a slice, got {type(indices).__name__}")
+    data = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
+    key = ad._axis_key(indices, axis, data.ndim)
+    if not isinstance(x, ad.Tensor):
+        return data[key]
+    out = ad.Tensor(data[key], (x,), op="gather")
+
+    def bwd(g):
+        full = np.zeros_like(data)
+        full[key] = g
+        ad._accumulate(x, full)
+
+    out._backward = bwd
+    return out
+
+
+def assemble(parts, slices, axis):
+    """The inverse of slicing: one array whose `slices` along `axis` hold
+    `parts`, in order. The slices must cover the axis exactly once."""
+    datas = [p.data if isinstance(p, ad.Tensor) else np.asarray(p, dtype=np.float64)
+             for p in parts]
+    size = sum(d.shape[axis] for d in datas)
+    covered = sorted(i for sl in slices for i in range(size)[sl])
+    if covered != list(range(size)) or any(
+            len(range(size)[sl]) != d.shape[axis] for sl, d in zip(slices, datas)):
+        raise ValueError("assemble slices must tile the axis and match the parts")
+    shape = list(datas[0].shape)
+    shape[axis] = size
+    out_data = np.empty(shape)
+    keys = [ad._axis_key(sl, axis, len(shape)) for sl in slices]
+    for key, d in zip(keys, datas):
+        out_data[key] = d
+    if not any(isinstance(p, ad.Tensor) for p in parts):
+        return out_data
+    out = ad.Tensor(out_data, tuple(p for p in parts if isinstance(p, ad.Tensor)),
+                    op="assemble")
+
+    def bwd(g):
+        for key, p in zip(keys, parts):
+            if isinstance(p, ad.Tensor):
+                ad._accumulate(p, g[key])
+
+    out._backward = bwd
+    return out
+
+
 def unfused_mlp(p: Mlp, x):
     """tanh(x @ w1 + b1) @ w2 + b2 from separate matmul, add and tanh nodes."""
     h = tanh(x @ p.w1 + p.b1)
@@ -509,7 +584,7 @@ def masked_atom_coupling(x, mlp: Mlp, index: int, bond_disc: np.ndarray, inverse
     if inverse:
         return x * keep + ((x - t) / scale) * trans, None
     z = x * keep + (x * scale + t) * trans
-    logdet = ad.tsum(ad.log_sigmoid(s_raw) * trans, axis=(1, 2))
+    logdet = ad.tsum(log_sigmoid(s_raw) * trans, axis=(1, 2))
     return z, logdet
 
 
@@ -533,9 +608,57 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
         logdet = None
     else:
         new_trans = trans * scale + t
-        logdet = ad.tsum(ad.log_sigmoid(s_raw), axis=(1, 2, 3))
+        logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
     order = np.argsort(kept_ch + trans_ch)
     return index_gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
+
+
+def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False):
+    """atom_coupling composed of slice gathers, concat, the fused mlp node,
+    sigmoid, log_sigmoid and assemble: about a dozen tape nodes per layer."""
+    batch, n, l = x.shape
+    kept_rows, trans_rows = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
+    by_order, adj_sum = cond[index % 2]
+    x_kept = gather(x, kept_rows, axis=1)
+    h1 = ad.reshape(by_order @ x_kept, (batch, n, -1))
+    h2 = adj_sum @ h1
+    n_trans = adj_sum.shape[1]
+    feats = ad.concat([np.zeros((batch, n_trans, l)), gather(h1, trans_rows, axis=1), h2],
+                      axis=2)
+    st = apply_mlp(mlp, feats)
+    s_raw = gather(st, slice(0, l), axis=2)
+    t = gather(st, slice(l, None), axis=2)
+    scale = sigmoid(s_raw)
+    x_trans = gather(x, trans_rows, axis=1)
+    if inverse:
+        new = (x_trans - t) / scale
+        logdet = None
+    else:
+        new = x_trans * scale + t
+        logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2))
+    return assemble([x_kept, new], [kept_rows, trans_rows], axis=1), logdet
+
+
+def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
+    """bond_coupling composed of slice gathers, reshapes, the fused mlp node,
+    sigmoid, log_sigmoid and assemble."""
+    batch, n, _, m = x.shape
+    kept_ch, trans_ch = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
+    n_trans = len(range(m)[trans_ch])
+    kept = gather(x, kept_ch, axis=3)
+    st = apply_mlp(mlp, ad.reshape(kept, (batch, -1)))
+    half = n * n * n_trans
+    s_raw = ad.reshape(gather(st, slice(0, half), axis=1), (batch, n, n, n_trans))
+    t = ad.reshape(gather(st, slice(half, None), axis=1), (batch, n, n, n_trans))
+    scale = sigmoid(s_raw)
+    trans = gather(x, trans_ch, axis=3)
+    if inverse:
+        new_trans = (trans - t) / scale
+        logdet = None
+    else:
+        new_trans = trans * scale + t
+        logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
+    return assemble([kept, new_trans], [kept_ch, trans_ch], axis=3), logdet
 
 
 def reference_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarray):

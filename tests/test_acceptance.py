@@ -5,6 +5,7 @@ lines and timings. Every tolerance here is fixed by the project contract;
 nothing is calibrated at runtime.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -398,6 +399,10 @@ def test_11_linear_head_ascent():
                 assert b.predicted - a.predicted == pytest.approx(expected, rel=1e-12)
 
 
+# sha256 of each report file of the mini pipeline, as "<hex>  <relative path>"
+MINI_PIPELINE_SHA256 = Path(__file__).with_name("mini_pipeline.sha256")
+
+
 def _mini_pipeline(out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     config = out / "config.json"
@@ -433,3 +438,11 @@ def test_12_end_to_end_determinism(tmp_path):
         assert names1 == names2
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes(), f"{p1} differs"
+        # and the same bytes as recorded, so a byte change fails in one run
+        recorded = dict(line.split()[::-1]
+                        for line in MINI_PIPELINE_SHA256.read_text().splitlines())
+        got = {name.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for name, p in zip(names1, first)}
+        changed = sorted(name for name in recorded.keys() | got.keys()
+                         if recorded.get(name) != got.get(name))
+        assert not changed, f"report bytes differ from {MINI_PIPELINE_SHA256.name}: {changed}"

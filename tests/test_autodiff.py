@@ -16,7 +16,8 @@ from molflow.flow import fit_step, make_optimizer
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
                                init_spherenet)
-from oracles import _masked_sigmoid_np, gradient_check, index_gather, tanh
+from oracles import (_masked_sigmoid_np, assemble, gather, gradient_check, index_gather,
+                     log_sigmoid, sigmoid, tanh)
 
 
 def test_matmul_hand_arithmetic():
@@ -25,18 +26,18 @@ def test_matmul_hand_arithmetic():
 
 
 def test_sigmoid_symmetry_point():
-    assert ad.sigmoid(np.array(0.0)) == 0.5
+    assert sigmoid(np.array(0.0)) == 0.5
 
 
 def test_sigmoid_bit_equal_to_masked_reference():
     tiny = np.finfo(np.float64).tiny
     x = np.concatenate([np.linspace(-800.0, 800.0, 16001), [0.0, -0.0, 5e-324, -5e-324, tiny,
                                                              -tiny, tiny / 3, -tiny / 3]])
-    got = ad.sigmoid(x)
+    got = sigmoid(x)
     want = _masked_sigmoid_np(x)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(ad.sigmoid(Tensor(x)).data, want)
+    assert np.array_equal(sigmoid(Tensor(x)).data, want)
 
 
 def test_concat_definition():
@@ -44,16 +45,16 @@ def test_concat_definition():
     # assemble is the inverse of slicing; a slice gather is a view
     x = np.arange(10.0).reshape(2, 5)
     evens, odds = slice(0, None, 2), slice(1, None, 2)
-    parts = [ad.gather(x, evens, axis=1), ad.gather(x, odds, axis=1)]
+    parts = [gather(x, evens, axis=1), gather(x, odds, axis=1)]
     assert all(np.shares_memory(p, x) for p in parts)
-    assert np.array_equal(ad.assemble(parts, [evens, odds], axis=1), x)
+    assert np.array_equal(assemble(parts, [evens, odds], axis=1), x)
     with pytest.raises(ValueError):
-        ad.assemble(parts, [odds, evens], axis=1)
+        assemble(parts, [odds, evens], axis=1)
     with pytest.raises(ValueError):
-        ad.assemble([x[:, :3], x[:, 2:]], [slice(0, 3), slice(2, None)], axis=1)
+        assemble([x[:, :3], x[:, 2:]], [slice(0, 3), slice(2, None)], axis=1)
     # a position list may repeat, which the slice backward cannot sum
     with pytest.raises(TypeError):
-        ad.gather(x, [0, 0], axis=1)
+        gather(x, [0, 0], axis=1)
 
 
 def test_matmul_shape_mismatch_raises():
@@ -70,7 +71,7 @@ def test_backward_square():
 
 def test_backward_sigmoid_at_zero():
     x = Tensor(0.0)
-    ad.sigmoid(x).backward()
+    sigmoid(x).backward()
     assert x.grad == pytest.approx(0.25)
 
 
@@ -116,8 +117,8 @@ def test_gradient_check_mixed_ops(seed):
         h = tanh(ad.reshape(x, (1, 3)) @ w)
         # every mlp input depends on x, so each of its five gradients counts
         fused = ad.mlp(ad.reshape(x, (1, 1, 3)), ad.reshape(ad.concat([x, x * 0.5, x]), (3, 3)),
-                       x, ad.reshape(x, (3, 1)), ad.gather(x, slice(1, 2), axis=0))
-        return (ad.tsum(ad.sigmoid(h) * x) + ad.tsum(ad.sqrt(x * x + 1.0))
+                       x, ad.reshape(x, (3, 1)), gather(x, slice(1, 2), axis=0))
+        return (ad.tsum(sigmoid(h) * x) + ad.tsum(ad.sqrt(x * x + 1.0))
                 + ad.tsum(fused))
 
     assert gradient_check(f, rng.normal((3,)), eps=1e-6) < 1e-5
@@ -136,7 +137,7 @@ def test_backward_linearity(seed):
         return ad.tsum(tanh(ad.reshape(x, (1, 4)) @ a))
 
     def g(x):
-        return ad.tsum(ad.sigmoid(ad.reshape(x, (1, 4)) @ b) * x)
+        return ad.tsum(sigmoid(ad.reshape(x, (1, 4)) @ b) * x)
 
     xf = Tensor(point)
     f(xf).backward()
@@ -156,7 +157,7 @@ def test_gather_concat_reshape_transpose_gradients():
         cat = ad.concat([g1, g2, g1], axis=1)  # (5, 5)
         dup = index_gather(x, [0, 0, 1], axis=1)  # repeated positions sum
         evens, odds = slice(0, None, 2), slice(1, None, 2)
-        back = ad.assemble([ad.gather(x, evens, axis=0), ad.gather(x, odds, axis=0) * 2.0],
+        back = assemble([gather(x, evens, axis=0), gather(x, odds, axis=0) * 2.0],
                            [evens, odds], axis=0)
         return (ad.tsum(ad.reshape(cat, (25, 1)) * 0.7) + ad.tsum(dup * 1.3)
                 + ad.tsum(back * back))
@@ -166,9 +167,56 @@ def test_gather_concat_reshape_transpose_gradients():
 
 def test_log_sigmoid_matches_log_of_sigmoid_and_is_stable():
     x = np.array([-3.0, 0.0, 2.5])
-    assert np.allclose(ad.log_sigmoid(x), np.log(ad.sigmoid(x)), atol=1e-12)
-    assert np.isfinite(ad.log_sigmoid(np.array([-500.0, 500.0]))).all()
-    assert gradient_check(lambda t: ad.tsum(ad.log_sigmoid(t)), np.array([0.3, -1.2])) < 1e-8
+    assert np.allclose(log_sigmoid(x), np.log(sigmoid(x)), atol=1e-12)
+    assert np.isfinite(log_sigmoid(np.array([-500.0, 500.0]))).all()
+    assert gradient_check(lambda t: ad.tsum(log_sigmoid(t)), np.array([0.3, -1.2])) < 1e-8
+
+
+def _square_and_row_sum(x, calls):
+    """x*x and x's row sums as the two outputs of one node that records the
+    gradients its backward receives."""
+    xd = x.data
+
+    def backward(g_square, g_sum):
+        calls.append((g_square.copy(), g_sum.copy()))
+        return [2.0 * xd * g_square + g_sum[:, None]]
+
+    return ad.two_outputs((x,), xd * xd, xd.sum(axis=1), backward, "square_and_row_sum")
+
+
+def test_two_outputs_backward_runs_once_on_final_gradients():
+    rng = SeededRng(87)
+    c1, c2, c3 = rng.normal((3, 2)), rng.normal((3, 2)), rng.normal((3,))
+    calls = []
+
+    def f(x):
+        # each output reaches the loss along two paths, one through the other
+        square, row_sum = _square_and_row_sum(x, calls)
+        return (ad.tsum(square * c1) + ad.tsum(ad.reshape(row_sum, (3, 1)) * square * c2)
+                + ad.tsum(row_sum * c3))
+
+    point = rng.normal((3, 2))
+    x = Tensor(point)
+    f(x).backward()
+    assert len(calls) == 1
+    square, row_sum = point * point, point.sum(axis=1)
+    assert np.allclose(calls[0][0], c1 + row_sum[:, None] * c2, rtol=0, atol=1e-12)
+    assert np.allclose(calls[0][1], (square * c2).sum(axis=1) + c3, rtol=0, atol=1e-12)
+    assert gradient_check(f, point) < 1e-8
+
+
+def test_two_outputs_gives_zeros_for_an_output_the_loss_misses():
+    x = Tensor(SeededRng(88).normal((3, 2)))
+    calls = []
+    square, row_sum = _square_and_row_sum(x, calls)
+    for loss, missed in ((ad.tsum(square), 1), (ad.tsum(row_sum * 2.0), 0),
+                         (ad.tsum(square * 3.0), 1)):
+        calls.clear()
+        loss.backward()
+        assert len(calls) == 1
+        # the other output's gradient from an earlier pass is not reused
+        assert not calls[0][missed].any()
+        assert calls[0][1 - missed].any()
 
 
 def test_adam_first_step_closed_form():
@@ -225,8 +273,8 @@ def test_shared_first_gradients_keep_leaf_gradients_right():
     c1, c2, c3 = rng.normal((3, 2)), rng.normal((3, 3)), rng.normal((3, 2))
     doubled = ad.add(x, x)            # both parents receive the same gradient array
     joined = ad.concat([doubled, w], axis=1)
-    left = ad.gather(joined, slice(0, 2), axis=1)
-    right = ad.gather(joined, slice(2, 5), axis=1)
+    left = gather(joined, slice(0, 2), axis=1)
+    right = gather(joined, slice(2, 5), axis=1)
     loss = ad.tsum(left * c1) + ad.tsum(right * c2) + ad.tsum(x * c3)
     gx, gw = backward(loss, [x, w])
     assert np.allclose(gx, 2.0 * c1 + c3, rtol=0, atol=1e-15)

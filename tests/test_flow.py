@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import molflow.autodiff as ad
+import molflow.flow as flow_module
 from molflow.autodiff import SeededRng, Tensor
 from molflow.chem import (PADDING_TYPE, from_tensors, parse_smiles, valence_prescreen,
                           valency_check)
@@ -29,9 +30,10 @@ from molflow.flow import (
     sample_prior,
     train_step,
 )
-from oracles import (is_isomorphic, onehot_from_tensors, raw_decode_batch,
-                     reference_decode_continuous, reference_encode_continuous,
-                     reference_flow_encode, scatter_discretize_bonds, within_valence)
+from oracles import (composed_atom_coupling, composed_bond_coupling, is_isomorphic,
+                     onehot_from_tensors, raw_decode_batch, reference_decode_continuous,
+                     reference_encode_continuous, reference_flow_encode,
+                     scatter_discretize_bonds, within_valence)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -161,6 +163,89 @@ def test_coupling_kernels_match_reference_stack():
     names = ["za", "zb", "logdet_atom", "logdet_bond"] + [n for n, _ in params.named_params()]
     for name, a, b in zip(names, got, want):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _coupling_case(name: str):
+    """(config, x_atom, x_bond) of a fused-versus-composed coupling case."""
+    if name == "n_max=2":
+        cfg = small_config()
+        rng = SeededRng(44)
+        return (cfg, rng.uniform(0.0, 1.0, (5, 2, 2)), rng.uniform(0.0, 1.0, (5, 2, 2, 2)))
+    cfg = FlowConfig(atom_hidden=128, bond_hidden=128)  # the train benchmark's model
+    atoms, bonds = _benchmark_batch(cfg)
+    batch = 100 if name == "batch 100" else 1
+    rng = SeededRng(45)
+    return (cfg, dequantize(atoms[:batch], cfg.noise_scale, rng),
+            dequantize(bonds[:batch], cfg.noise_scale, rng))
+
+
+def _benchmark_batch(cfg: FlowConfig):
+    corpus = synthetic_corpus(100, SeededRng(45).spawn("corpus"), with_geometry=False)
+    return tensor_batches(corpus.records, cfg.n_max)
+
+
+@pytest.mark.parametrize("track", ["atom", "bond"])
+@pytest.mark.parametrize("case", ["batch 100", "batch 1", "n_max=2"])
+def test_fused_couplings_match_composed_tape_bit_for_bit(case, track):
+    # layers 0 and 1 (both parities) of one track, fused against the
+    # composed tape: outputs and every parameter and input gradient
+    cfg, xa, xb = _coupling_case(case)
+    params = init_flow(cfg, SeededRng(46), zero_last=False)
+    mlps = (params.atom if track == "atom" else params.bond)[:2]
+    x = xa if track == "atom" else xb
+    cond = atom_condition(discretize_bonds(xb), cfg.n_bond_types)
+    fused = {"atom": lambda x, mlp, i: atom_coupling(x, mlp, i, cond),
+             "bond": bond_coupling}[track]
+    composed = {"atom": lambda x, mlp, i: composed_atom_coupling(x, mlp, i, cond),
+                "bond": composed_bond_coupling}[track]
+    rng = SeededRng(47)
+    weights = {"z": rng.normal(x.shape), "logdet": rng.normal((x.shape[0],))}
+
+    def run(coupling, traced_input, reads):
+        view, leaves = ad.traced(mlps)
+        z = Tensor(x) if traced_input else x
+        leaves += [z] if traced_input else []
+        logdet = None
+        for i, mlp in enumerate(view):
+            z, ld = coupling(z, mlp, i)
+            logdet = ld if logdet is None else logdet + ld
+        outputs = {"z": z, "logdet": logdet}
+        loss = sum(ad.tsum(outputs[r] * weights[r]) for r in reads)
+        return [z.data, logdet.data] + ad.backward(loss, leaves)
+
+    for traced_input in (True, False):
+        for reads in (("z",), ("logdet",), ("z", "logdet")):
+            got = run(fused, traced_input, reads)
+            want = run(composed, traced_input, reads)
+            assert len(got) == len(want) == 2 + 8 + traced_input
+            for k, (a, b) in enumerate(zip(got, want)):
+                assert _same_bits(a, b), (traced_input, reads, k)
+
+
+def test_train_steps_match_composed_couplings_bit_for_bit(monkeypatch):
+    # train_step through the fused couplings and, patched in, the composed
+    # ones: the same losses and parameter bytes step after step
+    cfg = FlowConfig(atom_hidden=128, bond_hidden=128)
+    atoms, bonds = _benchmark_batch(cfg)
+
+    def steps():
+        params = init_flow(cfg, SeededRng(48))
+        opt = make_optimizer(params)
+        rng = SeededRng(49)
+        losses = [train_step(params, atoms, bonds, opt, rng, clip_norm=10.0) for _ in range(3)]
+        return losses, [arr.copy() for _, arr in params.named_params()]
+
+    fused = steps()
+    monkeypatch.setattr(flow_module, "atom_coupling", composed_atom_coupling)
+    monkeypatch.setattr(flow_module, "bond_coupling", composed_bond_coupling)
+    composed = steps()
+    assert fused[0] == composed[0]
+    assert all(_same_bits(a, b) for a, b in zip(fused[1], composed[1]))
 
 
 def test_atom_network_x_rows_get_zero_gradient():
@@ -354,8 +439,6 @@ def test_decode_tensors_gives_the_onehot_molecules_on_pinned_model():
 def test_decode_batch_screens_rows_and_builds_only_prescreened_ones(monkeypatch):
     # decode_batch is the raw decode with each invalid row as None, and it
     # calls from_tensors once per row that passes valence_prescreen
-    import molflow.flow as flow_module
-
     built = []
     monkeypatch.setattr(flow_module, "from_tensors",
                         lambda types, orders: built.append(1) or from_tensors(types, orders))
