@@ -243,6 +243,20 @@ def matmul(a, b):
                    lambda g: _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
 
 
+def take_rows(x, rows: Array, onehot: Array):
+    """``onehot @ x`` for a constant 0/1 matrix with one 1 per row, at
+    column ``rows[k]`` of row k: the forward takes x's rows by index, which
+    gives the product's values bit for bit (x finite, no -0.0) at a
+    fraction of its cost. The backward keeps the product ``onehot.T @ g``:
+    a segment sum by ``np.add.at`` adds a repeated row's gradients in
+    another order than BLAS does and can move their last bits."""
+    if not _is_traced(x):
+        return np.take(_as_f64(x), rows, axis=0)
+    out = Tensor(np.take(x.data, rows, axis=0), (x,), op="take_rows")
+    out._backward = lambda g: _accumulate(x, onehot.T @ g)
+    return out
+
+
 def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
     """The hidden layer tanh(x @ w1 + b1) and the output hidden @ w2 + b2,
     on arrays; `x` may carry stacked leading axes."""
@@ -257,15 +271,20 @@ def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[A
 
 
 def mlp_backward(g: Array, x: Array, h: Array, w1: Array, w2: Array,
-                 want) -> list[Array | None]:
+                 want, x_rows=(slice(None),)) -> list:
     """The gradients of ``mlp``'s arguments (x, w1, b1, w2, b2) for the
     output gradient `g`, given the input `x` and the hidden layer `h`; each
-    is computed where `want` is true and None elsewhere."""
+    is computed where `want` is true and None elsewhere. The input gradient
+    is a list with one ``gh @ w1[rows].T`` per ``w1`` row range in `x_rows`
+    (None for None): the gradients of the parts of an input joined along
+    its last axis, by default one part."""
     g2 = g.reshape(-1, g.shape[-1])
     h2 = h.reshape(-1, h.shape[-1])
     gh = g2 @ w2.T
     gh *= 1.0 - h2 * h2
-    return [(gh @ w1.T).reshape(x.shape) if want[0] else None,
+    lead = x.shape[:-1]
+    return [[None if r is None else (gh @ w1[r].T).reshape(lead + (-1,)) for r in x_rows]
+            if want[0] else None,
             x.reshape(-1, x.shape[-1]).T @ gh if want[1] else None,
             gh.sum(axis=0) if want[2] else None,
             h2.T @ g2 if want[3] else None,
@@ -274,17 +293,30 @@ def mlp_backward(g: Array, x: Array, h: Array, w1: Array, w2: Array,
 
 def mlp(x, w1, b1, w2, b2):
     """tanh(x @ w1 + b1) @ w2 + b2 as one tape node; `x` may carry stacked
-    leading axes, the weights are 2-D and the biases 1-D."""
-    args = (x, w1, b1, w2, b2)
-    xd, w1d, b1d, w2d, b2d = (_data(a) for a in args)
+    leading axes, the weights are 2-D and the biases 1-D.
+
+    `x` may also be a list of parts, joined along the last axis once for
+    the forward. The backward then computes the input gradient only over
+    the ``w1`` rows of the parts that are Tensors: a constant part costs
+    its share of ``x @ w1`` but no ``gh @ w1.T`` columns."""
+    parts = x if isinstance(x, list) else [x]
+    weights = (w1, b1, w2, b2)
+    datas = [_data(p) for p in parts]
+    xd = datas[0] if len(datas) == 1 else np.concatenate(datas, axis=-1)
+    w1d, b1d, w2d, b2d = (_data(a) for a in weights)
     h, y = mlp_forward(xd, w1d, b1d, w2d, b2d)
-    if not _is_traced(*args):
+    if not _is_traced(*parts, *weights):
         return y
-    out = Tensor(y, tuple(a for a in args if isinstance(a, Tensor)), op="mlp")
-    want = [isinstance(a, Tensor) for a in args]
+    out = Tensor(y, tuple(a for a in (*parts, *weights) if isinstance(a, Tensor)), op="mlp")
+    want = [_is_traced(*parts)] + [isinstance(a, Tensor) for a in weights]
+    x_rows, start = [], 0
+    for p, d in zip(parts, datas):
+        x_rows.append(slice(start, start + d.shape[-1]) if isinstance(p, Tensor) else None)
+        start += d.shape[-1]
 
     def bwd(g):
-        for a, ga in zip(args, mlp_backward(g, xd, h, w1d, w2d, want)):
+        g_x, *g_weights = mlp_backward(g, xd, h, w1d, w2d, want, x_rows)
+        for a, ga in zip((*parts, *weights), (*(g_x or [None] * len(parts)), *g_weights)):
             if ga is not None:
                 _accumulate(a, ga)
 
@@ -323,29 +355,6 @@ def reshape(x, shape):
     old = x.data.shape
     out = Tensor(x.data.reshape(shape), (x,), op="reshape")
     out._backward = lambda g: _accumulate(x, g.reshape(old))
-    return out
-
-
-def _axis_key(indices, axis: int, ndim: int) -> tuple:
-    return (slice(None),) * (axis % ndim) + (indices,)
-
-
-def concat(xs, axis=0):
-    if not _is_traced(*xs):
-        return np.concatenate([_as_f64(x) for x in xs], axis=axis)
-    datas = [_data(x) for x in xs]
-    out = Tensor(np.concatenate(datas, axis=axis),
-                 tuple(x for x in xs if isinstance(x, Tensor)), op="concat")
-    sizes = [d.shape[axis] for d in datas]
-
-    def bwd(g):
-        start = 0
-        for x, n in zip(xs, sizes):
-            if isinstance(x, Tensor):
-                _accumulate(x, g[_axis_key(slice(start, start + n), axis, g.ndim)])
-            start += n
-
-    out._backward = bwd
     return out
 
 

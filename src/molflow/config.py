@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .flow import FlowConfig
+from .flow import NON_NEGATIVE, POSITIVE, FlowConfig
 from .spherenet import SphereNetConfig
 
 
@@ -146,36 +146,33 @@ def _type_name(hint) -> str:
     return str(hint) if typing.get_origin(hint) else hint.__name__
 
 
-_POSITIVE = (lambda v: v > 0, "positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
-
 # (check, description) per field; the checks run after the type check
 _RANGES = {
-    "n_max": _POSITIVE,
-    "flow_layers": _POSITIVE,
-    "flow_hidden": _POSITIVE,
+    "n_max": POSITIVE,
+    "flow_layers": POSITIVE,
+    "flow_hidden": POSITIVE,
     "noise_scale": (lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
-    "temperature": _NON_NEGATIVE,
-    "sphere_blocks": _POSITIVE,
-    "sphere_hidden": _POSITIVE,
-    "n_radial": _POSITIVE,
-    "max_degree": _NON_NEGATIVE,
+    "temperature": NON_NEGATIVE,
+    "sphere_blocks": POSITIVE,
+    "sphere_hidden": POSITIVE,
+    "n_radial": POSITIVE,
+    "max_degree": NON_NEGATIVE,
     "cutoff": (lambda v: v > 0, "finite and positive"),
     "noise_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "learning_rate": _POSITIVE,
-    "batch_size": _POSITIVE,
-    "epochs": _POSITIVE,
-    "clip_norm": _POSITIVE,
-    "probe_every": _POSITIVE,
-    "probe_count": _POSITIVE,
-    "fusion_epochs": _POSITIVE,
-    "fusion_learning_rate": _POSITIVE,
-    "fusion_batch_size": _POSITIVE,
-    "scorer_timeout": _POSITIVE,
-    "scorer_retries": _NON_NEGATIVE,
-    "scorer_parallelism": _POSITIVE,
+    "learning_rate": POSITIVE,
+    "batch_size": POSITIVE,
+    "epochs": POSITIVE,
+    "clip_norm": POSITIVE,
+    "probe_every": POSITIVE,
+    "probe_count": POSITIVE,
+    "fusion_epochs": POSITIVE,
+    "fusion_learning_rate": POSITIVE,
+    "fusion_batch_size": POSITIVE,
+    "scorer_timeout": POSITIVE,
+    "scorer_retries": NON_NEGATIVE,
+    "scorer_parallelism": POSITIVE,
     "weight_floor": (lambda v: 0 <= v <= 0.1, "in [0, 0.1]"),
     "sampler_mode": (lambda v: v in ("bernoulli", "categorical"), "'bernoulli' or 'categorical'"),
-    "ascent_steps": _POSITIVE,
-    "ascent_step_size": _NON_NEGATIVE,
+    "ascent_steps": POSITIVE,
+    "ascent_step_size": NON_NEGATIVE,
 }

@@ -24,6 +24,20 @@ from .chem import (N_ATOM_TYPES, N_BOND_TYPES, Molecule, from_tensors, to_tensor
 Array = np.ndarray
 
 
+POSITIVE = (lambda v: v > 0, "positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+_AT_LEAST_TWO = (lambda v: v >= 2, "at least 2")
+
+
+def check_ranges(config, ranges: dict) -> None:
+    """Raise ValueError naming the first field of `config` whose value fails
+    its (check, description) entry in `ranges`."""
+    for name, (ok, description) in ranges.items():
+        value = getattr(config, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {description}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     n_max: int = 9
@@ -36,6 +50,9 @@ class FlowConfig:
     noise_scale: float = 0.4
     temperature: float = 0.7
 
+    def __post_init__(self):
+        check_ranges(self, _FLOW_RANGES)
+
     @property
     def d_atom(self) -> int:
         return self.n_max * self.n_atom_types
@@ -47,6 +64,20 @@ class FlowConfig:
     @property
     def d_total(self) -> int:
         return self.d_atom + self.d_bond
+
+
+# the ranges RunConfig checks for the fields it maps onto these
+_FLOW_RANGES = {
+    "n_max": POSITIVE,
+    "n_atom_types": _AT_LEAST_TWO,
+    "n_bond_types": _AT_LEAST_TWO,
+    "atom_layers": POSITIVE,
+    "bond_layers": POSITIVE,
+    "atom_hidden": POSITIVE,
+    "bond_hidden": POSITIVE,
+    "noise_scale": (lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
+    "temperature": NON_NEGATIVE,
+}
 
 
 class ParamTree:
@@ -249,7 +280,7 @@ def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
         if g_feats is None:
             return [None, *g_params]
         g_x = np.empty(xd.shape)
-        np.add(g_z[kept], features_grad(g_feats), out=g_x[kept])
+        np.add(g_z[kept], features_grad(g_feats[0]), out=g_x[kept])
         np.multiply(g_y, scale, out=g_x[trans])
         return [g_x, *g_params]
 
@@ -456,9 +487,12 @@ def fit_step(params: ParamTree, loss_of, opt: AdamState, clip_norm: float | None
     """
     view, leaves = ad.traced(params)
     loss = loss_of(view)
-    if not np.isfinite(loss.data):
-        raise FloatingPointError(f"non-finite training loss {loss.data}")
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"non-finite training loss {value}")
     grads = ad.backward(loss, leaves)
+    # the tape is no longer needed: free it before Adam allocates its arrays
+    del loss, view
     if clip_norm is not None:
         grads = clip_gradients(grads, clip_norm)
     arrays = [leaf.data for leaf in leaves]
@@ -467,7 +501,7 @@ def fit_step(params: ParamTree, loss_of, opt: AdamState, clip_norm: float | None
         updated = [arr + rate * (new - arr) for arr, rate, new in zip(arrays, rates, updated)]
     for arr, new in zip(arrays, updated):
         arr[...] = new
-    return float(loss.data)
+    return value
 
 
 def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,

@@ -18,6 +18,7 @@ seed so it is stable across epochs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ from . import autodiff as ad
 from .autodiff import SeededRng, adam_step  # noqa: F401
 from .chem import ELEMENTS
 from .dataset import DatasetRecord
-from .flow import (FlowParams, Mlp, ParamTree, apply_mlp, encode_molecules, fit_step,
-                   make_optimizer, mlp_init)
+from .flow import (NON_NEGATIVE, POSITIVE, FlowParams, Mlp, ParamTree, apply_mlp,
+                   check_ranges, encode_molecules, fit_step, make_optimizer, mlp_init)
 from .geom3d import Geometry, edge_feature_matrix
 
 Array = np.ndarray
@@ -43,10 +44,23 @@ class SphereNetConfig:
     cutoff: float = 5.0
     out_dim: int = 369  # must equal the flow latent dimension
 
+    def __post_init__(self):
+        check_ranges(self, _SPHERE_RANGES)
+
     @property
     def geom_dim(self) -> int:
         n_sph = self.max_degree + 1
         return self.n_radial * (1 + n_sph + n_sph**2)
+
+
+_SPHERE_RANGES = {
+    "hidden": POSITIVE,
+    "n_blocks": POSITIVE,
+    "n_radial": POSITIVE,
+    "max_degree": NON_NEGATIVE,
+    "cutoff": (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+    "out_dim": POSITIVE,
+}
 
 
 @dataclass
@@ -119,17 +133,18 @@ def _one_hot(index: Array, width: int) -> Array:
 
 def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
     """(B, out_dim) encoder outputs of B molecules from one pass over the
-    disjoint union of their graphs: atoms and edges are stacked, and
-    constant block one-hot matrices pick receiver and sender features, sum
-    messages by receiver and sum atoms by molecule. A molecule without
-    edges gets zero incident messages."""
+    disjoint union of their graphs: atoms and edges are stacked, receiver
+    and sender features are gathered by index, and constant block 0/1
+    matrices sum messages by receiver and atoms by molecule (and carry each
+    gather's gradient back). A molecule without edges gets zero incident
+    messages."""
     sizes = [c.v0.shape[0] for c in caches]
     offsets = np.cumsum([0] + sizes[:-1])
     n_atoms = sum(sizes)
     recv = np.concatenate([c.receivers + o for c, o in zip(caches, offsets)])
     send = np.concatenate([c.senders + o for c, o in zip(caches, offsets)])
-    to_recv = _one_hot(recv, n_atoms)    # (E, N) picks v[receiver]
-    to_send = _one_hot(send, n_atoms)    # (E, N) picks v[sender]
+    to_recv = _one_hot(recv, n_atoms)    # (E, N) the gather v[recv] as a product
+    to_send = _one_hot(send, n_atoms)    # (E, N) the gather v[send] as a product
     by_recv = to_recv.T                  # (N, E) sums messages by receiver
     by_mol = _one_hot(np.repeat(np.arange(len(caches)), sizes), len(caches)).T  # (B, N)
     full = np.concatenate([c.full for c in caches])
@@ -138,12 +153,12 @@ def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
     e = apply_mlp(params.input_mlp, np.concatenate([c.radial for c in caches]))
     incident = by_recv @ e
     for blk in params.blocks:
-        # to_send @ incident sums, per edge, the messages into its sender
-        feats = ad.concat([e, to_recv @ v, to_send @ v, to_send @ incident, full], axis=1)
-        e = apply_mlp(blk.g_e, feats)
+        # incident[send] sums, per edge, the messages into its sender
+        e = apply_mlp(blk.g_e, [e, ad.take_rows(v, recv, to_recv), ad.take_rows(v, send, to_send),
+                                ad.take_rows(incident, send, to_send), full])
         incident = by_recv @ e
-        v = apply_mlp(blk.g_v, ad.concat([v, incident], axis=1))
-        u = apply_mlp(blk.g_u, ad.concat([u, by_mol @ v], axis=1))
+        v = apply_mlp(blk.g_v, [v, incident])
+        u = apply_mlp(blk.g_u, [u, by_mol @ v])
     return apply_mlp(params.output_mlp, u)
 
 

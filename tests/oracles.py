@@ -48,7 +48,8 @@ from molflow.pipeline import (
     safe_canonical,
     similarity_triple,
 )
-from molflow.spherenet import GeometryCache, SphereNetParams, encode_geometry, mix_noise
+from molflow.spherenet import (GeometryCache, SphereNetParams, _one_hot, encode_geometry,
+                               mix_noise)
 
 
 def moving_average(xs: list[float], window: int) -> list[float]:
@@ -489,13 +490,39 @@ def log_sigmoid(x):
     return out
 
 
+def _axis_key(indices, axis: int, ndim: int) -> tuple:
+    return (slice(None),) * (axis % ndim) + (indices,)
+
+
+def concat(xs, axis=0):
+    """Join arrays or tensors along `axis`, as a tape node when one is a
+    Tensor; each Tensor part's gradient is its slice of the output's."""
+    if not any(isinstance(x, ad.Tensor) for x in xs):
+        return np.concatenate([np.asarray(x, dtype=np.float64) for x in xs], axis=axis)
+    datas = [x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
+             for x in xs]
+    out = ad.Tensor(np.concatenate(datas, axis=axis),
+                    tuple(x for x in xs if isinstance(x, ad.Tensor)), op="concat")
+    sizes = [d.shape[axis] for d in datas]
+
+    def bwd(g):
+        start = 0
+        for x, n in zip(xs, sizes):
+            if isinstance(x, ad.Tensor):
+                ad._accumulate(x, g[_axis_key(slice(start, start + n), axis, g.ndim)])
+            start += n
+
+    out._backward = bwd
+    return out
+
+
 def gather(x, indices: slice, axis):
     """Select the slice `indices` along `axis`: a view, whose gradient is
     assigned back into a zero array of x's shape."""
     if not isinstance(indices, slice):
         raise TypeError(f"gather takes a slice, got {type(indices).__name__}")
     data = x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
-    key = ad._axis_key(indices, axis, data.ndim)
+    key = _axis_key(indices, axis, data.ndim)
     if not isinstance(x, ad.Tensor):
         return data[key]
     out = ad.Tensor(data[key], (x,), op="gather")
@@ -522,7 +549,7 @@ def assemble(parts, slices, axis):
     shape = list(datas[0].shape)
     shape[axis] = size
     out_data = np.empty(shape)
-    keys = [ad._axis_key(sl, axis, len(shape)) for sl in slices]
+    keys = [_axis_key(sl, axis, len(shape)) for sl in slices]
     for key, d in zip(keys, datas):
         out_data[key] = d
     if not any(isinstance(p, ad.Tensor) for p in parts):
@@ -573,10 +600,10 @@ def masked_atom_coupling(x, mlp: Mlp, index: int, bond_disc: np.ndarray, inverse
     trans = 1.0 - keep
     channels = _bond_channels(bond_disc)
     x_masked = x * keep
-    h1 = ad.concat([adj @ x_masked for adj in channels], axis=2)
+    h1 = concat([adj @ x_masked for adj in channels], axis=2)
     adj_sum = sum(channels[1:], channels[0])
     h2 = adj_sum @ h1
-    feats = ad.concat([x_masked, h1, h2], axis=2)
+    feats = concat([x_masked, h1, h2], axis=2)
     st = unfused_mlp(mlp, feats)
     s_raw = index_gather(st, range(l), axis=2)
     t = index_gather(st, range(l, 2 * l), axis=2)
@@ -610,7 +637,7 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
         new_trans = trans * scale + t
         logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
     order = np.argsort(kept_ch + trans_ch)
-    return index_gather(ad.concat([kept, new_trans], axis=3), order, axis=3), logdet
+    return index_gather(concat([kept, new_trans], axis=3), order, axis=3), logdet
 
 
 def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False):
@@ -623,8 +650,8 @@ def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False)
     h1 = ad.reshape(by_order @ x_kept, (batch, n, -1))
     h2 = adj_sum @ h1
     n_trans = adj_sum.shape[1]
-    feats = ad.concat([np.zeros((batch, n_trans, l)), gather(h1, trans_rows, axis=1), h2],
-                      axis=2)
+    feats = concat([np.zeros((batch, n_trans, l)), gather(h1, trans_rows, axis=1), h2],
+                   axis=2)
     st = apply_mlp(mlp, feats)
     s_raw = gather(st, slice(0, l), axis=2)
     t = gather(st, slice(l, None), axis=2)
@@ -791,7 +818,7 @@ def reference_encode(params: SphereNetParams, cache: DenseGeometryCache):
     e = apply_mlp(params.input_mlp, cache.radial) if has_edges else None
     for blk in params.blocks:
         if has_edges:
-            feats = ad.concat(
+            feats = concat(
                 [e, cache.recv_onehot @ v, cache.send_onehot @ v,
                  cache.sender_pool @ e, cache.full],
                 axis=1,
@@ -800,11 +827,37 @@ def reference_encode(params: SphereNetParams, cache: DenseGeometryCache):
             incident = cache.agg_recv @ e
         else:
             incident = np.zeros((cache.v0.shape[0], params.config.hidden))
-        v = apply_mlp(blk.g_v, ad.concat([v, incident], axis=1))
+        v = apply_mlp(blk.g_v, concat([v, incident], axis=1))
         atoms_sum = ad.reshape(ad.tsum(v, axis=0), (1, -1))
-        u = apply_mlp(blk.g_u, ad.concat([u, atoms_sum], axis=1))
+        u = apply_mlp(blk.g_u, concat([u, atoms_sum], axis=1))
     out = apply_mlp(params.output_mlp, u)
     return ad.reshape(out, (-1,))
+
+
+def onehot_encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
+    """``spherenet.encode_batch`` with every gather a product by a dense
+    0/1 matrix and every block input one ``concat`` tape node."""
+    sizes = [c.v0.shape[0] for c in caches]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n_atoms = sum(sizes)
+    recv = np.concatenate([c.receivers + o for c, o in zip(caches, offsets)])
+    send = np.concatenate([c.senders + o for c, o in zip(caches, offsets)])
+    to_recv = _one_hot(recv, n_atoms)    # (E, N) picks v[receiver]
+    to_send = _one_hot(send, n_atoms)    # (E, N) picks v[sender]
+    by_recv = to_recv.T                  # (N, E) sums messages by receiver
+    by_mol = _one_hot(np.repeat(np.arange(len(caches)), sizes), len(caches)).T  # (B, N)
+    full = np.concatenate([c.full for c in caches])
+    v = np.concatenate([c.v0 for c in caches]) @ params.embedding
+    u = np.zeros((len(caches), params.config.hidden))
+    e = apply_mlp(params.input_mlp, np.concatenate([c.radial for c in caches]))
+    incident = by_recv @ e
+    for blk in params.blocks:
+        feats = concat([e, to_recv @ v, to_send @ v, to_send @ incident, full], axis=1)
+        e = apply_mlp(blk.g_e, feats)
+        incident = by_recv @ e
+        v = apply_mlp(blk.g_v, concat([v, incident], axis=1))
+        u = apply_mlp(blk.g_u, concat([u, by_mol @ v], axis=1))
+    return apply_mlp(params.output_mlp, u)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from molflow.flow import fit_step, make_optimizer
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
                                init_spherenet)
-from oracles import (_masked_sigmoid_np, assemble, gather, gradient_check, index_gather,
-                     log_sigmoid, sigmoid, tanh)
+from oracles import (_masked_sigmoid_np, assemble, concat, gather, gradient_check,
+                     index_gather, log_sigmoid, sigmoid, tanh)
 
 
 def test_matmul_hand_arithmetic():
@@ -41,7 +41,7 @@ def test_sigmoid_bit_equal_to_masked_reference():
 
 
 def test_concat_definition():
-    assert np.array_equal(ad.concat([np.array([1.0, 2.0]), np.array([3.0])]), [1.0, 2.0, 3.0])
+    assert np.array_equal(concat([np.array([1.0, 2.0]), np.array([3.0])]), [1.0, 2.0, 3.0])
     # assemble is the inverse of slicing; a slice gather is a view
     x = np.arange(10.0).reshape(2, 5)
     evens, odds = slice(0, None, 2), slice(1, None, 2)
@@ -116,7 +116,7 @@ def test_gradient_check_mixed_ops(seed):
     def f(x):
         h = tanh(ad.reshape(x, (1, 3)) @ w)
         # every mlp input depends on x, so each of its five gradients counts
-        fused = ad.mlp(ad.reshape(x, (1, 1, 3)), ad.reshape(ad.concat([x, x * 0.5, x]), (3, 3)),
+        fused = ad.mlp(ad.reshape(x, (1, 1, 3)), ad.reshape(concat([x, x * 0.5, x]), (3, 3)),
                        x, ad.reshape(x, (3, 1)), gather(x, slice(1, 2), axis=0))
         return (ad.tsum(sigmoid(h) * x) + ad.tsum(ad.sqrt(x * x + 1.0))
                 + ad.tsum(fused))
@@ -154,7 +154,7 @@ def test_gather_concat_reshape_transpose_gradients():
     def f(x):
         g1 = index_gather(x, [0, 2], axis=1)
         g2 = index_gather(x, [1], axis=1)
-        cat = ad.concat([g1, g2, g1], axis=1)  # (5, 5)
+        cat = concat([g1, g2, g1], axis=1)  # (5, 5)
         dup = index_gather(x, [0, 0, 1], axis=1)  # repeated positions sum
         evens, odds = slice(0, None, 2), slice(1, None, 2)
         back = assemble([gather(x, evens, axis=0), gather(x, odds, axis=0) * 2.0],
@@ -266,13 +266,43 @@ def _tape(output: Tensor) -> list[Tensor]:
     return nodes
 
 
+@pytest.mark.parametrize("traced", [(False, True, True), (True, False, True),
+                                    (True, True, False), (False, False, False),
+                                    (True, True, True)])
+def test_mlp_over_parts_equals_mlp_over_their_concat_bit_for_bit(traced):
+    rng = SeededRng(89)
+    widths = (5, 7, 3)
+    datas = [rng.normal((6, w)) for w in widths]
+    w1, b1, w2, b2 = rng.normal((15, 4)), rng.normal((4,)), rng.normal((4, 2)), rng.normal((2,))
+    c = rng.normal((6, 2))
+    results = []
+    for over_parts in (True, False):
+        parts = [Tensor(d) if t else d for d, t in zip(datas, traced)]
+        weights = [Tensor(w) for w in (w1, b1, w2, b2)]
+        x = parts if over_parts else concat(parts, axis=1)
+        y = ad.mlp(x, *weights)
+        if over_parts:  # a constant part is not a tape node
+            assert len(y.parents) == sum(traced) + 4
+        grads = backward(ad.tsum(y * c), [p for p in parts if isinstance(p, Tensor)] + weights)
+        results.append((y.data, grads))
+    (y_parts, g_parts), (y_cat, g_cat) = results
+    assert np.array_equal(y_parts, y_cat)
+    assert len(g_parts) == len(g_cat) == sum(traced) + 4
+    for new, old in zip(g_parts, g_cat):
+        assert np.array_equal(new, old)
+    # a constant part gets no gradient, but its rows of w1 still get theirs
+    assert g_parts[-4].shape == w1.shape and g_parts[-4].all()
+    assert np.array_equal(ad.mlp(datas, w1, b1, w2, b2),
+                          ad.mlp(np.concatenate(datas, axis=1), w1, b1, w2, b2))
+
+
 def test_shared_first_gradients_keep_leaf_gradients_right():
     rng = SeededRng(83)
     x = Tensor(rng.normal((3, 2)))
     w = Tensor(rng.normal((3, 3)))
     c1, c2, c3 = rng.normal((3, 2)), rng.normal((3, 3)), rng.normal((3, 2))
     doubled = ad.add(x, x)            # both parents receive the same gradient array
-    joined = ad.concat([doubled, w], axis=1)
+    joined = concat([doubled, w], axis=1)
     left = gather(joined, slice(0, 2), axis=1)
     right = gather(joined, slice(2, 5), axis=1)
     loss = ad.tsum(left * c1) + ad.tsum(right * c2) + ad.tsum(x * c3)
@@ -290,7 +320,7 @@ def test_constant_operands_are_not_tape_nodes():
     const = np.eye(2)
     for out in (const @ x, x @ const, x + const, const - x, x * const):
         assert out.parents == (x,)
-    assert ad.concat([x, const], axis=1).parents == (x,)
+    assert concat([x, const], axis=1).parents == (x,)
 
 
 def test_fit_step_changes_no_gradient_the_tape_holds(monkeypatch):

@@ -20,6 +20,7 @@ from molflow.dataset import (
 )
 from molflow.flow import FlowConfig, init_flow, sample_prior, decode_batch
 from molflow.pipeline import generate_random
+from molflow.spherenet import SphereNetConfig, init_spherenet
 
 from oracles import reference_layout_coordinates
 
@@ -303,6 +304,49 @@ def test_config_from_an_older_run_drops_its_two_unread_fields():
     assert RunConfig.from_dict(old) == RunConfig(seed=3)
     with pytest.raises(ValueError, match="no_such_key"):
         RunConfig.from_dict({**old, "no_such_key": 2})
+
+
+BAD_MODEL_FIELDS = [
+    (FlowConfig, "n_max", 0), (FlowConfig, "n_atom_types", 1), (FlowConfig, "n_bond_types", 1),
+    (FlowConfig, "atom_layers", 0), (FlowConfig, "bond_layers", 0),
+    (FlowConfig, "atom_hidden", 0), (FlowConfig, "bond_hidden", -4),
+    (FlowConfig, "noise_scale", 0.0), (FlowConfig, "noise_scale", 0.51),
+    (FlowConfig, "temperature", -0.1),
+    (SphereNetConfig, "hidden", 0), (SphereNetConfig, "n_blocks", 0),
+    (SphereNetConfig, "n_radial", 0), (SphereNetConfig, "max_degree", -1),
+    (SphereNetConfig, "cutoff", 0.0), (SphereNetConfig, "cutoff", float("inf")),
+    (SphereNetConfig, "cutoff", float("nan")), (SphereNetConfig, "out_dim", 0),
+]
+
+
+@pytest.mark.parametrize("cls, name, value", BAD_MODEL_FIELDS)
+def test_model_configs_refuse_a_field_out_of_range(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**{name: value})
+    # the edge of each range is accepted
+    edges = {"n_atom_types": 2, "n_bond_types": 2, "noise_scale": 0.5, "temperature": 0.0,
+             "max_degree": 0}
+    cls(**{name: edges.get(name, 1)})
+
+
+def test_checkpoint_with_an_out_of_range_encoder_header_exits_2(tmp_path, capsys):
+    config = RunConfig(seed=5)
+    flow_cfg = FlowConfig(atom_hidden=8, bond_hidden=8, atom_layers=2, bond_layers=2)
+    sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=flow_cfg.d_total), SeededRng(15))
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, init_flow(flow_cfg, SeededRng(14)), sphere)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    meta["sphere"]["hidden"] = 0
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="hidden must be positive"):
+        load_checkpoint(path)
+    assert cli(["generate", "--checkpoint", str(path), "--count", "5",
+                "--out", str(tmp_path / "gen")]) == 2
+    err = capsys.readouterr().err
+    assert "hidden must be positive" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import molflow.autodiff as ad
+from molflow import spherenet
 from molflow.autodiff import SeededRng, Tensor
 from molflow.dataset import synthetic_corpus
 from molflow.flow import FlowConfig, decode_batch, init_flow
@@ -19,7 +20,8 @@ from molflow.spherenet import (
     mix_noise,
     train_fusion,
 )
-from oracles import DenseGeometryCache, random_rigid_motion, reference_encode
+from oracles import (DenseGeometryCache, onehot_encode_batch, random_rigid_motion,
+                     reference_encode)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -209,17 +211,63 @@ def test_train_fusion_requires_some_geometry():
 
 
 @pytest.fixture(scope="module")
-def pinned_fusion_set():
-    """The benchmark's pinned encoder and the geometry caches of the 64
-    molecules it was fusion-trained on."""
+def pinned_models_and_records():
+    """The benchmark's pinned flow and encoder, and the 64 geometry records
+    the encoder was fusion-trained on."""
     spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
     fixture = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fixture)
-    _, sphere = fixture.load_model()
-    records = fixture.load_geometry_set(FlowConfig().n_max)
+    flow, sphere = fixture.load_model()
+    return flow, sphere, fixture.load_geometry_set(FlowConfig().n_max)
+
+
+@pytest.fixture(scope="module")
+def pinned_fusion_set(pinned_models_and_records):
+    """The pinned encoder and the geometry caches of its fusion set."""
+    _, sphere, records = pinned_models_and_records
     caches = [GeometryCache.from_geometry(r.geometry(cutoff=sphere.config.cutoff), sphere.config)
               for r in records]
     return sphere, caches
+
+
+def test_encode_batch_equals_the_onehot_encoder_bit_for_bit(pinned_fusion_set):
+    sphere, caches = pinned_fusion_set
+    cfg = sphere.config
+    one_atom = GeometryCache.from_geometry(build_geometry(("O",), [[0.3, -0.2, 1.0]]), cfg)
+    # two atoms beyond the cutoff: atoms but no edges
+    apart = GeometryCache.from_geometry(
+        build_geometry(("C", "N"), [[0.0, 0.0, 0.0], [2.0 * cfg.cutoff, 0.0, 0.0]]), cfg)
+    assert one_atom.radial.shape[0] == apart.radial.shape[0] == 0
+    batches = [caches[i:i + 8] for i in range(0, len(caches), 8)]
+    batches.append(caches[:3] + [one_atom] + caches[3:5] + [apart])
+    for k, batch in enumerate(batches):
+        assert np.array_equal(encode_batch(sphere, batch), onehot_encode_batch(sphere, batch))
+        targets = SeededRng(90).spawn(f"t{k}").normal((len(batch), cfg.out_dim))
+        losses, grads = [], []
+        for encode in (encode_batch, onehot_encode_batch):
+            view, leaves = ad.traced(sphere)
+            loss = fusion_loss(targets, encode(view, batch))
+            losses.append(loss.item())
+            grads.append(ad.backward(loss, leaves))
+        assert losses[0] == losses[1]
+        assert len(grads[0]) == len(sphere.named_params()) == 33
+        for (name, _), new, old in zip(sphere.named_params(), *grads):
+            assert np.array_equal(new, old), (k, name)
+
+
+def test_train_fusion_equals_the_onehot_encoder_run_bit_for_bit(pinned_models_and_records,
+                                                                 monkeypatch):
+    flow, sphere, records = pinned_models_and_records
+
+    def run():
+        params = init_spherenet(sphere.config, SeededRng(91))
+        result = train_fusion(records[:24], flow, params, epochs=30, rng=SeededRng(92),
+                              batch_size=8)
+        return repr(result.epoch_losses), [a.tobytes() for _, a in params.named_params()]
+
+    losses, arrays = run()
+    monkeypatch.setattr(spherenet, "encode_batch", onehot_encode_batch)
+    assert run() == (losses, arrays)
 
 
 def _reference_rows(sphere, caches):
