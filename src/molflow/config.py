@@ -16,8 +16,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .flow import NON_NEGATIVE, POSITIVE, FlowConfig
-from .spherenet import SphereNetConfig
+from .flow import _FLOW_RANGES, NON_NEGATIVE, POSITIVE, FlowConfig
+from .spherenet import _SPHERE_RANGES, SphereNetConfig
 
 
 # fields older versions carried and nothing read; the configs echoed in
@@ -151,13 +151,13 @@ _RANGES = {
     "n_max": POSITIVE,
     "flow_layers": POSITIVE,
     "flow_hidden": POSITIVE,
-    "noise_scale": (lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
+    "noise_scale": _FLOW_RANGES["noise_scale"],
     "temperature": NON_NEGATIVE,
     "sphere_blocks": POSITIVE,
     "sphere_hidden": POSITIVE,
     "n_radial": POSITIVE,
     "max_degree": NON_NEGATIVE,
-    "cutoff": (lambda v: v > 0, "finite and positive"),
+    "cutoff": _SPHERE_RANGES["cutoff"],
     "noise_fraction": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "learning_rate": POSITIVE,
     "batch_size": POSITIVE,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, SeededRng, Tensor, adam_step
+from .autodiff import AdamState, SeededRng, adam_step
 from .chem import (N_ATOM_TYPES, N_BOND_TYPES, Molecule, from_tensors, to_tensors,
                    valence_prescreen, valency_check)
 
@@ -122,8 +122,8 @@ def mlp_init(rng: SeededRng, d_in: int, d_hidden: int, d_out: int,
     return Mlp(w1, b1, w2, b2)
 
 
-def apply_mlp(p: Mlp, x):
-    return ad.mlp(x, p.w1, p.b1, p.w2, p.b2)
+def apply_mlp(p: Mlp, x: Array) -> Array:
+    return ad.mlp_forward(x, p.w1, p.b1, p.w2, p.b2)[1]
 
 
 @dataclass
@@ -230,20 +230,22 @@ def _sigmoid(x: Array) -> Array:
 
 
 def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
-              inverse: bool):
+              inverse: bool, logdet):
     """The affine coupling both tracks share. ``x[kept]`` passes through;
     ``features(x[kept])`` is the input of `mlp`, whose output's last axis
     holds [s | t] for ``x[trans]``, which becomes x*sigmoid(s)+t. Returns
-    (z, per-sample logdet); with `inverse` the exact inverse (numpy only)
-    and logdet None.
+    (z, running logdet): the per-sample logdet of this layer added to the
+    running sum `logdet` of the layers before it (None before the first);
+    with `inverse` the exact inverse (numpy only) and None.
 
-    When `x` or a weight is a Tensor, z and the logdet are the two outputs
-    of one tape node. Its backward takes the mlp input's gradient back to
-    ``x[kept]`` through ``features_grad``, the transpose of `features`."""
+    When `x`, `logdet` or a weight is a Tensor, z and the running logdet
+    are the two outputs of one tape node. Its backward takes the mlp input's
+    gradient back to ``x[kept]`` through ``features_grad``, the transpose of
+    `features`, and passes the logdet's gradient on to `logdet` unchanged."""
     if inverse and not isinstance(x, np.ndarray):
         raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
-    args = (x, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
-    xd, w1, b1, w2, b2 = (a.data if isinstance(a, Tensor) else a for a in args)
+    args = (x, logdet, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
+    xd, before, w1, b1, w2, b2 = ad.arrays(args)
     x_kept, x_trans = xd[kept], xd[trans]
     feats = features(x_kept)
     h, st = ad.mlp_forward(feats, w1, b1, w2, b2)
@@ -261,10 +263,9 @@ def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
     np.multiply(x_trans, scale, out=new)
     new += t
     log_scale = np.minimum(s, 0.0) - np.log1p(np.exp(-np.abs(s)))
-    logdet = log_scale.sum(axis=tuple(range(1, s.ndim)))
-    want = [isinstance(a, Tensor) for a in args]
-    if not any(want):
-        return z, logdet
+    layer_logdet = log_scale.sum(axis=tuple(range(1, s.ndim)))
+    running = layer_logdet if before is None else before + layer_logdet
+    want = [isinstance(a, ad.Tensor) for a in (x, mlp.w1, mlp.b1, mlp.w2, mlp.b2)]
 
     def backward(g_z, g_ld):
         # y = x_trans*sigmoid(s) + t and logdet = sum(log sigmoid(s)), with
@@ -278,22 +279,23 @@ def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
         g_st = np.concatenate([g_s.reshape(rows), g_y.reshape(rows)], axis=-1)
         g_feats, *g_params = ad.mlp_backward(g_st, feats, h, w1, w2, want)
         if g_feats is None:
-            return [None, *g_params]
+            return [None, g_ld, *g_params]
         g_x = np.empty(xd.shape)
         np.add(g_z[kept], features_grad(g_feats[0]), out=g_x[kept])
         np.multiply(g_y, scale, out=g_x[trans])
-        return [g_x, *g_params]
+        return [g_x, g_ld, *g_params]
 
-    return ad.two_outputs(args, z, logdet, backward, "coupling")
+    return ad.node(args, (z, running), backward, "coupling")
 
 
 def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
-                  inverse: bool = False):
+                  inverse: bool = False, logdet=None):
     """Atom-track coupling layer `index` on a (batch, n, l) tensor: rows of
     parity `index` are kept, the others become x*sigmoid(s)+t with (s, t)
     from `mlp` over the kept rows and their neighbourhoods, where `cond` is
     ``atom_condition`` of the discrete bonds. Returns (z, per-sample
-    logdet); with `inverse` the exact inverse (numpy only) and logdet None.
+    logdet plus the running `logdet`); with `inverse` the exact inverse
+    (numpy only) and logdet None.
 
     Only the transformed rows go through `mlp`. Each one's features are
     [own row with x masked out (zeros), h1, h2]: h1 sums the kept rows over
@@ -317,20 +319,21 @@ def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
         return np.swapaxes(by_order, 1, 2) @ g_h1.reshape(batch, -1, l)
 
     return _coupling(x, mlp, (slice(None), kept_rows), (slice(None), trans_rows),
-                     features, features_grad, inverse)
+                     features, features_grad, inverse, logdet)
 
 
-def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
+def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False, logdet=None):
     """Bond-track coupling layer `index` on a (batch, n, n, m) tensor:
     channels of parity `index` are kept, the others become x*sigmoid(s)+t
     with (s, t) from `mlp` over the kept channels. Returns (z, per-sample
-    logdet); with `inverse` the exact inverse and logdet None."""
+    logdet plus the running `logdet`); with `inverse` the exact inverse and
+    logdet None."""
     batch, n, _, m = x.shape
     kept_ch = slice(index % 2, None, 2)
     kept_shape = (batch, n, n, len(range(m)[kept_ch]))
     return _coupling(x, mlp, (..., kept_ch), (..., slice(1 - index % 2, None, 2)),
                      lambda kept: kept.reshape(batch, -1), lambda g: g.reshape(kept_shape),
-                     inverse)
+                     inverse, logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +345,7 @@ def atom_flow_forward(params: FlowParams, x, orders: Array):
     cond = atom_condition(orders, params.config.n_bond_types)
     logdet = None
     for i, mlp in enumerate(params.atom):
-        x, ld = atom_coupling(x, mlp, i, cond)
-        logdet = ld if logdet is None else logdet + ld
+        x, logdet = atom_coupling(x, mlp, i, cond, logdet=logdet)
     return x, logdet
 
 
@@ -357,8 +359,7 @@ def atom_flow_inverse(params: FlowParams, z: Array, orders: Array) -> Array:
 def bond_flow_forward(params: FlowParams, x):
     logdet = None
     for i, mlp in enumerate(params.bond):
-        x, ld = bond_coupling(x, mlp, i)
-        logdet = ld if logdet is None else logdet + ld
+        x, logdet = bond_coupling(x, mlp, i, logdet=logdet)
     return x, logdet
 
 
@@ -368,10 +369,9 @@ def bond_flow_inverse(params: FlowParams, z: Array) -> Array:
     return z
 
 
-def gauss_log_density(z, d: int):
+def gauss_log_density(z: Array, d: int) -> Array:
     """Standard-normal log density summed over the last flattened dims."""
-    axes = tuple(range(1, len(z.shape)))
-    return ad.tsum(z * z, axis=axes) * -0.5 - 0.5 * d * np.log(2.0 * np.pi)
+    return (z * z).sum(axis=tuple(range(1, z.ndim))) * -0.5 - 0.5 * d * np.log(2.0 * np.pi)
 
 
 def encode_continuous(params: FlowParams, xa: Array, xb: Array):
@@ -392,20 +392,43 @@ def decode_continuous(params: FlowParams, za: Array, zb: Array) -> tuple[Array, 
     return xa, xb
 
 
+def _log_likelihood(cfg: FlowConfig, za: Array, zb: Array, ld_a: Array, ld_b: Array) -> Array:
+    """Per-sample exact log-likelihood of latents and their logdets."""
+    if not (np.all(np.isfinite(za)) and np.all(np.isfinite(zb))):
+        raise FloatingPointError("non-finite latent during encode")
+    return gauss_log_density(za, cfg.d_atom) + ld_a + gauss_log_density(zb, cfg.d_bond) + ld_b
+
+
 def encode_tensors(params: FlowParams, xa: Array, xb: Array):
     """``encode_continuous`` dequantized (batch, ...) tensors; the atom
     track's condition, the discretized bonds, is the one-hot bond input
     again for noise scales up to 0.5. Returns (za, zb, log_likelihood per
     sample)."""
-    cfg = params.config
     za, zb, ld_a, ld_b = encode_continuous(params, xa, xb)
-    loglik = (gauss_log_density(za, cfg.d_atom) + ld_a
-              + gauss_log_density(zb, cfg.d_bond) + ld_b)
-    data_a = za.data if isinstance(za, Tensor) else za
-    data_b = zb.data if isinstance(zb, Tensor) else zb
-    if not (np.all(np.isfinite(data_a)) and np.all(np.isfinite(data_b))):
-        raise FloatingPointError("non-finite latent during encode")
-    return za, zb, loglik
+    return za, zb, _log_likelihood(params.config, za, zb, ld_a, ld_b)
+
+
+def mean_nll(params: FlowParams, xa: Array, xb: Array):
+    """Mean negative log-likelihood of dequantized (batch, ...) tensors.
+    On a traced view of `params` it is one tape node over the latents and
+    logdets of ``encode_continuous``; its backward hands each latent the
+    gradient of its Gaussian term and each logdet -1/batch per sample."""
+    outs = encode_continuous(params, xa, xb)
+    za, zb, ld_a, ld_b = ad.arrays(outs)
+    k = -1.0 / len(xa)
+    loss = _log_likelihood(params.config, za, zb, ld_a, ld_b).sum() * k
+
+    def backward(g):
+        g_loglik = np.full(len(xa), g * k)
+
+        def g_gauss(z):
+            # d(-0.5 z.z)/dz, summed as the two factors of z*z
+            half = z * (g_loglik * -0.5).reshape((-1,) + (1,) * (z.ndim - 1))
+            return half + half
+
+        return [g_gauss(za), g_gauss(zb), g_loglik, g_loglik]
+
+    return ad.node(outs, (loss,), backward, "mean_nll")[0]
 
 
 def encode_molecules(params: FlowParams, molecules: list[Molecule],
@@ -448,13 +471,12 @@ def decode_batch(params: FlowParams, z: Array) -> list[Molecule | None]:
     return out
 
 
-def sample_prior(rng: SeededRng, config: FlowConfig,
-                 temperature: float | None = None, count: int = 1) -> Array:
+def sample_prior(rng: SeededRng, config: FlowConfig, temperature: float,
+                 count: int = 1) -> Array:
     """z ~ N(0, temperature^2 I), shape (count, d_total)."""
-    t = config.temperature if temperature is None else temperature
-    if t < 0.0:
+    if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
-    return rng.normal((count, config.d_total), scale=1.0) * t
+    return rng.normal((count, config.d_total), scale=1.0) * temperature
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +535,4 @@ def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,
     cfg = params.config
     xa = dequantize(atom, cfg.noise_scale, rng)
     xb = dequantize(bond, cfg.noise_scale, rng)
-
-    def mean_nll(view: FlowParams):
-        _, _, loglik = encode_tensors(view, xa, xb)
-        return ad.tsum(loglik) * (-1.0 / atom.shape[0])
-
-    return fit_step(params, mean_nll, opt, clip_norm=clip_norm)
+    return fit_step(params, lambda view: mean_nll(view, xa, xb), opt, clip_norm=clip_norm)

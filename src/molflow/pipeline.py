@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 # unused here, but perfbench's tracer patches pipeline.adam_step
-from .autodiff import SeededRng, Tensor, adam_step  # noqa: F401
+from .autodiff import SeededRng, adam_step  # noqa: F401
 from .chem import (
     Molecule,
     connected_components,
@@ -381,10 +381,30 @@ class PropertyHead(ParamTree):
     mlp: Mlp
 
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        leaf = Tensor(z.reshape(1, -1))
-        scalar = ad.reshape(apply_mlp(self.mlp, leaf), ())
-        (grad,) = ad.backward(scalar, [leaf])
-        return float(scalar.data), grad.reshape(-1).copy()
+        p = self.mlp
+        x = np.asarray(z, dtype=np.float64).reshape(1, -1)
+        h, y = ad.mlp_forward(x, p.w1, p.b1, p.w2, p.b2)
+        (grad,), *_ = ad.mlp_backward(np.ones((1, 1)), x, h, p.w1, p.w2, (True,) + (False,) * 4)
+        return float(y[0, 0]), grad.reshape(-1)
+
+    def mse(self, x: np.ndarray, target: np.ndarray):
+        """Mean squared error of the head on the rows of `x` against
+        `target`; one tape node when the head is a traced view."""
+        args = [self.mlp.w1, self.mlp.b1, self.mlp.w2, self.mlp.b2]
+        w1, b1, w2, b2 = ad.arrays(args)
+        h, y = ad.mlp_forward(x, w1, b1, w2, b2)
+        diff = y.reshape(-1) - target
+        scale = 1.0 / len(x)
+        loss = (diff * diff).sum() * scale
+
+        def backward(g):
+            # diff*diff's two factors, summed
+            half = (g * scale) * diff
+            _, *grads = ad.mlp_backward((half + half).reshape(-1, 1), x, h, w1, w2,
+                                        (False,) + (True,) * 4)
+            return grads
+
+        return ad.node(args, (loss,), backward, "mse")[0]
 
     def named_params(self):
         return self.mlp.named("head")
@@ -420,13 +440,8 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
         perm = shuffle.permutation(len(train))
         for k in range(0, len(train), HEAD_BATCH):
             idx = train[perm[k:k + HEAD_BATCH]]
-
-            def mse(view: PropertyHead):
-                pred = ad.reshape(apply_mlp(view.mlp, latents[idx]), (-1,))
-                diff = pred - (values[idx] - mu) / sd
-                return ad.tsum(diff * diff) * (1.0 / len(idx))
-
-            fit_step(head, mse, opt)
+            target = (values[idx] - mu) / sd
+            fit_step(head, lambda view: view.mse(latents[idx], target), opt)
     # denormalize into the head by folding mu/sd into the output layer
     head.mlp.w2 = head.mlp.w2 * sd
     head.mlp.b2 = head.mlp.b2 * sd + mu

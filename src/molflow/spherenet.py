@@ -28,8 +28,8 @@ from . import autodiff as ad
 from .autodiff import SeededRng, adam_step  # noqa: F401
 from .chem import ELEMENTS
 from .dataset import DatasetRecord
-from .flow import (NON_NEGATIVE, POSITIVE, FlowParams, Mlp, ParamTree, apply_mlp,
-                   check_ranges, encode_molecules, fit_step, make_optimizer, mlp_init)
+from .flow import (NON_NEGATIVE, POSITIVE, FlowParams, Mlp, ParamTree, check_ranges,
+                   encode_molecules, fit_step, make_optimizer, mlp_init)
 from .geom3d import Geometry, edge_feature_matrix
 
 Array = np.ndarray
@@ -135,50 +135,114 @@ def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
     """(B, out_dim) encoder outputs of B molecules from one pass over the
     disjoint union of their graphs: atoms and edges are stacked, receiver
     and sender features are gathered by index, and constant block 0/1
-    matrices sum messages by receiver and atoms by molecule (and carry each
-    gather's gradient back). A molecule without edges gets zero incident
-    messages."""
+    matrices sum messages by receiver and atoms by molecule. A molecule
+    without edges gets zero incident messages.
+
+    On a view of `params` with Tensor arrays the output is one tape node.
+    Its backward carries each gather's gradient back as a product with the
+    gather's 0/1 matrix, and sums the gradients of a tensor read in several
+    places in the order the composed tape of ``tests/oracles.py`` does, so
+    the two agree bit for bit."""
     sizes = [c.v0.shape[0] for c in caches]
     offsets = np.cumsum([0] + sizes[:-1])
     n_atoms = sum(sizes)
+    hidden = params.config.hidden
     recv = np.concatenate([c.receivers + o for c, o in zip(caches, offsets)])
     send = np.concatenate([c.senders + o for c, o in zip(caches, offsets)])
     to_recv = _one_hot(recv, n_atoms)    # (E, N) the gather v[recv] as a product
     to_send = _one_hot(send, n_atoms)    # (E, N) the gather v[send] as a product
     by_recv = to_recv.T                  # (N, E) sums messages by receiver
-    by_mol = _one_hot(np.repeat(np.arange(len(caches)), sizes), len(caches)).T  # (B, N)
+    to_mol = _one_hot(np.repeat(np.arange(len(caches)), sizes), len(caches))  # (N, B)
+    by_mol = to_mol.T                    # (B, N) sums atoms by molecule
     full = np.concatenate([c.full for c in caches])
-    v = np.concatenate([c.v0 for c in caches]) @ params.embedding
-    u = np.zeros((len(caches), params.config.hidden))  # the global feature starts at zero
-    e = apply_mlp(params.input_mlp, np.concatenate([c.radial for c in caches]))
+    radial = np.concatenate([c.radial for c in caches])
+    v0 = np.concatenate([c.v0 for c in caches])
+    args = [a for _, a in params.named_params()]
+    # embedding, then (w1, b1, w2, b2) of input, g_e, g_v, g_u per block, output
+    embedding, *weights = ad.arrays(args)
+    nets = [weights[i:i + 4] for i in range(0, len(weights), 4)]
+    blocks = [nets[i:i + 3] for i in range(1, len(nets) - 1, 3)]
+
+    v = v0 @ embedding
+    u = np.zeros((len(caches), hidden))  # the global feature starts at zero
+    h_in, e = ad.mlp_forward(radial, *nets[0])
     incident = by_recv @ e
-    for blk in params.blocks:
+    saved = []
+    for net_e, net_v, net_u in blocks:
         # incident[send] sums, per edge, the messages into its sender
-        e = apply_mlp(blk.g_e, [e, ad.take_rows(v, recv, to_recv), ad.take_rows(v, send, to_send),
-                                ad.take_rows(incident, send, to_send), full])
+        x_e = np.concatenate([e, v[recv], v[send], incident[send], full], axis=1)
+        h_e, e = ad.mlp_forward(x_e, *net_e)
         incident = by_recv @ e
-        v = apply_mlp(blk.g_v, [v, incident])
-        u = apply_mlp(blk.g_u, [u, by_mol @ v])
-    return apply_mlp(params.output_mlp, u)
+        x_v = np.concatenate([v, incident], axis=1)
+        h_v, v = ad.mlp_forward(x_v, *net_v)
+        x_u = np.concatenate([u, by_mol @ v], axis=1)
+        h_u, u = ad.mlp_forward(x_u, *net_u)
+        saved.append((x_e, h_e, x_v, h_v, x_u, h_u))
+    h_out, out = ad.mlp_forward(u, *nets[-1])
+
+    def backward(g):
+        every = (True,) * 5
+        parts = [slice(k * hidden, (k + 1) * hidden) for k in range(4)]
+        (g_u,), *g_out = ad.mlp_backward(g, u, h_out, nets[-1][0], nets[-1][2], every)
+        g_blocks = []
+        after = None  # the next block's gradients of its inputs v, e and incident
+        for k in reversed(range(len(blocks))):
+            (net_e, net_v, net_u), (x_e, h_e, x_v, h_v, x_u, h_u) = blocks[k], saved[k]
+            # block 0's u is the constant zeros: no input gradient
+            (g_u_in, g_atoms), *g_gu = ad.mlp_backward(g_u, x_u, h_u, net_u[0], net_u[2],
+                                                       every, [parts[0] if k else None, parts[1]])
+            # each sum adds its terms in the composed tape's order
+            g_v_out = to_mol @ g_atoms
+            if after:
+                g_v_out = g_v_out + after["v"] + after["v[recv]"] + after["v[send]"]
+            (g_v_in, g_incident), *g_gv = ad.mlp_backward(g_v_out, x_v, h_v, net_v[0], net_v[2],
+                                                          every, parts[:2])
+            if after:
+                g_incident = g_incident + after["incident[send]"]
+            g_e_out = to_recv @ g_incident
+            if after:
+                g_e_out = after["e"] + g_e_out
+            (g_e_in, g_vr, g_vs, g_is, _), *g_ge = ad.mlp_backward(
+                g_e_out, x_e, h_e, net_e[0], net_e[2], every, parts + [None])
+            after = {"v": g_v_in, "e": g_e_in, "v[recv]": to_recv.T @ g_vr,
+                     "v[send]": to_send.T @ g_vs, "incident[send]": to_send.T @ g_is}
+            g_blocks[:0] = g_ge + g_gv + g_gu
+            g_u = g_u_in
+        g_v0 = after["v"] + after["v[recv]"] + after["v[send]"]
+        g_e0 = after["e"] + to_recv @ after["incident[send]"]
+        _, *g_input = ad.mlp_backward(g_e0, radial, h_in, nets[0][0], nets[0][2],
+                                      (False,) + every[1:])
+        return [v0.T @ g_v0, *g_input, *g_blocks, *g_out]
+
+    return ad.node(args, (out,), backward, "encode_batch")[0]
 
 
-def encode_geometry(g: Geometry, params: SphereNetParams):
+def encode_geometry(g: Geometry, params: SphereNetParams) -> Array:
     """Geometry -> joint-representation vector of the flow latent length."""
     if g.num_atoms < 1:
         raise ValueError("geometry must contain at least one atom")
-    out = encode_batch(params, [GeometryCache.from_geometry(g, params.config)])
-    return ad.reshape(out, (-1,))
+    return encode_batch(params, [GeometryCache.from_geometry(g, params.config)]).reshape(-1)
 
 
-def fusion_loss(z_m, u_star):
-    """Euclidean distance between the flow latent and the encoder output;
-    for (B, d) batches, the mean of the B row distances."""
+def fusion_loss(z_m: Array, u_star):
+    """Euclidean distance between the flow latent `z_m`, a constant, and
+    the encoder output; for (B, d) batches, the mean of the B row
+    distances. One tape node when `u_star` is a Tensor."""
     shape_z, shape_u = np.shape(z_m), np.shape(u_star)
     if shape_z != shape_u:
         raise ValueError(f"length mismatch {shape_z} vs {shape_u}")
-    diff = z_m - u_star
-    dist = ad.sqrt(ad.tsum(diff * diff, axis=-1))
-    return ad.tsum(dist) * (1.0 / int(np.prod(shape_z[:-1])))
+    (u,) = ad.arrays([u_star])
+    diff = z_m - u
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    scale = 1.0 / int(np.prod(shape_z[:-1]))
+    loss = dist.sum() * scale
+
+    def backward(g):
+        # d|diff|/du = -diff/|diff|, with diff*diff's two factors summed
+        half = diff * ((g * scale) * 0.5 / dist)[..., None]
+        return [-(half + half)]
+
+    return ad.node([u_star], (loss,), backward, "fusion_loss")[0]
 
 
 def mix_noise(u_star: Array, lam: float, rng: SeededRng) -> Array:

@@ -3,6 +3,12 @@
 These deliberately re-derive results through the most direct enumeration
 available (flood fills, explicit set arithmetic, exhaustive cuts) so the
 library implementations are checked against a second, simpler path.
+
+The reference tape lives here too: generic broadcasting primitives on
+``molflow.autodiff.Tensor`` (``add``, ``matmul``, ``mlp``, ``tsum``, ...)
+and ``Tensor``'s arithmetic operators, which importing this module installs.
+Each model's hand-written backward in ``src/`` is compared with the same
+model composed of these primitives.
 """
 
 import math
@@ -12,8 +18,8 @@ import numpy as np
 from scipy.special import lpmv
 
 import molflow.autodiff as ad
-from molflow.flow import (FlowParams, Mlp, _sigmoid, apply_mlp, decode_tensors, dequantize,
-                          encode_molecules, encode_tensors)
+from molflow.flow import (FlowParams, Mlp, _sigmoid, atom_condition, decode_tensors,
+                          dequantize, discretize_bonds, encode_molecules, encode_tensors)
 from molflow.chem import (
     ELEMENTS,
     MORGAN_BITS,
@@ -50,6 +56,204 @@ from molflow.pipeline import (
 )
 from molflow.spherenet import (GeometryCache, SphereNetParams, _one_hot, encode_geometry,
                                mix_noise)
+
+
+# ---------------------------------------------------------------------------
+# the reference tape: generic primitives, each on Tensors (traced) or plain
+# arrays (untraced), and Tensor's arithmetic operators
+# ---------------------------------------------------------------------------
+
+
+def _as_f64(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def _is_traced(*xs) -> bool:
+    return any(isinstance(x, ad.Tensor) for x in xs)
+
+
+def _data(x) -> np.ndarray:
+    return x.data if isinstance(x, ad.Tensor) else _as_f64(x)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` over the axes that numpy broadcasting introduced."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _binary(a, b, y: np.ndarray, op: str, grad_a, grad_b) -> ad.Tensor:
+    """A tape node for `y` = a op b. Only operands that are Tensors are
+    parents, and only their gradients (``grad_a(g)``, ``grad_b(g)``) are
+    computed: a constant operand gets none."""
+    out = ad.Tensor(y, tuple(x for x in (a, b) if isinstance(x, ad.Tensor)), op=op)
+
+    def bwd(g):
+        if isinstance(a, ad.Tensor):
+            ad._accumulate(a, grad_a(g))
+        if isinstance(b, ad.Tensor):
+            ad._accumulate(b, grad_b(g))
+
+    out._backward = bwd
+    return out
+
+
+def add(a, b):
+    if not _is_traced(a, b):
+        return _as_f64(a) + _as_f64(b)
+    da, db = _data(a), _data(b)
+    return _binary(a, b, da + db, "add",
+                   lambda g: _unbroadcast(g, da.shape), lambda g: _unbroadcast(g, db.shape))
+
+
+def sub(a, b):
+    if not _is_traced(a, b):
+        return _as_f64(a) - _as_f64(b)
+    da, db = _data(a), _data(b)
+    return _binary(a, b, da - db, "sub",
+                   lambda g: _unbroadcast(g, da.shape), lambda g: _unbroadcast(-g, db.shape))
+
+
+def mul(a, b):
+    if not _is_traced(a, b):
+        return _as_f64(a) * _as_f64(b)
+    da, db = _data(a), _data(b)
+    return _binary(a, b, da * db, "mul",
+                   lambda g: _unbroadcast(g * db, da.shape),
+                   lambda g: _unbroadcast(g * da, db.shape))
+
+
+def matmul(a, b):
+    """Matrix product with optional stacked leading axes (numpy semantics)."""
+    if not _is_traced(a, b):
+        return _as_f64(a) @ _as_f64(b)
+    da, db = _data(a), _data(b)
+    if da.ndim < 2 or db.ndim < 2:
+        raise ValueError("matmul operands must have at least 2 dimensions")
+    return _binary(a, b, da @ db, "matmul",
+                   lambda g: _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape),
+                   lambda g: _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
+
+
+def take_rows(x, rows: np.ndarray, onehot: np.ndarray):
+    """``onehot @ x`` for a constant 0/1 matrix with one 1 per row, at
+    column ``rows[k]`` of row k: the forward takes x's rows by index, which
+    gives the product's values bit for bit (x finite, no -0.0). The
+    backward keeps the product ``onehot.T @ g``: a segment sum by
+    ``np.add.at`` adds a repeated row's gradients in another order than
+    BLAS does and can move their last bits."""
+    if not _is_traced(x):
+        return np.take(_as_f64(x), rows, axis=0)
+    out = ad.Tensor(np.take(x.data, rows, axis=0), (x,), op="take_rows")
+    out._backward = lambda g: ad._accumulate(x, onehot.T @ g)
+    return out
+
+
+def mlp(x, w1, b1, w2, b2):
+    """tanh(x @ w1 + b1) @ w2 + b2 as one tape node; `x` may carry stacked
+    leading axes, the weights are 2-D and the biases 1-D.
+
+    `x` may also be a list of parts, joined along the last axis once for
+    the forward. The backward then computes the input gradient only over
+    the ``w1`` rows of the parts that are Tensors: a constant part costs
+    its share of ``x @ w1`` but no ``gh @ w1.T`` columns."""
+    parts = x if isinstance(x, list) else [x]
+    weights = (w1, b1, w2, b2)
+    datas = [_data(p) for p in parts]
+    xd = datas[0] if len(datas) == 1 else np.concatenate(datas, axis=-1)
+    w1d, b1d, w2d, b2d = (_data(a) for a in weights)
+    h, y = ad.mlp_forward(xd, w1d, b1d, w2d, b2d)
+    if not _is_traced(*parts, *weights):
+        return y
+    out = ad.Tensor(y, tuple(a for a in (*parts, *weights) if isinstance(a, ad.Tensor)),
+                    op="mlp")
+    want = [_is_traced(*parts)] + [isinstance(a, ad.Tensor) for a in weights]
+    x_rows, start = [], 0
+    for p, d in zip(parts, datas):
+        x_rows.append(slice(start, start + d.shape[-1]) if isinstance(p, ad.Tensor) else None)
+        start += d.shape[-1]
+
+    def bwd(g):
+        g_x, *g_weights = ad.mlp_backward(g, xd, h, w1d, w2d, want, x_rows)
+        for a, ga in zip((*parts, *weights), (*(g_x or [None] * len(parts)), *g_weights)):
+            if ga is not None:
+                ad._accumulate(a, ga)
+
+    out._backward = bwd
+    return out
+
+
+def apply_mlp(p: Mlp, x):
+    """``flow.apply_mlp`` as one ``mlp`` tape node."""
+    return mlp(x, p.w1, p.b1, p.w2, p.b2)
+
+
+def sqrt(x):
+    if not _is_traced(x):
+        return np.sqrt(_as_f64(x))
+    y = np.sqrt(x.data)
+    out = ad.Tensor(y, (x,), op="sqrt")
+    out._backward = lambda g: ad._accumulate(x, g * 0.5 / y)
+    return out
+
+
+def tsum(x, axis=None):
+    if not _is_traced(x):
+        return _as_f64(x).sum(axis=axis)
+    y = x.data.sum(axis=axis)
+    out = ad.Tensor(y, (x,), op="sum")
+
+    def bwd(g):
+        if axis is None:
+            ad._accumulate(x, np.broadcast_to(g.reshape((1,) * x.data.ndim),
+                                              x.data.shape).copy())
+        else:
+            ad._accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+
+    out._backward = bwd
+    return out
+
+
+def reshape(x, shape):
+    if not _is_traced(x):
+        return _as_f64(x).reshape(shape)
+    old = x.data.shape
+    out = ad.Tensor(x.data.reshape(shape), (x,), op="reshape")
+    out._backward = lambda g: ad._accumulate(x, g.reshape(old))
+    return out
+
+
+def _truediv(a, b):
+    if isinstance(b, ad.Tensor):
+        raise TypeError("tensor/tensor division is not a tape primitive")
+    return mul(a, 1.0 / float(b))
+
+
+# Tensor's operators; numpy defers mixed expressions to the reflected ones
+for _name, _value in {
+    "__array_ufunc__": None, "__array_priority__": 1000,
+    "__add__": add, "__radd__": add, "__mul__": mul, "__rmul__": mul,
+    "__sub__": sub, "__rsub__": lambda a, b: sub(b, a), "__neg__": lambda a: mul(a, -1.0),
+    "__matmul__": matmul, "__rmatmul__": lambda a, b: matmul(b, a), "__truediv__": _truediv,
+}.items():
+    setattr(ad.Tensor, _name, _value)
+
+
+def traced_value_and_grad(value_and_grad):
+    """A function of one Tensor, for ``gradient_check``, whose value and
+    gradient come from the numpy function ``value_and_grad(x)``."""
+    def f(x):
+        value, grad = value_and_grad(x.data)
+        return ad.node([x], (np.array(value),), lambda g: [g * grad.reshape(x.shape)],
+                       "value_and_grad")[0]
+    return f
 
 
 def moving_average(xs: list[float], window: int) -> list[float]:
@@ -611,7 +815,7 @@ def masked_atom_coupling(x, mlp: Mlp, index: int, bond_disc: np.ndarray, inverse
     if inverse:
         return x * keep + ((x - t) / scale) * trans, None
     z = x * keep + (x * scale + t) * trans
-    logdet = ad.tsum(log_sigmoid(s_raw) * trans, axis=(1, 2))
+    logdet = tsum(log_sigmoid(s_raw) * trans, axis=(1, 2))
     return z, logdet
 
 
@@ -623,11 +827,11 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     kept_ch = list(range(index % 2, m, 2))
     trans_ch = list(range(1 - index % 2, m, 2))
     kept = index_gather(x, kept_ch, axis=3)
-    flat = ad.reshape(kept, (batch, n * n * len(kept_ch)))
+    flat = reshape(kept, (batch, n * n * len(kept_ch)))
     st = unfused_mlp(mlp, flat)
     half = n * n * len(trans_ch)
-    s_raw = ad.reshape(index_gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
-    t = ad.reshape(index_gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
+    s_raw = reshape(index_gather(st, range(half), axis=1), (batch, n, n, len(trans_ch)))
+    t = reshape(index_gather(st, range(half, 2 * half), axis=1), (batch, n, n, len(trans_ch)))
     scale = masked_sigmoid(s_raw)
     trans = index_gather(x, trans_ch, axis=3)
     if inverse:
@@ -635,19 +839,24 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
         logdet = None
     else:
         new_trans = trans * scale + t
-        logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
+        logdet = tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
     order = np.argsort(kept_ch + trans_ch)
     return index_gather(concat([kept, new_trans], axis=3), order, axis=3), logdet
 
 
-def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False):
+def _running(logdet, layer_logdet):
+    return layer_logdet if logdet is None else logdet + layer_logdet
+
+
+def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False, logdet=None):
     """atom_coupling composed of slice gathers, concat, the fused mlp node,
-    sigmoid, log_sigmoid and assemble: about a dozen tape nodes per layer."""
+    sigmoid, log_sigmoid, assemble and the running logdet's add: about a
+    dozen tape nodes per layer."""
     batch, n, l = x.shape
     kept_rows, trans_rows = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     by_order, adj_sum = cond[index % 2]
     x_kept = gather(x, kept_rows, axis=1)
-    h1 = ad.reshape(by_order @ x_kept, (batch, n, -1))
+    h1 = reshape(by_order @ x_kept, (batch, n, -1))
     h2 = adj_sum @ h1
     n_trans = adj_sum.shape[1]
     feats = concat([np.zeros((batch, n_trans, l)), gather(h1, trans_rows, axis=1), h2],
@@ -662,21 +871,21 @@ def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False)
         logdet = None
     else:
         new = x_trans * scale + t
-        logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2))
+        logdet = _running(logdet, tsum(log_sigmoid(s_raw), axis=(1, 2)))
     return assemble([x_kept, new], [kept_rows, trans_rows], axis=1), logdet
 
 
-def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
+def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False, logdet=None):
     """bond_coupling composed of slice gathers, reshapes, the fused mlp node,
-    sigmoid, log_sigmoid and assemble."""
+    sigmoid, log_sigmoid, assemble and the running logdet's add."""
     batch, n, _, m = x.shape
     kept_ch, trans_ch = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     n_trans = len(range(m)[trans_ch])
     kept = gather(x, kept_ch, axis=3)
-    st = apply_mlp(mlp, ad.reshape(kept, (batch, -1)))
+    st = apply_mlp(mlp, reshape(kept, (batch, -1)))
     half = n * n * n_trans
-    s_raw = ad.reshape(gather(st, slice(0, half), axis=1), (batch, n, n, n_trans))
-    t = ad.reshape(gather(st, slice(half, None), axis=1), (batch, n, n, n_trans))
+    s_raw = reshape(gather(st, slice(0, half), axis=1), (batch, n, n, n_trans))
+    t = reshape(gather(st, slice(half, None), axis=1), (batch, n, n, n_trans))
     scale = sigmoid(s_raw)
     trans = gather(x, trans_ch, axis=3)
     if inverse:
@@ -684,8 +893,37 @@ def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
         logdet = None
     else:
         new_trans = trans * scale + t
-        logdet = ad.tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
+        logdet = _running(logdet, tsum(log_sigmoid(s_raw), axis=(1, 2, 3)))
     return assemble([kept, new_trans], [kept_ch, trans_ch], axis=3), logdet
+
+
+def composed_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarray):
+    """encode_continuous through the composed couplings: (za, zb,
+    logdet_atom, logdet_bond)."""
+    zb, ld_b = xb, None
+    for i, mlp in enumerate(params.bond):
+        zb, ld_b = composed_bond_coupling(zb, mlp, i, logdet=ld_b)
+    cond = atom_condition(discretize_bonds(xb), params.config.n_bond_types)
+    za, ld_a = xa, None
+    for i, mlp in enumerate(params.atom):
+        za, ld_a = composed_atom_coupling(za, mlp, i, cond, logdet=ld_a)
+    return za, zb, ld_a, ld_b
+
+
+def tape_gauss_log_density(z, d: int):
+    """flow.gauss_log_density composed of tape nodes."""
+    axes = tuple(range(1, len(z.shape)))
+    return tsum(z * z, axis=axes) * -0.5 - 0.5 * d * np.log(2.0 * np.pi)
+
+
+def tape_mean_nll(params: FlowParams, xa: np.ndarray, xb: np.ndarray, encode=None):
+    """flow.mean_nll composed of tape nodes, over the latents and logdets
+    of `encode` (by default ``composed_encode_continuous``)."""
+    cfg = params.config
+    za, zb, ld_a, ld_b = (encode or composed_encode_continuous)(params, xa, xb)
+    loglik = (tape_gauss_log_density(za, cfg.d_atom) + ld_a
+              + tape_gauss_log_density(zb, cfg.d_bond) + ld_b)
+    return tsum(loglik) * (-1.0 / xa.shape[0])
 
 
 def reference_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarray):
@@ -828,10 +1066,10 @@ def reference_encode(params: SphereNetParams, cache: DenseGeometryCache):
         else:
             incident = np.zeros((cache.v0.shape[0], params.config.hidden))
         v = apply_mlp(blk.g_v, concat([v, incident], axis=1))
-        atoms_sum = ad.reshape(ad.tsum(v, axis=0), (1, -1))
+        atoms_sum = reshape(tsum(v, axis=0), (1, -1))
         u = apply_mlp(blk.g_u, concat([u, atoms_sum], axis=1))
     out = apply_mlp(params.output_mlp, u)
-    return ad.reshape(out, (-1,))
+    return reshape(out, (-1,))
 
 
 def onehot_encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
@@ -858,6 +1096,32 @@ def onehot_encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
         v = apply_mlp(blk.g_v, concat([v, incident], axis=1))
         u = apply_mlp(blk.g_u, concat([u, by_mol @ v], axis=1))
     return apply_mlp(params.output_mlp, u)
+
+
+def tape_fusion_loss(z_m, u_star):
+    """spherenet.fusion_loss composed of tape nodes."""
+    diff = z_m - u_star
+    dist = sqrt(tsum(diff * diff, axis=-1))
+    return tsum(dist) * (1.0 / int(np.prod(np.shape(z_m)[:-1])))
+
+
+# ---------------------------------------------------------------------------
+# reference property head: the value and the training loss on the tape
+# ---------------------------------------------------------------------------
+
+
+def tape_value_and_grad(head, z: np.ndarray) -> tuple[float, np.ndarray]:
+    """PropertyHead.value_and_grad through an ``mlp`` node on a Tensor leaf."""
+    leaf = ad.Tensor(z.reshape(1, -1))
+    scalar = reshape(apply_mlp(head.mlp, leaf), ())
+    (grad,) = ad.backward(scalar, [leaf])
+    return float(scalar.data), grad.reshape(-1).copy()
+
+
+def tape_mse(head, x: np.ndarray, target: np.ndarray):
+    """PropertyHead.mse composed of tape nodes."""
+    diff = reshape(apply_mlp(head.mlp, x), (-1,)) - target
+    return tsum(diff * diff) * (1.0 / len(x))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import molflow.autodiff as ad
 import oracles
 from oracles import (LinearHead, gradient_check, is_isomorphic, local_spherical,
-                     random_rigid_motion)
-from molflow.autodiff import SeededRng, Tensor
+                     random_rigid_motion, reshape, traced_value_and_grad, tsum)
+from molflow.autodiff import SeededRng
 from molflow.chem import (
     Molecule,
     SmilesError,
@@ -45,6 +44,7 @@ from molflow.flow import (
 )
 from molflow.geom3d import build_geometry, edge_feature_matrix
 from molflow.pipeline import (
+    PropertyHead,
     fraggle_similarity,
     generate_random,
     generate_similar,
@@ -123,15 +123,15 @@ def test_03_gradient_fidelity():
 
         # atom coupling layer (scale, translation, and logdet path)
         def atom_fn(x):
-            z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
-            return ad.tsum(z * z) + ad.tsum(logdet)
+            z, logdet = atom_coupling(reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
+            return tsum(z * z) + tsum(logdet)
 
         check(atom_fn, (2, 2))
 
         # bond coupling layer
         def bond_fn(x):
-            z, logdet = bond_coupling(ad.reshape(x, (1, 2, 2, 2)), params.bond[1], 1)
-            return ad.tsum(z * z) + ad.tsum(logdet)
+            z, logdet = bond_coupling(reshape(x, (1, 2, 2, 2)), params.bond[1], 1)
+            return tsum(z * z) + tsum(logdet)
 
         check(bond_fn, (2, 2, 2))
 
@@ -143,7 +143,7 @@ def test_03_gradient_fidelity():
             mlp.w1 = w
             try:
                 z, logdet = atom_coupling(rng_point, mlp, 0, cond)
-                return ad.tsum(z * z) + ad.tsum(logdet)
+                return tsum(z * z) + tsum(logdet)
             finally:
                 mlp.w1 = saved
 
@@ -187,21 +187,15 @@ def test_03_gradient_fidelity():
                     setters[_name](w)
                     try:
                         out = encode_batch(sphere, _batch)
-                        return ad.tsum(out * out)
+                        return tsum(out * out)
                     finally:
                         setters[_name](saved)
 
                 check(sphere_fn, shape, points=10)
 
         # property head
-        head_mlp = mlp_init(rng.spawn("head"), 5, 6, 1, zero_last=False)
-
-        def head_fn(z):
-            from molflow.flow import apply_mlp
-
-            return ad.reshape(apply_mlp(head_mlp, ad.reshape(z, (1, 5))), ())
-
-        check(head_fn, (5,))
+        head = PropertyHead(mlp_init(rng.spawn("head"), 5, 6, 1, zero_last=False))
+        check(traced_value_and_grad(head.value_and_grad), (5,))
 
         # fusion loss
         target = rng.normal((5,))

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,18 @@ from molflow.autodiff import (
     backward,
     fnv1a_64,
 )
-from molflow.flow import fit_step, make_optimizer
+from molflow.dataset import synthetic_corpus, tensor_batches
+from molflow.flow import FlowConfig, fit_step, init_flow, make_optimizer, train_step
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
                                init_spherenet)
-from oracles import (_masked_sigmoid_np, assemble, concat, gather, gradient_check,
-                     index_gather, log_sigmoid, sigmoid, tanh)
+from oracles import (_masked_sigmoid_np, add, assemble, concat, gather, gradient_check,
+                     index_gather, log_sigmoid, matmul, mlp, reshape, sigmoid, sqrt, take_rows,
+                     tanh, tsum)
 
 
 def test_matmul_hand_arithmetic():
-    out = ad.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
+    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
     assert np.array_equal(out, np.array([[3.0], [7.0]]))
 
 
@@ -59,7 +63,7 @@ def test_concat_definition():
 
 def test_matmul_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        ad.matmul(np.ones((2, 3)), np.ones((2, 3)))
+        matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_backward_square():
@@ -78,7 +82,7 @@ def test_backward_sigmoid_at_zero():
 def test_backward_product_rule():
     a = Tensor([1.0, 2.0])
     b = Tensor([3.0, 4.0])
-    ad.tsum(a * b).backward()
+    tsum(a * b).backward()
     assert np.array_equal(a.grad, [3.0, 4.0])
     assert np.array_equal(b.grad, [1.0, 2.0])
 
@@ -92,19 +96,19 @@ def test_backward_requires_scalar():
 def test_unreachable_leaf_gets_zero_gradient():
     x = Tensor([1.0, 2.0])
     orphan = Tensor([5.0])
-    grads = backward(ad.tsum(x * x), [x, orphan])
+    grads = backward(tsum(x * x), [x, orphan])
     assert np.array_equal(grads[0], [2.0, 4.0])
     assert np.array_equal(grads[1], [0.0])
 
 
 def test_gradient_check_square_and_constant():
-    assert gradient_check(lambda x: ad.tsum(x * x), np.array([2.0]), eps=1e-5) < 1e-6
-    assert gradient_check(lambda x: ad.tsum(x * 0.0) + 3.0, np.array([1.0, -2.0])) == 0.0
+    assert gradient_check(lambda x: tsum(x * x), np.array([2.0]), eps=1e-5) < 1e-6
+    assert gradient_check(lambda x: tsum(x * 0.0) + 3.0, np.array([1.0, -2.0])) == 0.0
 
 
 def test_gradient_check_eps_range():
     with pytest.raises(ValueError):
-        gradient_check(lambda x: ad.tsum(x), np.ones(2), eps=0.5)
+        gradient_check(lambda x: tsum(x), np.ones(2), eps=0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,14 +116,17 @@ def test_gradient_check_eps_range():
 def test_gradient_check_mixed_ops(seed):
     rng = SeededRng(seed)
     w = rng.normal((3, 3))
+    rows = np.array([2, 0, 2, 1])  # a repeated row sums its gradients
+    onehot = np.eye(3)[rows]
 
     def f(x):
-        h = tanh(ad.reshape(x, (1, 3)) @ w)
+        h = tanh(reshape(x, (1, 3)) @ w)
         # every mlp input depends on x, so each of its five gradients counts
-        fused = ad.mlp(ad.reshape(x, (1, 1, 3)), ad.reshape(concat([x, x * 0.5, x]), (3, 3)),
-                       x, ad.reshape(x, (3, 1)), gather(x, slice(1, 2), axis=0))
-        return (ad.tsum(sigmoid(h) * x) + ad.tsum(ad.sqrt(x * x + 1.0))
-                + ad.tsum(fused))
+        fused = mlp(reshape(x, (1, 1, 3)), reshape(concat([x, x * 0.5, x]), (3, 3)),
+                    x, reshape(x, (3, 1)), gather(x, slice(1, 2), axis=0))
+        taken = take_rows(reshape(x, (3, 1)) @ reshape(x, (1, 3)), rows, onehot)
+        return (tsum(sigmoid(h) * x) + tsum(sqrt(x * x + 1.0))
+                + tsum(fused) + tsum(taken * taken))
 
     assert gradient_check(f, rng.normal((3,)), eps=1e-6) < 1e-5
 
@@ -134,10 +141,10 @@ def test_backward_linearity(seed):
     point = rng.normal((4,))
 
     def f(x):
-        return ad.tsum(tanh(ad.reshape(x, (1, 4)) @ a))
+        return tsum(tanh(reshape(x, (1, 4)) @ a))
 
     def g(x):
-        return ad.tsum(sigmoid(ad.reshape(x, (1, 4)) @ b) * x)
+        return tsum(sigmoid(reshape(x, (1, 4)) @ b) * x)
 
     xf = Tensor(point)
     f(xf).backward()
@@ -159,8 +166,8 @@ def test_gather_concat_reshape_transpose_gradients():
         evens, odds = slice(0, None, 2), slice(1, None, 2)
         back = assemble([gather(x, evens, axis=0), gather(x, odds, axis=0) * 2.0],
                            [evens, odds], axis=0)
-        return (ad.tsum(ad.reshape(cat, (25, 1)) * 0.7) + ad.tsum(dup * 1.3)
-                + ad.tsum(back * back))
+        return (tsum(reshape(cat, (25, 1)) * 0.7) + tsum(dup * 1.3)
+                + tsum(back * back))
 
     assert gradient_check(f, rng.normal((5, 5))) < 1e-8
 
@@ -169,7 +176,7 @@ def test_log_sigmoid_matches_log_of_sigmoid_and_is_stable():
     x = np.array([-3.0, 0.0, 2.5])
     assert np.allclose(log_sigmoid(x), np.log(sigmoid(x)), atol=1e-12)
     assert np.isfinite(log_sigmoid(np.array([-500.0, 500.0]))).all()
-    assert gradient_check(lambda t: ad.tsum(log_sigmoid(t)), np.array([0.3, -1.2])) < 1e-8
+    assert gradient_check(lambda t: tsum(log_sigmoid(t)), np.array([0.3, -1.2])) < 1e-8
 
 
 def _square_and_row_sum(x, calls):
@@ -181,7 +188,7 @@ def _square_and_row_sum(x, calls):
         calls.append((g_square.copy(), g_sum.copy()))
         return [2.0 * xd * g_square + g_sum[:, None]]
 
-    return ad.two_outputs((x,), xd * xd, xd.sum(axis=1), backward, "square_and_row_sum")
+    return ad.node((x,), (xd * xd, xd.sum(axis=1)), backward, "square_and_row_sum")
 
 
 def test_two_outputs_backward_runs_once_on_final_gradients():
@@ -192,8 +199,8 @@ def test_two_outputs_backward_runs_once_on_final_gradients():
     def f(x):
         # each output reaches the loss along two paths, one through the other
         square, row_sum = _square_and_row_sum(x, calls)
-        return (ad.tsum(square * c1) + ad.tsum(ad.reshape(row_sum, (3, 1)) * square * c2)
-                + ad.tsum(row_sum * c3))
+        return (tsum(square * c1) + tsum(reshape(row_sum, (3, 1)) * square * c2)
+                + tsum(row_sum * c3))
 
     point = rng.normal((3, 2))
     x = Tensor(point)
@@ -209,8 +216,8 @@ def test_two_outputs_gives_zeros_for_an_output_the_loss_misses():
     x = Tensor(SeededRng(88).normal((3, 2)))
     calls = []
     square, row_sum = _square_and_row_sum(x, calls)
-    for loss, missed in ((ad.tsum(square), 1), (ad.tsum(row_sum * 2.0), 0),
-                         (ad.tsum(square * 3.0), 1)):
+    for loss, missed in ((tsum(square), 1), (tsum(row_sum * 2.0), 0),
+                         (tsum(square * 3.0), 1)):
         calls.clear()
         loss.backward()
         assert len(calls) == 1
@@ -280,10 +287,10 @@ def test_mlp_over_parts_equals_mlp_over_their_concat_bit_for_bit(traced):
         parts = [Tensor(d) if t else d for d, t in zip(datas, traced)]
         weights = [Tensor(w) for w in (w1, b1, w2, b2)]
         x = parts if over_parts else concat(parts, axis=1)
-        y = ad.mlp(x, *weights)
+        y = mlp(x, *weights)
         if over_parts:  # a constant part is not a tape node
             assert len(y.parents) == sum(traced) + 4
-        grads = backward(ad.tsum(y * c), [p for p in parts if isinstance(p, Tensor)] + weights)
+        grads = backward(tsum(y * c), [p for p in parts if isinstance(p, Tensor)] + weights)
         results.append((y.data, grads))
     (y_parts, g_parts), (y_cat, g_cat) = results
     assert np.array_equal(y_parts, y_cat)
@@ -292,8 +299,8 @@ def test_mlp_over_parts_equals_mlp_over_their_concat_bit_for_bit(traced):
         assert np.array_equal(new, old)
     # a constant part gets no gradient, but its rows of w1 still get theirs
     assert g_parts[-4].shape == w1.shape and g_parts[-4].all()
-    assert np.array_equal(ad.mlp(datas, w1, b1, w2, b2),
-                          ad.mlp(np.concatenate(datas, axis=1), w1, b1, w2, b2))
+    assert np.array_equal(mlp(datas, w1, b1, w2, b2),
+                          mlp(np.concatenate(datas, axis=1), w1, b1, w2, b2))
 
 
 def test_shared_first_gradients_keep_leaf_gradients_right():
@@ -301,11 +308,11 @@ def test_shared_first_gradients_keep_leaf_gradients_right():
     x = Tensor(rng.normal((3, 2)))
     w = Tensor(rng.normal((3, 3)))
     c1, c2, c3 = rng.normal((3, 2)), rng.normal((3, 3)), rng.normal((3, 2))
-    doubled = ad.add(x, x)            # both parents receive the same gradient array
+    doubled = add(x, x)            # both parents receive the same gradient array
     joined = concat([doubled, w], axis=1)
     left = gather(joined, slice(0, 2), axis=1)
     right = gather(joined, slice(2, 5), axis=1)
-    loss = ad.tsum(left * c1) + ad.tsum(right * c2) + ad.tsum(x * c3)
+    loss = tsum(left * c1) + tsum(right * c2) + tsum(x * c3)
     gx, gw = backward(loss, [x, w])
     assert np.allclose(gx, 2.0 * c1 + c3, rtol=0, atol=1e-15)
     assert np.array_equal(gw, c2)
@@ -355,6 +362,32 @@ def test_fit_step_changes_no_gradient_the_tape_holds(monkeypatch):
             assert np.array_equal(node.grad, grad), node.op
 
 
+def test_fit_step_leaves_no_reference_cycle():
+    # a cycle would keep each step's leaves and their gradients alive until
+    # the cyclic garbage collector runs, stacking steps in peak memory
+    rng = SeededRng(86)
+    flow_params = init_flow(FlowConfig(atom_hidden=6, bond_hidden=6), rng.spawn("f"))
+    atoms, bonds = tensor_batches(synthetic_corpus(4, rng.spawn("c"), with_geometry=False).records,
+                                  flow_params.config.n_max)
+    cfg = SphereNetConfig(hidden=6, n_blocks=1, n_radial=4, max_degree=1, out_dim=5)
+    sphere = init_spherenet(cfg, rng.spawn("s"))
+    caches = [GeometryCache.from_geometry(build_geometry(("C", "O"), [[0.0, 0, 0], [1.2, 0, 0]]),
+                                          cfg)]
+    steps = [lambda: train_step(flow_params, atoms, bonds, make_optimizer(flow_params),
+                                rng.spawn("step")),
+             lambda: fit_step(sphere, lambda view: fusion_loss(np.ones((1, 5)),
+                                                              encode_batch(view, caches)),
+                              make_optimizer(sphere))]
+    gc.collect()
+    gc.disable()
+    try:
+        for step in steps:
+            step()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_seeded_rng_reproducible_and_spawn_independent():
     a = SeededRng(99).normal((5,))
     b = SeededRng(99).normal((5,))
@@ -380,7 +413,7 @@ def test_determinism_of_training_trajectory():
         trace = []
         for _ in range(100):
             leaf = Tensor(w[0])
-            loss = ad.tsum(tanh(leaf) * leaf)
+            loss = tsum(tanh(leaf) * leaf)
             loss.backward()
             w = adam_step(w, [leaf.grad], state)
             trace.append(loss.data.copy())

@@ -23,17 +23,16 @@ from molflow.flow import (
     discretize_bonds,
     encode_continuous,
     encode_molecules,
-    encode_tensors,
-    gauss_log_density,
     init_flow,
     make_optimizer,
+    mean_nll,
     sample_prior,
     train_step,
 )
 from oracles import (composed_atom_coupling, composed_bond_coupling, is_isomorphic,
                      onehot_from_tensors, raw_decode_batch, reference_decode_continuous,
-                     reference_encode_continuous, reference_flow_encode,
-                     scatter_discretize_bonds, within_valence)
+                     reference_encode_continuous, reference_flow_encode, reshape,
+                     scatter_discretize_bonds, tape_mean_nll, tsum, within_valence)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -148,18 +147,16 @@ def test_coupling_kernels_match_reference_stack():
     corpus = synthetic_corpus(48, rng.spawn("corpus"), with_geometry=False)
     atoms, bonds = tensor_batches(corpus.records, cfg.n_max)
 
-    def run(encode):
+    def run(encode, nll):
         deq = SeededRng(42)
         xa = dequantize(atoms, cfg.noise_scale, deq)
         xb = dequantize(bonds, cfg.noise_scale, deq)
         view, leaves = ad.traced(params)
-        za, zb, ld_a, ld_b = encode(view, xa, xb)
-        loglik = (gauss_log_density(za, cfg.d_atom) + ld_a
-                  + gauss_log_density(zb, cfg.d_bond) + ld_b)
-        loss = ad.tsum(loglik) * (-1.0 / atoms.shape[0])
-        return [za.data, zb.data, ld_a.data, ld_b.data] + ad.backward(loss, leaves)
+        return list(encode(params, xa, xb)) + ad.backward(nll(view, xa, xb), leaves)
 
-    got, want = run(encode_continuous), run(reference_encode_continuous)
+    got = run(encode_continuous, mean_nll)
+    want = run(reference_encode_continuous,
+               lambda view, xa, xb: tape_mean_nll(view, xa, xb, reference_encode_continuous))
     names = ["za", "zb", "logdet_atom", "logdet_bond"] + [n for n, _ in params.named_params()]
     for name, a, b in zip(names, got, want):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
@@ -199,10 +196,10 @@ def test_fused_couplings_match_composed_tape_bit_for_bit(case, track):
     mlps = (params.atom if track == "atom" else params.bond)[:2]
     x = xa if track == "atom" else xb
     cond = atom_condition(discretize_bonds(xb), cfg.n_bond_types)
-    fused = {"atom": lambda x, mlp, i: atom_coupling(x, mlp, i, cond),
-             "bond": bond_coupling}[track]
-    composed = {"atom": lambda x, mlp, i: composed_atom_coupling(x, mlp, i, cond),
-                "bond": composed_bond_coupling}[track]
+    fused = {"atom": lambda x, mlp, i, ld: atom_coupling(x, mlp, i, cond, logdet=ld),
+             "bond": lambda x, mlp, i, ld: bond_coupling(x, mlp, i, logdet=ld)}[track]
+    composed = {"atom": lambda x, mlp, i, ld: composed_atom_coupling(x, mlp, i, cond, logdet=ld),
+                "bond": lambda x, mlp, i, ld: composed_bond_coupling(x, mlp, i, logdet=ld)}[track]
     rng = SeededRng(47)
     weights = {"z": rng.normal(x.shape), "logdet": rng.normal((x.shape[0],))}
 
@@ -212,10 +209,9 @@ def test_fused_couplings_match_composed_tape_bit_for_bit(case, track):
         leaves += [z] if traced_input else []
         logdet = None
         for i, mlp in enumerate(view):
-            z, ld = coupling(z, mlp, i)
-            logdet = ld if logdet is None else logdet + ld
+            z, logdet = coupling(z, mlp, i, logdet)
         outputs = {"z": z, "logdet": logdet}
-        loss = sum(ad.tsum(outputs[r] * weights[r]) for r in reads)
+        loss = sum(tsum(outputs[r] * weights[r]) for r in reads)
         return [z.data, logdet.data] + ad.backward(loss, leaves)
 
     for traced_input in (True, False):
@@ -228,8 +224,9 @@ def test_fused_couplings_match_composed_tape_bit_for_bit(case, track):
 
 
 def test_train_steps_match_composed_couplings_bit_for_bit(monkeypatch):
-    # train_step through the fused couplings and, patched in, the composed
-    # ones: the same losses and parameter bytes step after step
+    # train_step through the fused couplings and the hand-written NLL and,
+    # patched in, the NLL composed of tape nodes over the composed
+    # couplings: the same losses and parameter bytes step after step
     cfg = FlowConfig(atom_hidden=128, bond_hidden=128)
     atoms, bonds = _benchmark_batch(cfg)
 
@@ -241,8 +238,7 @@ def test_train_steps_match_composed_couplings_bit_for_bit(monkeypatch):
         return losses, [arr.copy() for _, arr in params.named_params()]
 
     fused = steps()
-    monkeypatch.setattr(flow_module, "atom_coupling", composed_atom_coupling)
-    monkeypatch.setattr(flow_module, "bond_coupling", composed_bond_coupling)
+    monkeypatch.setattr(flow_module, "mean_nll", tape_mean_nll)
     composed = steps()
     assert fused[0] == composed[0]
     assert all(_same_bits(a, b) for a, b in zip(fused[1], composed[1]))
@@ -261,10 +257,9 @@ def test_atom_network_x_rows_get_zero_gradient():
     train_step(params, atoms, bonds, opt, rng.spawn("step"))
     view, leaves = ad.traced(params)
     deq = rng.spawn("grad")
-    _, _, loglik = encode_tensors(view, dequantize(atoms, cfg.noise_scale, deq),
-                                  dequantize(bonds, cfg.noise_scale, deq))
-    grads = dict(zip([n for n, _ in params.named_params()],
-                     ad.backward(ad.tsum(loglik) * -1.0, leaves)))
+    loss = mean_nll(view, dequantize(atoms, cfg.noise_scale, deq),
+                    dequantize(bonds, cfg.noise_scale, deq))
+    grads = dict(zip([n for n, _ in params.named_params()], ad.backward(loss, leaves)))
     for i, mlp in enumerate(params.atom):
         assert not grads[f"flow.atom.{i}.w1"][: cfg.n_atom_types].any()
         assert grads[f"flow.atom.{i}.w1"][cfg.n_atom_types:].any()
@@ -557,8 +552,8 @@ def test_gradient_check_full_coupling_layer():
     cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))), 2)
 
     def f(x):
-        z, logdet = atom_coupling(ad.reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
-        return ad.tsum(z * z) + ad.tsum(logdet)
+        z, logdet = atom_coupling(reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
+        return tsum(z * z) + tsum(logdet)
 
     for _ in range(10):
         assert gradient_check(f, rng.uniform(0.05, 0.95, (2, 2))) < 1e-5

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molflow.autodiff import SeededRng
+from molflow.autodiff import SeededRng, Tensor
 from molflow.chem import (
     MORGAN_BITS,
     Molecule,
@@ -21,6 +21,7 @@ from molflow.pipeline import (
     CRIPPEN_CONTRIB,
     MAX_MIXES,
     MIX_BATCH,
+    PropertyHead,
     attach_fragment,
     compute_plogp,
     compute_qed_lite,
@@ -40,9 +41,10 @@ from molflow.pipeline import (
     train_property_head,
     uniqueness_pct,
 )
-from molflow.spherenet import SphereNetConfig, init_spherenet
+from molflow.spherenet import SphereNetConfig, init_spherenet, train_fusion
 from oracles import (LinearHead, is_isomorphic, reference_generate_similar,
-                     reference_optimize_property, reference_optimize_substructure)
+                     reference_optimize_property, reference_optimize_substructure, tape_mse,
+                     tape_value_and_grad)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -231,6 +233,26 @@ def test_property_head_deterministic():
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
+
+
+def test_property_head_equals_the_tape_bit_for_bit(monkeypatch):
+    # value_and_grad, and a trained head's parameters, against the head
+    # composed of tape nodes
+    rng = SeededRng(98)
+    latents = rng.normal((80, 6))
+    values = latents @ rng.normal((6,))
+
+    def run():
+        head, r2 = train_property_head(latents, values, SeededRng(99), epochs=20)
+        return head, r2, [a.tobytes() for _, a in head.named_params()]
+
+    head, r2, arrays = run()
+    for z in rng.normal((5, 6)):
+        value, grad = head.value_and_grad(z)
+        tape_value, tape_grad = tape_value_and_grad(head, z)
+        assert value == tape_value and grad.tobytes() == tape_grad.tobytes()
+    monkeypatch.setattr(PropertyHead, "mse", tape_mse)
+    assert run()[1:] == (r2, arrays)
 
 
 def test_property_head_rejects_degenerate_input():
@@ -564,3 +586,40 @@ def test_train_flow_with_weight_table_is_deterministic():
         return result.epoch_nll
 
     assert run() == run()
+
+
+def test_every_fit_step_walks_the_tape_once(monkeypatch):
+    # the benchmark counts training steps as Tensor.backward calls
+    from molflow import flow, pipeline, spherenet
+
+    per_step = []
+    real_backward, real_fit_step = Tensor.backward, flow.fit_step
+
+    def counting_backward(self):
+        per_step[-1] += 1
+        real_backward(self)
+
+    def counting_fit_step(*args, **kwargs):
+        per_step.append(0)
+        return real_fit_step(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    for module in (flow, spherenet, pipeline):
+        monkeypatch.setattr(module, "fit_step", counting_fit_step)
+    rng = SeededRng(106)
+    corpus = synthetic_corpus(12, rng.spawn("c"), with_geometry=True)
+    cfg = FlowConfig(atom_hidden=8, bond_hidden=8)
+    params = init_flow(cfg, rng.spawn("f"))
+    sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=cfg.d_total), rng.spawn("s"))
+    trainers = {
+        "train_flow": lambda: train_flow(params, corpus.records, epochs=2, rng=rng.spawn("t"),
+                                         batch_size=4, probe_every=1, probe_count=4),
+        "train_fusion": lambda: train_fusion(corpus.records[:6], params, sphere, epochs=2,
+                                             rng=rng.spawn("u"), batch_size=4),
+        "train_property_head": lambda: train_property_head(
+            rng.normal((60, 4)), rng.normal((60,)), rng.spawn("h"), epochs=2),
+    }
+    for name, train in trainers.items():
+        per_step.clear()
+        train()
+        assert len(per_step) > 1 and set(per_step) == {1}, (name, per_step)

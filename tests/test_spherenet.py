@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from molflow.spherenet import (
     train_fusion,
 )
 from oracles import (DenseGeometryCache, onehot_encode_batch, random_rigid_motion,
-                     reference_encode)
+                     reference_encode, tape_fusion_loss)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -231,8 +232,8 @@ def pinned_fusion_set(pinned_models_and_records):
 
 
 def test_encode_batch_equals_the_onehot_encoder_bit_for_bit(pinned_fusion_set):
-    sphere, caches = pinned_fusion_set
-    cfg = sphere.config
+    pinned, caches = pinned_fusion_set
+    cfg = pinned.config
     one_atom = GeometryCache.from_geometry(build_geometry(("O",), [[0.3, -0.2, 1.0]]), cfg)
     # two atoms beyond the cutoff: atoms but no edges
     apart = GeometryCache.from_geometry(
@@ -240,19 +241,25 @@ def test_encode_batch_equals_the_onehot_encoder_bit_for_bit(pinned_fusion_set):
     assert one_atom.radial.shape[0] == apart.radial.shape[0] == 0
     batches = [caches[i:i + 8] for i in range(0, len(caches), 8)]
     batches.append(caches[:3] + [one_atom] + caches[3:5] + [apart])
-    for k, batch in enumerate(batches):
-        assert np.array_equal(encode_batch(sphere, batch), onehot_encode_batch(sphere, batch))
-        targets = SeededRng(90).spawn(f"t{k}").normal((len(batch), cfg.out_dim))
-        losses, grads = [], []
-        for encode in (encode_batch, onehot_encode_batch):
-            view, leaves = ad.traced(sphere)
-            loss = fusion_loss(targets, encode(view, batch))
-            losses.append(loss.item())
-            grads.append(ad.backward(loss, leaves))
-        assert losses[0] == losses[1]
-        assert len(grads[0]) == len(sphere.named_params()) == 33
-        for (name, _), new, old in zip(sphere.named_params(), *grads):
-            assert np.array_equal(new, old), (k, name)
+    # the gradient sums into a block's input v differ between the first,
+    # a middle and the last block
+    for n_blocks in (1, 2, 3):
+        sphere = (pinned if n_blocks == cfg.n_blocks
+                  else init_spherenet(replace(cfg, n_blocks=n_blocks), SeededRng(93)))
+        for k, batch in enumerate(batches):
+            assert np.array_equal(encode_batch(sphere, batch), onehot_encode_batch(sphere, batch))
+            targets = SeededRng(90).spawn(f"t{k}").normal((len(batch), cfg.out_dim))
+            losses, grads = [], []
+            for encode, loss_of in ((encode_batch, fusion_loss),
+                                    (onehot_encode_batch, tape_fusion_loss)):
+                view, leaves = ad.traced(sphere)
+                loss = loss_of(targets, encode(view, batch))
+                losses.append(loss.item())
+                grads.append(ad.backward(loss, leaves))
+            assert losses[0] == losses[1]
+            assert len(grads[0]) == len(sphere.named_params()) == 9 + 12 * n_blocks
+            for (name, _), new, old in zip(sphere.named_params(), *grads):
+                assert np.array_equal(new, old), (n_blocks, k, name)
 
 
 def test_train_fusion_equals_the_onehot_encoder_run_bit_for_bit(pinned_models_and_records,
