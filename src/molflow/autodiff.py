@@ -13,11 +13,20 @@ so the untraced path builds no tape. The generic broadcasting operations
 (``add``, ``matmul``, ``tsum``, ...) and ``Tensor``'s arithmetic operators
 live in ``tests/oracles.py``, composed into the tape that every hand-written
 backward is checked against bit for bit.
+
+Adam keeps each model's parameters in one float64 vector: ``AdamState``
+copies the arrays into ``flat`` and the model's fields become views into
+it, so ``adam_step`` updates every parameter in place, in cache-sized
+chunks, with one finiteness check per step. It equals the per-array
+update in ``tests/oracles.py`` bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -125,6 +134,26 @@ def _as_leaves(x, leaves: list[Tensor]):
     return x
 
 
+def rebind(params, arrays: list[Array]) -> None:
+    """Set the arrays of the parameter tree `params`, in the order
+    ``traced`` gives its leaves, to `arrays`, in place."""
+    _rebind(params, iter(arrays))
+
+
+def _rebind(x, arrays) -> None:
+    if isinstance(x, list):
+        slots, put = list(enumerate(x)), x.__setitem__
+    elif is_dataclass(x) and not isinstance(x, type):
+        slots, put = [(f.name, getattr(x, f.name)) for f in fields(x)], partial(setattr, x)
+    else:
+        return
+    for key, value in slots:
+        if isinstance(value, np.ndarray):
+            put(key, next(arrays))
+        else:
+            _rebind(value, arrays)
+
+
 def _accumulate(node: Tensor, grad: Array) -> None:
     # No backward writes into a gradient array in place, so the first one
     # is stored as it comes; it may be shared with other nodes or be a view.
@@ -207,49 +236,116 @@ def mlp_backward(g: Array, x: Array, h: Array, w1: Array, w2: Array,
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam over one flat parameter vector
 # ---------------------------------------------------------------------------
+
+# elements per pass of the in-place update: a chunk's slices of the
+# parameters, both moments, the gradient, the rates and the two scratch rows
+# stay in cache between the elementwise operations
+ADAM_CHUNK = 1 << 14
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for a parameter list."""
+    """Bias-corrected adaptive-moment optimizer state over one float64
+    vector of parameters.
 
+    ``flat`` holds every parameter array, in order; ``offsets[i]`` is where
+    array i starts and ``views[i]`` is that array, a view into ``flat`` in
+    its shape ``shapes[i]``. ``m`` and ``v`` are flat like ``flat``. With
+    ``rates`` (one per element) each element moves by its rate times Adam's
+    step; with None by the step itself. ``grad`` is the last flat gradient
+    a training step stored, or None.
+    """
+
+    flat: Array
+    shapes: list[tuple[int, ...]]
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
+    rates: Array | None = None
+    grad: Array | None = None
+    offsets: list[int] = field(init=False)
+    views: list[Array] = field(init=False)
+    m: Array = field(init=False)
+    v: Array = field(init=False)
+    scratch: Array = field(init=False)
+
+    def __post_init__(self):
+        sizes = [math.prod(shape) for shape in self.shapes]
+        self.offsets = list(itertools.accumulate(sizes[:-1], initial=0))
+        self.views = self.split(self.flat)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.scratch = np.empty((2, min(ADAM_CHUNK, self.flat.size)))
 
     @classmethod
-    def for_params(cls, params: list[Array], lr: float = 1e-3) -> "AdamState":
-        return cls(lr=lr, m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def over(cls, arrays: list[Array], lr: float = 1e-3, rates=None) -> "AdamState":
+        """State for a copy of `arrays` joined into one vector; callers read
+        and write the parameters through ``views``. `rates` gives one rate
+        per array, or None."""
+        flat = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays])
+        if rates is not None:
+            rates = np.repeat(np.asarray(rates, dtype=np.float64), [a.size for a in arrays])
+        return cls(flat, [a.shape for a in arrays], lr=lr, rates=rates)
+
+    def split(self, vector: Array) -> list[Array]:
+        """`vector`, flat like ``flat``, as one view per parameter array."""
+        return [vector[o:o + math.prod(shape)].reshape(shape)
+                for o, shape in zip(self.offsets, self.shapes)]
 
 
-def adam_step(params: list[Array], grads: list[Array], state: AdamState) -> list[Array]:
-    """One Adam update; mutates `state`, returns new parameter arrays."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
+def adam_step(grad: Array, state: AdamState, scale: float = 1.0) -> None:
+    """One Adam update of ``state.flat``, in place, for the flat gradient
+    `grad` times `scale`; `grad` is scaled in place. A non-finite gradient
+    or a negative step size raises ValueError with nothing changed.
+
+    Every element goes through the per-array update's operations in its
+    order (g * scale, b1 * m + (1 - b1) * g, ...), so the bits equal it; the
+    work runs in chunks of ``ADAM_CHUNK`` elements through two scratch rows.
+    """
+    if grad.shape != state.flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameters "
+                         f"{state.flat.shape}")
     if state.lr < 0.0:
         raise ValueError("step size must be non-negative")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient")
     state.step += 1
     t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        mhat = state.m[i] / (1.0 - state.beta1**t)
-        vhat = state.v[i] / (1.0 - state.beta2**t)
-        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
-    return out
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for s in range(0, grad.size, ADAM_CHUNK):
+        e = s + ADAM_CHUNK
+        g, p, m, v = grad[s:e], state.flat[s:e], state.m[s:e], state.v[s:e]
+        a, b = state.scratch[:, :g.size]
+        if scale != 1.0:
+            g *= scale
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        # step = lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, c1, out=b)
+        b *= state.lr
+        b /= a
+        if state.rates is None:
+            p -= b
+        else:
+            # p + rate * ((p - step) - p)
+            np.subtract(p, b, out=b)
+            b -= p
+            b *= state.rates[s:e]
+            p += b
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,62 @@ def canonical_rank(m: Molecule) -> list[int]:
     return ranks
 
 
+# write_smiles' walks are module-level functions that take their state as
+# arguments: a local function that calls itself is a reference cycle, which
+# keeps one call's lists alive until the cyclic garbage collector runs
+
+
+def _span(a: int, adj, visited: list[bool], tree, ring_bonds: list, seen_edges: set) -> None:
+    """Depth-first spanning tree from atom `a`: tree edges go into `tree`,
+    the other bonds into `ring_bonds`."""
+    visited[a] = True
+    for b, order in adj[a]:
+        key = (min(a, b), max(a, b))
+        if key in seen_edges:
+            continue
+        seen_edges.add(key)
+        if visited[b]:
+            ring_bonds.append((a, b, order))
+        else:
+            tree[a].append((b, order))
+            _span(b, adj, visited, tree, ring_bonds, seen_edges)
+
+
+def _emit(atom: int, elems, tree, ring_at, ring_digit: dict, free_digits: list,
+          out: list) -> None:
+    """Append the SMILES of `atom`'s subtree to `out`, opening and closing
+    ring digits as its ring bonds come up."""
+    out.append(elems[atom])
+    for other, order, edge_id in sorted(ring_at.get(atom, []), key=lambda t: t[2]):
+        if edge_id in ring_digit:
+            digit = ring_digit.pop(edge_id)
+            if order != 1:
+                out.append(BOND_CHAR[order])
+            out.append(str(digit))
+            free_digits.append(digit)
+            free_digits.sort(reverse=True)
+        else:
+            if not free_digits:
+                # only possible for extreme polycyclic cages (10 independent
+                # cycles needs 18 bonds on 9 all-carbon atoms)
+                raise ValueError("molecule needs more than 9 open ring closures")
+            digit = free_digits.pop()
+            ring_digit[edge_id] = digit
+            if order != 1:
+                out.append(BOND_CHAR[order])
+            out.append(str(digit))
+    children = tree[atom]
+    for k, (child, order) in enumerate(children):
+        last = k == len(children) - 1
+        if not last:
+            out.append("(")
+        if order != 1:
+            out.append(BOND_CHAR[order])
+        _emit(child, elems, tree, ring_at, ring_digit, free_digits, out)
+        if not last:
+            out.append(")")
+
+
 def write_smiles(m: Molecule) -> str:
     """Canonical SMILES: identical strings for isomorphic molecules."""
     if m.num_atoms == 0:
@@ -311,22 +367,7 @@ def write_smiles(m: Molecule) -> str:
     visited = [False] * m.num_atoms
     tree: list[list[tuple[int, int]]] = [[] for _ in range(m.num_atoms)]
     ring_bonds: list[tuple[int, int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
-
-    def span(a: int) -> None:
-        visited[a] = True
-        for b, order in adj[a]:
-            key = (min(a, b), max(a, b))
-            if key in seen_edges:
-                continue
-            seen_edges.add(key)
-            if visited[b]:
-                ring_bonds.append((a, b, order))
-            else:
-                tree[a].append((b, order))
-                span(b)
-
-    span(0)
+    _span(0, adj, visited, tree, ring_bonds, set())
 
     ring_digit: dict[tuple[int, int], int] = {}
     ring_at: dict[int, list[tuple[int, int, int]]] = {}
@@ -337,38 +378,7 @@ def write_smiles(m: Molecule) -> str:
     free_digits = list(range(9, 0, -1))
     out: list[str] = []
 
-    def emit(atom: int) -> None:
-        out.append(elems[atom])
-        for other, order, edge_id in sorted(ring_at.get(atom, []), key=lambda t: t[2]):
-            if edge_id in ring_digit:
-                digit = ring_digit.pop(edge_id)
-                if order != 1:
-                    out.append(BOND_CHAR[order])
-                out.append(str(digit))
-                free_digits.append(digit)
-                free_digits.sort(reverse=True)
-            else:
-                if not free_digits:
-                    # only possible for extreme polycyclic cages (10 independent
-                    # cycles needs 18 bonds on 9 all-carbon atoms)
-                    raise ValueError("molecule needs more than 9 open ring closures")
-                digit = free_digits.pop()
-                ring_digit[edge_id] = digit
-                if order != 1:
-                    out.append(BOND_CHAR[order])
-                out.append(str(digit))
-        children = tree[atom]
-        for k, (child, order) in enumerate(children):
-            last = k == len(children) - 1
-            if not last:
-                out.append("(")
-            if order != 1:
-                out.append(BOND_CHAR[order])
-            emit(child)
-            if not last:
-                out.append(")")
-
-    emit(0)
+    _emit(0, elems, tree, ring_at, ring_digit, free_digits, out)
     return "".join(out)
 
 
@@ -561,25 +571,27 @@ def to_hex(fp: int, nbits: int) -> str:
 PATH_HASH_CACHE_SIZE = 1 << 16
 
 
+def _encode(x, out: bytearray) -> None:
+    """Append the canonical bytes of the int/str tuple `x` to `out`."""
+    if isinstance(x, tuple):
+        out += b"("
+        for item in x:
+            _encode(item, out)
+            out += b","
+        out += b")"
+    elif isinstance(x, int):
+        out += b"i%d" % x
+    elif isinstance(x, str):
+        out += b"s" + x.encode("utf-8")
+    else:
+        raise TypeError(f"unhashable piece {type(x)}")
+
+
 def _hash_tuple(obj) -> int:
     """FNV-1a over a canonical byte serialization of nested int/str tuples."""
 
-    def encode(x, out: bytearray) -> None:
-        if isinstance(x, tuple):
-            out += b"("
-            for item in x:
-                encode(item, out)
-                out += b","
-            out += b")"
-        elif isinstance(x, int):
-            out += b"i%d" % x
-        elif isinstance(x, str):
-            out += b"s" + x.encode("utf-8")
-        else:
-            raise TypeError(f"unhashable piece {type(x)}")
-
     buf = bytearray()
-    encode(obj, buf)
+    _encode(obj, buf)
     return fnv1a_64(bytes(buf))
 
 
@@ -628,6 +640,20 @@ PATH_MAX_BONDS = 5
 PATH_BITS = 2048
 
 
+def _extend_paths(cur: int, mask: int, path_repr: tuple, n_bonds: int, adj, elements,
+                  table: set) -> None:
+    """Add to `table` every simple path that continues `path_repr`, which
+    ends at atom `cur`, visits the atoms of `mask` and has `n_bonds` bonds,
+    by up to ``PATH_MAX_BONDS - n_bonds`` bonds."""
+    for nb, order in adj[cur]:
+        if mask >> nb & 1:
+            continue
+        rep = path_repr + (order, elements[nb])
+        table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
+        if n_bonds + 1 < PATH_MAX_BONDS:
+            _extend_paths(nb, mask | 1 << nb, rep, n_bonds + 1, adj, elements, table)
+
+
 @lru_cache(maxsize=8)
 def _path_table(m: Molecule) -> tuple[tuple[int, int], ...]:
     """``(atom bitmask, bit)`` of every simple path of 0..``PATH_MAX_BONDS``
@@ -639,19 +665,9 @@ def _path_table(m: Molecule) -> tuple[tuple[int, int], ...]:
     """
     table: set[tuple[int, int]] = set()
     adj, elements = m.adjacency, m.elements
-
-    def extend(cur: int, mask: int, path_repr: tuple, n_bonds: int) -> None:
-        for nb, order in adj[cur]:
-            if mask >> nb & 1:
-                continue
-            rep = path_repr + (order, elements[nb])
-            table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
-            if n_bonds + 1 < PATH_MAX_BONDS:
-                extend(nb, mask | 1 << nb, rep, n_bonds + 1)
-
     for i, el in enumerate(elements):
         table.add((1 << i, _path_hash((el,)) % PATH_BITS))
-        extend(i, 1 << i, (el,), 0)
+        _extend_paths(i, 1 << i, (el,), 0, adj, elements, table)
     return tuple(table)
 
 

@@ -484,45 +484,61 @@ def sample_prior(rng: SeededRng, config: FlowConfig, temperature: float,
 # ---------------------------------------------------------------------------
 
 
-def make_optimizer(params: ParamTree, lr: float = 1e-3) -> AdamState:
-    return AdamState.for_params([a for _, a in params.named_params()], lr=lr)
+def make_optimizer(params: ParamTree, lr: float = 1e-3, rates=None) -> AdamState:
+    """Adam state over one vector that holds a copy of every array of
+    `params`; each field of `params` is then rebound to its view into that
+    vector, so ``named_params()`` lists the optimizer's own arrays.
+    `rates` gives one rate per array, in ``named_params()`` order, or None."""
+    opt = AdamState.over([a for _, a in params.named_params()], lr=lr, rates=rates)
+    ad.rebind(params, opt.views)
+    if any(a is not view for (_, a), view in zip(params.named_params(), opt.views)):
+        raise ValueError("named_params() must list the arrays in field order")
+    return opt
 
 
-def clip_gradients(grads: list[Array], max_norm: float) -> list[Array]:
-    """Scale the gradient list so its global L2 norm is at most max_norm,
-    which must be positive."""
+def _clip_scale(grads: list[Array], max_norm: float) -> float:
+    """The factor that brings the global L2 norm of `grads` down to
+    `max_norm`, which must be positive; 1.0 when the norm is within it."""
     if not max_norm > 0.0:
         raise ValueError(f"clip norm must be positive, got {max_norm}")
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if total <= max_norm or total == 0.0:
-        return grads
-    factor = max_norm / total
-    return [g * factor for g in grads]
+    if not total > max_norm:
+        return 1.0
+    return max_norm / total
 
 
-def fit_step(params: ParamTree, loss_of, opt: AdamState, clip_norm: float | None = None,
-             rates: Array | None = None) -> float:
+def fit_step(params: ParamTree, loss_of, opt: AdamState,
+             clip_norm: float | None = None) -> float:
     """One Adam step on the scalar ``loss_of(ad.traced(params)[0])``; returns
-    the loss. Updates every array of `params` in place and advances `opt`; a
-    non-finite loss aborts with nothing changed. With `rates` (one per array,
-    in ``named_params()`` order) each array becomes arr + rate * (new - arr).
+    the loss. `opt` is ``make_optimizer(params)``'s: the step updates its
+    vector, which the arrays of `params` view, and advances it. A field of
+    `params` that no longer holds its view raises ValueError, and a
+    non-finite loss or gradient aborts with nothing changed.
     """
     view, leaves = ad.traced(params)
+    if len(leaves) != len(opt.views) or any(leaf.data is not a
+                                            for leaf, a in zip(leaves, opt.views)):
+        raise ValueError("a parameter array is not the optimizer's view of it "
+                         "(was a field rebound after make_optimizer?)")
     loss = loss_of(view)
     value = float(loss.data)
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite training loss {value}")
     grads = ad.backward(loss, leaves)
-    # the tape is no longer needed: free it before Adam allocates its arrays
-    del loss, view
-    if clip_norm is not None:
-        grads = clip_gradients(grads, clip_norm)
-    arrays = [leaf.data for leaf in leaves]
-    updated = adam_step(arrays, grads, opt)
-    if rates is not None:
-        updated = [arr + rate * (new - arr) for arr, rate, new in zip(arrays, rates, updated)]
-    for arr, new in zip(arrays, updated):
-        arr[...] = new
+    if [g.shape for g in grads] != opt.shapes:
+        raise ValueError("gradient shapes do not match the parameters")
+    # A new flat gradient each step, allocated while the tape is live and
+    # kept in `opt` until the next step frees it just before making its own:
+    # with one buffer for the whole fit, nothing would sit above a step's
+    # freed temporaries, so glibc would return that heap top to the system
+    # after every step and the next step would fault it back in (train_step
+    # at hidden 128: 20x the minor faults, 20% slower).
+    opt.grad = None
+    opt.grad = np.concatenate([g.reshape(-1) for g in grads])
+    # the tape and the leaf gradients are no longer needed: free them before Adam
+    del loss, view, leaves, grads
+    scale = 1.0 if clip_norm is None else _clip_scale(opt.split(opt.grad), clip_norm)
+    adam_step(opt.grad, opt, scale)
     return value
 
 

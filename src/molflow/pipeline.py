@@ -443,8 +443,9 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
             target = (values[idx] - mu) / sd
             fit_step(head, lambda view: view.mse(latents[idx], target), opt)
     # denormalize into the head by folding mu/sd into the output layer
-    head.mlp.w2 = head.mlp.w2 * sd
-    head.mlp.b2 = head.mlp.b2 * sd + mu
+    head.mlp.w2 *= sd
+    head.mlp.b2 *= sd
+    head.mlp.b2 += mu
     preds = apply_mlp(head.mlp, latents[hold]).reshape(-1)
     truth = values[hold]
     ss_res = float(((preds - truth) ** 2).sum())
@@ -663,10 +664,9 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
             v = sum(m is not None for m in decode_batch(params, probe_z)) / probe_count
             probe_history.append((epoch, v))
             if v > best[0]:
-                best = (v, epoch, {n: a.copy() for n, a in params.named_params()})
+                best = (v, epoch, opt.flat.copy())
     if best[2] is not None:
-        for name, arr in best[2].items():
-            params.set_param(name, arr)
+        opt.flat[...] = best[2]
     return FlowTrainResult(
         epoch_nll=epoch_nll,
         probe_history=probe_history,

@@ -291,9 +291,9 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
         params.output_mlp.b2 = np.mean(targets, axis=0)
     # Adam's direction is scale-free in the gradient, so the per-group rate
     # scales each array's update instead
-    lrs = np.array([lr if n.startswith("sphere.output") else lr * encoder_lr_scale
-                    for n, _ in params.named_params()])
-    opt = make_optimizer(params, lr=1.0)
+    lrs = [lr if n.startswith("sphere.output") else lr * encoder_lr_scale
+           for n, _ in params.named_params()]
+    opt = make_optimizer(params, lr=1.0, rates=lrs)
     shuffle = rng.spawn("shuffle")
     epoch_losses: list[float] = []
     for _ in range(epochs):
@@ -306,6 +306,6 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
             def batch_loss(view: SphereNetParams):
                 return fusion_loss(targets[idx], encode_batch(view, batch))
 
-            losses.append(fit_step(params, batch_loss, opt, rates=lrs))
+            losses.append(fit_step(params, batch_loss, opt))
         epoch_losses.append(float(np.mean(losses)))
     return FusionResult(epoch_losses)

@@ -12,7 +12,7 @@ model composed of these primitives.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import lpmv
@@ -1215,3 +1215,92 @@ def reference_optimize_substructure(host: Molecule, fragment_atoms: set[int],
         if merged is not None and safe_canonical(merged) is not None:
             return SubstructureResult(merged, tried, True)
     return SubstructureResult(None, MAX_MIXES, False)
+
+
+# ---------------------------------------------------------------------------
+# reference Adam: one update per array, new arrays each step
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ListAdamState:
+    """Adam state for a list of parameter arrays: one moment pair per array,
+    and one rate per array (or None)."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
+    rates: np.ndarray | None = None
+
+    @classmethod
+    def for_params(cls, params: list[np.ndarray], lr: float = 1e-3,
+                   rates=None) -> "ListAdamState":
+        return cls(lr=lr, m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params],
+                   rates=None if rates is None else np.asarray(rates, dtype=np.float64))
+
+
+def reference_adam_step(params: list[np.ndarray], grads: list[np.ndarray],
+                        state: ListAdamState) -> list[np.ndarray]:
+    """One Adam update; mutates `state`, returns new parameter arrays."""
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise ValueError("params/grads/state length mismatch")
+    if state.lr < 0.0:
+        raise ValueError("step size must be non-negative")
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite gradient")
+    state.step += 1
+    t = state.step
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        mhat = state.m[i] / (1.0 - state.beta1**t)
+        vhat = state.v[i] / (1.0 - state.beta2**t)
+        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+    return out
+
+
+def clip_gradients(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
+    """Scale the gradient list so its global L2 norm is at most max_norm,
+    which must be positive."""
+    if not max_norm > 0.0:
+        raise ValueError(f"clip norm must be positive, got {max_norm}")
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if total <= max_norm or total == 0.0:
+        return grads
+    factor = max_norm / total
+    return [g * factor for g in grads]
+
+
+def reference_make_optimizer(params, lr: float = 1e-3, rates=None) -> ListAdamState:
+    """make_optimizer's state for the per-array update: no vector, no views."""
+    return ListAdamState.for_params([a for _, a in params.named_params()], lr=lr, rates=rates)
+
+
+def reference_fit_step(params, loss_of, opt: ListAdamState, clip_norm: float | None = None) -> float:
+    """fit_step as a clip and an Adam update per array, each array then moved
+    to arr + rate * (new - arr) when `opt` has rates, and written back."""
+    view, leaves = ad.traced(params)
+    loss = loss_of(view)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise FloatingPointError(f"non-finite training loss {value}")
+    grads = ad.backward(loss, leaves)
+    del loss, view
+    if clip_norm is not None:
+        grads = clip_gradients(grads, clip_norm)
+    arrays = [leaf.data for leaf in leaves]
+    updated = reference_adam_step(arrays, grads, opt)
+    if opt.rates is not None:
+        updated = [arr + rate * (new - arr) for arr, rate, new in zip(arrays, opt.rates, updated)]
+    for arr, new in zip(arrays, updated):
+        arr[...] = new
+    return value

@@ -19,9 +19,9 @@ from molflow.flow import FlowConfig, fit_step, init_flow, make_optimizer, train_
 from molflow.geom3d import build_geometry
 from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
                                init_spherenet)
-from oracles import (_masked_sigmoid_np, add, assemble, concat, gather, gradient_check,
-                     index_gather, log_sigmoid, matmul, mlp, reshape, sigmoid, sqrt, take_rows,
-                     tanh, tsum)
+from oracles import (ListAdamState, _masked_sigmoid_np, add, assemble, concat, gather,
+                     gradient_check, index_gather, log_sigmoid, matmul, mlp, reference_adam_step,
+                     reshape, sigmoid, sqrt, take_rows, tanh, tsum)
 
 
 def test_matmul_hand_arithmetic():
@@ -226,40 +226,99 @@ def test_two_outputs_gives_zeros_for_an_output_the_loss_misses():
         assert calls[0][1 - missed].any()
 
 
+def _flat_adam(params, grads, lr, rates=None, scale=1.0):
+    """The parameters after ``adam_step`` on a flat state over `params`
+    for each gradient list of `grads`, and the state."""
+    state = AdamState.over(params, lr=lr, rates=rates)
+    for step_grads in grads:
+        adam_step(np.concatenate([g.reshape(-1) for g in step_grads]), state, scale)
+    return [v.copy() for v in state.views], state
+
+
 def test_adam_first_step_closed_form():
     params = [np.zeros(4)]
     grads = [np.ones(4)]
-    state = AdamState.for_params(params, lr=1e-3)
-    out = adam_step(params, grads, state)
+    state = ListAdamState.for_params(params, lr=1e-3)
+    (ref,) = reference_adam_step(params, grads, state)
+    (out,), flat = _flat_adam(params, [grads], lr=1e-3)
     # bias-corrected first step: -lr * 1 / (1 + eps)
     expected = -1e-3 / (1.0 + 1e-8)
-    assert np.allclose(out[0], expected, atol=1e-15)
-    assert state.step == 1
+    assert np.allclose(ref, expected, atol=1e-15)
+    assert np.array_equal(out, ref)
+    assert state.step == flat.step == 1
 
 
 def test_adam_zero_gradient_keeps_params():
     params = [np.array([1.0, -2.0])]
-    state = AdamState.for_params(params, lr=1e-3)
-    out = adam_step(params, [np.zeros(2)], state)
+    state = ListAdamState.for_params(params, lr=1e-3)
+    out = reference_adam_step(params, [np.zeros(2)], state)
     assert np.array_equal(out[0], params[0])
+    assert np.array_equal(_flat_adam(params, [[np.zeros(2)]], lr=1e-3)[0][0], params[0])
 
 
 def test_adam_deterministic():
+    grads = [[np.array([0.1 * k, -0.2])] for k in range(5)]
+
     def run():
         params = [np.array([0.5, -0.5])]
-        state = AdamState.for_params(params, lr=1e-2)
-        for k in range(5):
-            params = adam_step(params, [np.array([0.1 * k, -0.2])], state)
+        state = ListAdamState.for_params(params, lr=1e-2)
+        for g in grads:
+            params = reference_adam_step(params, g, state)
         return params[0]
 
     assert np.array_equal(run(), run())
+    flat = _flat_adam([np.array([0.5, -0.5])], grads, lr=1e-2)[0][0]
+    assert flat.tobytes() == run().tobytes()
 
 
 def test_adam_rejects_non_finite_gradient():
     params = [np.zeros(2)]
-    state = AdamState.for_params(params)
+    state = ListAdamState.for_params(params)
     with pytest.raises(ValueError):
-        adam_step(params, [np.array([1.0, np.nan])], state)
+        reference_adam_step(params, [np.array([1.0, np.nan])], state)
+    flat = AdamState.over(params)
+    with pytest.raises(ValueError):
+        adam_step(np.array([1.0, np.nan]), flat)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("with_rates", [False, True])
+def test_flat_adam_equals_per_array_adam_bit_for_bit(scale, with_rates):
+    # arrays of several shapes, together longer than two chunks, so every
+    # chunk edge falls inside an array
+    rng = SeededRng(120)
+    shapes = [(3, 5), (ad.ADAM_CHUNK + 7,), (1,), (40, 300), (2, 3, 4)]
+    params = [rng.normal(s) for s in shapes]
+    rates = rng.uniform(0.01, 1.0, (len(shapes),)) if with_rates else None
+    grads = [[rng.normal(s, scale=10.0 ** (k % 3 - 1)) for s in shapes] for k in range(6)]
+    state = ListAdamState.for_params(params, lr=3e-3, rates=rates)
+    ref = [p.copy() for p in params]
+    for step_grads in grads:
+        new = reference_adam_step(ref, [g * scale if scale != 1.0 else g for g in step_grads],
+                                  state)
+        if rates is not None:
+            new = [p + r * (n - p) for p, r, n in zip(ref, rates, new)]
+        ref = new
+    out, flat = _flat_adam(params, grads, lr=3e-3, rates=rates, scale=scale)
+    assert [a.tobytes() for a in out] == [a.tobytes() for a in ref]
+    assert flat.m.tobytes() == np.concatenate([m.ravel() for m in state.m]).tobytes()
+    assert flat.v.tobytes() == np.concatenate([v.ravel() for v in state.v]).tobytes()
+
+
+def test_adam_step_changes_nothing_on_a_non_finite_gradient():
+    rng = SeededRng(121)
+    shapes = [(ad.ADAM_CHUNK + 3,), (4, 4)]
+    _, state = _flat_adam([rng.normal(s) for s in shapes],
+                          [[rng.normal(s) for s in shapes] for _ in range(3)], lr=1e-2)
+    before = (state.flat.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step)
+    for bad in (np.nan, np.inf, -np.inf):
+        # the bad element sits in the last chunk, after every other update
+        grad = rng.normal(state.flat.shape)
+        grad[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            adam_step(grad, state, 0.5)
+        assert (state.flat.tobytes(), state.m.tobytes(), state.v.tobytes(),
+                state.step) == before
 
 
 def _tape(output: Tensor) -> list[Tensor]:
@@ -352,11 +411,10 @@ def test_fit_step_changes_no_gradient_the_tape_holds(monkeypatch):
     def loss_of(view):
         return fusion_loss(targets, encode_batch(view, caches))
 
-    opt = make_optimizer(params, lr=1e-2)
-    rates = np.full(len(params.named_params()), 0.5)
+    opt = make_optimizer(params, lr=1e-2, rates=np.full(len(params.named_params()), 0.5))
     for clip in (None, 1e-3):
         snapshots.clear()
-        fit_step(params, loss_of, opt, clip_norm=clip, rates=rates)
+        fit_step(params, loss_of, opt, clip_norm=clip)
         assert len(snapshots) > 20
         for node, grad in snapshots.values():
             assert np.array_equal(node.grad, grad), node.op
@@ -408,16 +466,16 @@ def test_determinism_of_training_trajectory():
     # same seed + same inputs => bit-identical short training trajectories
     def run():
         rng = SeededRng(11)
-        w = [rng.normal((3, 3))]
-        state = AdamState.for_params(w, lr=1e-3)
+        state = AdamState.over([rng.normal((3, 3))], lr=1e-3)
+        (w,) = state.views
         trace = []
         for _ in range(100):
-            leaf = Tensor(w[0])
+            leaf = Tensor(w)
             loss = tsum(tanh(leaf) * leaf)
             loss.backward()
-            w = adam_step(w, [leaf.grad], state)
+            adam_step(leaf.grad.reshape(-1), state)
             trace.append(loss.data.copy())
-        return np.array(trace), w[0]
+        return np.array(trace), w
 
     t1, w1 = run()
     t2, w2 = run()

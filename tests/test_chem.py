@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -550,3 +552,20 @@ def test_descriptors_on_known_molecules():
     assert oracles.longest_chain(ethanol) == 3
     assert rotatable_bond_count(parse_smiles("CCCC")) == 1
     assert rotatable_bond_count(parse_smiles("C1CCCCC1")) == 0  # ring bonds excluded
+
+
+def test_smiles_and_fingerprints_leave_no_reference_cycle():
+    # a local function that calls itself is a reference cycle: it would keep
+    # each call's lists alive until the cyclic garbage collector runs
+    molecules = [r.molecule for r in synthetic_corpus(6, SeededRng(131).spawn("gc"),
+                                                      with_geometry=False).records]
+    molecules.append(parse_smiles("C1CC2CCC12"))
+    gc.collect()
+    gc.disable()
+    try:
+        for m in molecules:
+            for f in (write_smiles, morgan_fingerprint, path_fingerprint):
+                f(m)
+                assert gc.collect() == 0, f.__name__
+    finally:
+        gc.enable()

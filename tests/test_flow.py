@@ -31,8 +31,9 @@ from molflow.flow import (
 )
 from oracles import (composed_atom_coupling, composed_bond_coupling, is_isomorphic,
                      onehot_from_tensors, raw_decode_batch, reference_decode_continuous,
-                     reference_encode_continuous, reference_flow_encode, reshape,
-                     scatter_discretize_bonds, tape_mean_nll, tsum, within_valence)
+                     reference_encode_continuous, reference_fit_step, reference_flow_encode,
+                     reference_make_optimizer, reshape, scatter_discretize_bonds,
+                     tape_mean_nll, tsum, within_valence)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -242,6 +243,79 @@ def test_train_steps_match_composed_couplings_bit_for_bit(monkeypatch):
     composed = steps()
     assert fused[0] == composed[0]
     assert all(_same_bits(a, b) for a, b in zip(fused[1], composed[1]))
+
+
+def test_clipped_train_steps_equal_the_per_array_adam_bit_for_bit(monkeypatch):
+    # 30 clipped train_steps on one flat vector, then with a clip and an
+    # Adam update per array; the clip fires on every step
+    cfg = FlowConfig(atom_hidden=16, bond_hidden=16)
+    rng = SeededRng(132)
+    atoms, bonds = tensor_batches(synthetic_corpus(40, rng.spawn("c"),
+                                                   with_geometry=False).records, cfg.n_max)
+    scales = []
+    real_clip_scale = flow_module._clip_scale
+
+    def recording_clip_scale(grads, max_norm):
+        scales.append(real_clip_scale(grads, max_norm))
+        return scales[-1]
+
+    monkeypatch.setattr(flow_module, "_clip_scale", recording_clip_scale)
+
+    def run(make_opt):
+        params = init_flow(cfg, SeededRng(133))
+        opt = make_opt(params, lr=1e-2)
+        steps = SeededRng(134)
+        losses = [train_step(params, atoms[k % 4 * 10:][:10], bonds[k % 4 * 10:][:10], opt,
+                             steps, clip_norm=5.0) for k in range(30)]
+        return losses, [a.tobytes() for _, a in params.named_params()]
+
+    flat = run(make_optimizer)
+    assert len(scales) == 30 and max(scales) < 1.0
+    monkeypatch.setattr(flow_module, "fit_step", reference_fit_step)
+    assert run(reference_make_optimizer) == flat
+
+
+def test_fit_step_refuses_a_rebound_field_and_a_bad_clip_norm():
+    cfg = small_config()
+    rng = SeededRng(137)
+    atom = np.zeros((2, 2, 2)); atom[:, :, 0] = 1.0
+    bond = np.zeros((2, 2, 2, 2)); bond[:, :, :, 0] = 1.0
+    params = init_flow(cfg, rng.spawn("init"))
+    opt = make_optimizer(params)
+    for clip in (0.0, -1.0):
+        with pytest.raises(ValueError, match="clip norm"):
+            train_step(params, atom, bond, opt, rng.spawn("step"), clip_norm=clip)
+    # a field rebound after make_optimizer would never train: refused
+    params.bond[1].b2 = params.bond[1].b2.copy()
+    with pytest.raises(ValueError, match="view"):
+        train_step(params, atom, bond, opt, rng.spawn("step"))
+
+
+def test_fit_step_changes_nothing_on_a_non_finite_gradient():
+    cfg = small_config()
+    atom = np.zeros((2, 2, 2)); atom[:, :, 0] = 1.0
+    bond = np.zeros((2, 2, 2, 2)); bond[:, :, :, 0] = 1.0
+    params = init_flow(cfg, SeededRng(138), zero_last=False)
+    opt = make_optimizer(params, lr=1e-2)
+    for _ in range(2):
+        train_step(params, atom, bond, opt, SeededRng(139))
+    before = (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step)
+
+    def nan_gradient_loss(view):
+        # a finite loss whose gradient is NaN in the last array's last element
+        args = [a for _, a in view.named_params()]
+
+        def backward(g):
+            grads = [np.zeros(a.shape) for a in args]
+            grads[-1].reshape(-1)[-1] = np.nan
+            return grads
+
+        return ad.node(args, (np.array(1.0),), backward, "nan")[0]
+
+    for clip in (None, 1.0):
+        with pytest.raises(ValueError, match="non-finite"):
+            flow_module.fit_step(params, nan_gradient_loss, opt, clip_norm=clip)
+        assert (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step) == before
 
 
 def test_atom_network_x_rows_get_zero_gradient():

@@ -42,9 +42,9 @@ from molflow.pipeline import (
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet, train_fusion
-from oracles import (LinearHead, is_isomorphic, reference_generate_similar,
-                     reference_optimize_property, reference_optimize_substructure, tape_mse,
-                     tape_value_and_grad)
+from oracles import (LinearHead, is_isomorphic, reference_fit_step, reference_generate_similar,
+                     reference_make_optimizer, reference_optimize_property,
+                     reference_optimize_substructure, tape_mse, tape_value_and_grad)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -588,22 +588,22 @@ def test_train_flow_with_weight_table_is_deterministic():
     assert run() == run()
 
 
-def test_every_fit_step_walks_the_tape_once(monkeypatch):
-    # the benchmark counts training steps as Tensor.backward calls
+def _calls_per_fit_step(monkeypatch, patch) -> dict[str, list[int]]:
+    """For each trainer, the calls per fit_step of what ``patch(count)``
+    patches in, where the patched function calls ``count()`` once a call."""
     from molflow import flow, pipeline, spherenet
 
     per_step = []
-    real_backward, real_fit_step = Tensor.backward, flow.fit_step
+    real_fit_step = flow.fit_step
 
-    def counting_backward(self):
+    def count():
         per_step[-1] += 1
-        real_backward(self)
 
     def counting_fit_step(*args, **kwargs):
         per_step.append(0)
         return real_fit_step(*args, **kwargs)
 
-    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    patch(count)
     for module in (flow, spherenet, pipeline):
         monkeypatch.setattr(module, "fit_step", counting_fit_step)
     rng = SeededRng(106)
@@ -619,7 +619,61 @@ def test_every_fit_step_walks_the_tape_once(monkeypatch):
         "train_property_head": lambda: train_property_head(
             rng.normal((60, 4)), rng.normal((60,)), rng.spawn("h"), epochs=2),
     }
+    counts = {}
     for name, train in trainers.items():
         per_step.clear()
         train()
+        counts[name] = list(per_step)
+    return counts
+
+
+def test_every_fit_step_walks_the_tape_once(monkeypatch):
+    # the benchmark counts training steps as Tensor.backward calls
+    real_backward = Tensor.backward
+
+    def patch(count):
+        def counting_backward(self):
+            count()
+            real_backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+
+    for name, per_step in _calls_per_fit_step(monkeypatch, patch).items():
         assert len(per_step) > 1 and set(per_step) == {1}, (name, per_step)
+
+
+def test_every_fit_step_takes_one_adam_step(monkeypatch):
+    # the benchmark's train workload shows the Adam step's calls, which it
+    # traces where fit_step looks adam_step up: in flow's globals
+    from molflow import flow
+
+    real_adam_step = flow.adam_step
+
+    def patch(count):
+        def counting_adam_step(*args, **kwargs):
+            count()
+            return real_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "adam_step", counting_adam_step)
+
+    for name, per_step in _calls_per_fit_step(monkeypatch, patch).items():
+        assert len(per_step) > 1 and set(per_step) == {1}, (name, per_step)
+
+
+def test_property_head_fit_equals_the_per_array_adam_bit_for_bit(monkeypatch):
+    # the head trained on one flat vector, then with a per-array Adam update
+    # and no vector; the denormalizing fold writes into the same arrays
+    from molflow import pipeline
+
+    rng = SeededRng(135)
+    latents = rng.normal((80, 6))
+    values = latents @ rng.normal((6,))
+
+    def run():
+        head, r2 = train_property_head(latents, values, SeededRng(136), epochs=20)
+        return r2, [a.tobytes() for _, a in head.named_params()]
+
+    flat = run()
+    monkeypatch.setattr(pipeline, "make_optimizer", reference_make_optimizer)
+    monkeypatch.setattr(pipeline, "fit_step", reference_fit_step)
+    assert run() == flat

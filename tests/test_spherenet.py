@@ -22,7 +22,8 @@ from molflow.spherenet import (
     train_fusion,
 )
 from oracles import (DenseGeometryCache, onehot_encode_batch, random_rigid_motion,
-                     reference_encode, tape_fusion_loss)
+                     reference_encode, reference_fit_step, reference_make_optimizer,
+                     tape_fusion_loss)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -275,6 +276,24 @@ def test_train_fusion_equals_the_onehot_encoder_run_bit_for_bit(pinned_models_an
     losses, arrays = run()
     monkeypatch.setattr(spherenet, "encode_batch", onehot_encode_batch)
     assert run() == (losses, arrays)
+
+
+def test_train_fusion_equals_the_per_array_adam_bit_for_bit(pinned_models_and_records,
+                                                             monkeypatch):
+    # 30 steps at the two group rates on one flat vector, then with a
+    # per-array Adam update and per-array rates
+    flow, sphere, records = pinned_models_and_records
+
+    def run():
+        params = init_spherenet(sphere.config, SeededRng(93))
+        result = train_fusion(records[:8], flow, params, epochs=30, rng=SeededRng(94),
+                              batch_size=8)
+        return repr(result.epoch_losses), [a.tobytes() for _, a in params.named_params()]
+
+    flat = run()
+    monkeypatch.setattr(spherenet, "make_optimizer", reference_make_optimizer)
+    monkeypatch.setattr(spherenet, "fit_step", reference_fit_step)
+    assert run() == flat
 
 
 def _reference_rows(sphere, caches):
