@@ -409,12 +409,18 @@ def from_tensors(types: np.ndarray, orders: np.ndarray) -> Molecule:
     ``PADDING_TYPE`` marks an absent atom, and symmetric (n, n) bond orders,
     0 meaning no bond. Padding rows are dropped with their bonds. The
     result may be chemically invalid and is meant to be screened by
-    ``valency_check``."""
-    keep = np.flatnonzero(types != PADDING_TYPE)
-    kept = orders[np.ix_(keep, keep)]
-    i, j = np.nonzero(np.triu(kept, 1))
-    return Molecule(tuple(ELEMENTS[t] for t in types[keep].tolist()),
-                    tuple(zip(i.tolist(), j.tolist(), kept[i, j].tolist())))
+    ``valency_check``. The row is read as plain lists: the upper triangle
+    among real atoms, in (i, j) order."""
+    atoms = types.tolist()
+    keep = [i for i, t in enumerate(atoms) if t != PADDING_TYPE]
+    rows = orders.tolist()
+    bonds = []
+    for a, i in enumerate(keep):
+        row = rows[i]
+        for b in range(a + 1, len(keep)):
+            if order := row[keep[b]]:
+                bonds.append((a, b, order))
+    return Molecule(tuple(ELEMENTS[atoms[i]] for i in keep), tuple(bonds))
 
 
 def connected_components(m: Molecule) -> list[set[int]]:

@@ -461,13 +461,17 @@ def decode_batch(params: FlowParams, z: Array) -> list[Molecule | None]:
     """Invert a (batch, d_total) latent block into each row's molecule, or
     None for a row that fails ``valency_check``. Only the rows that pass
     ``valence_prescreen``, a necessary condition for it, are built with
-    ``from_tensors`` and checked."""
+    ``from_tensors`` and checked, each distinct row once: equal rows share
+    one ``Molecule`` (or None)."""
     types, orders = decode_tensors(params, z)
     out: list[Molecule | None] = [None] * len(types)
+    built: dict[bytes, Molecule | None] = {}
     for i in np.flatnonzero(valence_prescreen(types, orders)):
-        mol = from_tensors(types[i], orders[i])
-        if valency_check(mol):
-            out[i] = mol
+        key = types[i].tobytes() + orders[i].tobytes()
+        if key not in built:
+            mol = from_tensors(types[i], orders[i])
+            built[key] = mol if valency_check(mol) else None
+        out[i] = built[key]
     return out
 
 

@@ -233,8 +233,12 @@ def generate_random(params: FlowParams, count: int, check: bool, temperature: fl
 
     entries = []
     valid_smiles = []
+    # each distinct molecule is written once per call; None stays None
+    canonical: dict[Molecule | None, str | None] = {None: None}
     for idx, mol in enumerate(molecules):
-        smi = safe_canonical(mol) if mol is not None else None
+        if mol not in canonical:
+            canonical[mol] = safe_canonical(mol)
+        smi = canonical[mol]
         if smi is not None:
             valid_smiles.append(smi)
         entries.append((idx, smi is not None, smi or ""))

@@ -19,7 +19,8 @@ from scipy.special import lpmv
 
 import molflow.autodiff as ad
 from molflow.flow import (FlowParams, Mlp, _sigmoid, atom_condition, decode_tensors,
-                          dequantize, discretize_bonds, encode_molecules, encode_tensors)
+                          dequantize, discretize_bonds, encode_molecules, encode_tensors,
+                          sample_prior)
 from molflow.chem import (
     ELEMENTS,
     MORGAN_BITS,
@@ -45,6 +46,7 @@ from molflow.geom3d import (
 )
 from molflow.pipeline import (
     MAX_MIXES,
+    GenerationReport,
     OptimizationTrajectory,
     SimilarityReport,
     SubstructureResult,
@@ -975,6 +977,42 @@ def raw_decode_batch(params: FlowParams, z: np.ndarray) -> list[Molecule]:
     prescreen and no valency_check."""
     types, orders = decode_tensors(params, z)
     return [from_tensors(types[i], orders[i]) for i in range(len(z))]
+
+
+def reference_generate_random(params: FlowParams, count: int, check: bool, temperature: float,
+                              rng: ad.SeededRng, training: set[str] | None = None,
+                              max_attempts_per: int = 100, batch_size: int = 1024):
+    """generate_random with every sampled row built by raw_decode_batch and
+    checked by valency_check, and every kept molecule canonicalized on its
+    own: no prescreen, no shared molecules, no memo."""
+    training = training or set()
+    molecules = []
+    raw_attempts = raw_valid = 0
+    cap = count * max_attempts_per
+    while len(molecules) < count:
+        take = min(batch_size, cap - raw_attempts if check else count - len(molecules))
+        if take <= 0:
+            break
+        z = sample_prior(rng, params.config, temperature=temperature, count=take)
+        decoded = [m if valency_check(m) else None for m in raw_decode_batch(params, z)]
+        raw_attempts += take
+        raw_valid += sum(m is not None for m in decoded)
+        molecules += [m for m in decoded if m is not None or not check][:count - len(molecules)]
+    smiles = [safe_canonical(m) if m is not None else None for m in molecules]
+    valid = [s for s in smiles if s is not None]
+    returned = len(molecules)
+    report = GenerationReport(
+        requested=count,
+        returned=returned,
+        raw_attempts=raw_attempts,
+        validity_pct=100.0 * len(valid) / returned if returned else 0.0,
+        validity_wo_check_pct=100.0 * raw_valid / raw_attempts if raw_attempts else 0.0,
+        novelty_pct=brute_force_novelty(valid, training),
+        uniqueness_pct=brute_force_uniqueness(valid),
+        cap_exhausted=check and returned < count,
+        entries=[(i, s is not None, s or "") for i, s in enumerate(smiles)],
+    )
+    return molecules, report
 
 
 def reference_layout_coordinates(mol: Molecule, rng: ad.SeededRng) -> np.ndarray:

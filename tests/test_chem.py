@@ -236,6 +236,25 @@ def test_from_tensors_drops_padding_rows_and_their_bonds():
     assert m.bonds == ((0, 1, 1), (1, 2, 3))
 
 
+def test_from_tensors_equals_the_onehot_oracle_on_random_rows():
+    # 3000 random symmetric rows, with padding atoms that still carry bonds,
+    # nonzero diagonals and 100 all-padding rows
+    gen = np.random.default_rng(25)
+    rows, n = 3000, 9
+    types = np.where(gen.random((rows, n)) < 0.3, PADDING_TYPE,
+                     gen.integers(0, PADDING_TYPE, (rows, n)))
+    types[:100] = PADDING_TYPE
+    upper = np.triu(gen.integers(0, N_BOND_TYPES, (rows, n, n)) * (gen.random((rows, n, n)) < 0.35))
+    orders = upper + np.triu(upper, 1).transpose(0, 2, 1)
+    assert (np.diagonal(orders, axis1=1, axis2=2) != 0).any(axis=1).sum() > rows // 2
+    real = types != PADDING_TYPE
+    assert (orders * (real[:, :, None] & ~real[:, None, :])).any(axis=(1, 2)).sum() > rows // 2
+    atom, bond = np.eye(N_ATOM_TYPES)[types], np.eye(N_BOND_TYPES)[orders]
+    for i in range(rows):
+        assert from_tensors(types[i], orders[i]) == oracles.onehot_from_tensors(atom[i], bond[i])
+    assert from_tensors(types[0], orders[0]).num_atoms == 0
+
+
 def test_valence_prescreen_matches_per_molecule_capacity():
     # random decoded rows: the screen holds exactly where the molecule has
     # an atom and no atom over its valence (connectivity aside)

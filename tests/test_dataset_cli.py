@@ -536,6 +536,15 @@ def bad_inputs(tmp_path_factory):
     (root / "a_file").write_text("not a directory\n")
     (root / "no_smiles.csv").write_text("index,valid\n0,1\n")
     (root / "no_valid.csv").write_text("index,smiles\n0,CCO\n")
+    (root / "no_columns.csv").write_text("index\n0\n")
+    (root / "no_weight.csv").write_text("smiles,energy\nCCO,-1.0\n")
+    np.savez(root / "foreign.npz", weights=np.ones(3))
+    (root / "empty.smi").write_text("")
+    for name, text in [("list.json", "[1, 2]"), ("malformed.json", '{"seed": 1,'),
+                       ("wrong_type.json", '{"epochs": "ten"}'),
+                       ("out_of_range.json", '{"batch_size": 0}'),
+                       ("null.json", '{"temperature": null}')]:
+        (root / name).write_text(text)
     (root / "report").mkdir()
     (root / "report" / "gen_report.csv").write_text("index,smiles\n0,CCO\n")
     # reports with one bad cell on line 2
@@ -566,6 +575,25 @@ BAD_INVOCATIONS = [
      2, "smiles"),
     ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_valid.csv --out {out}/o",
      2, "valid"),
+    ("evaluate --data {root}/data/dataset.xyz --generated {root}/no_columns.csv --out {out}/o",
+     2, "no_columns.csv:1: missing column(s) smiles, valid"),
+    ("train-flow --config {root}/config.json --data {root}/data/dataset.xyz "
+     "--weights {root}/no_weight.csv --out {out}/o.npz",
+     2, "no_weight.csv:1: missing column(s) alpha, weight"),
+    ("generate --checkpoint {root}/foreign.npz --out {out}/o",
+     2, "foreign.npz is not a readable molflow checkpoint"),
+    ("prepare-data --input {root}/empty.smi --out {out}/o",
+     2, "empty.smi:0: dataset is empty after ingestion"),
+    ("prepare-data --config {root}/list.json --synthetic 5 --out {out}/o",
+     2, "a config must be a JSON object, got list"),
+    ("prepare-data --config {root}/malformed.json --synthetic 5 --out {out}/o",
+     2, "Expecting property name enclosed in double quotes"),
+    ("prepare-data --config {root}/wrong_type.json --synthetic 5 --out {out}/o",
+     2, "epochs must be of type int, got 'ten'"),
+    ("prepare-data --config {root}/out_of_range.json --synthetic 5 --out {out}/o",
+     2, "batch_size must be positive, got 0"),
+    ("prepare-data --config {root}/null.json --synthetic 5 --out {out}/o",
+     2, "temperature must be of type float, got None"),
     ("export-plotdata --report {root}/report --out {out}/o", 2, "valid"),
     ("evaluate --data {root}/data/dataset.xyz --generated {root}/valid_yes.csv --out {out}/o",
      2, "valid_yes.csv:2: invalid literal for int() with base 10: 'yes'"),

@@ -507,7 +507,8 @@ def test_decode_tensors_gives_the_onehot_molecules_on_pinned_model():
 
 def test_decode_batch_screens_rows_and_builds_only_prescreened_ones(monkeypatch):
     # decode_batch is the raw decode with each invalid row as None, and it
-    # calls from_tensors once per row that passes valence_prescreen
+    # calls from_tensors once per distinct row that passes valence_prescreen;
+    # equal rows share one Molecule
     built = []
     monkeypatch.setattr(flow_module, "from_tensors",
                         lambda types, orders: built.append(1) or from_tensors(types, orders))
@@ -517,12 +518,22 @@ def test_decode_batch_screens_rows_and_builds_only_prescreened_ones(monkeypatch)
     for flow, temperature in ((pinned, 0.12), (pinned, 0.7), (untrained, 0.7)):
         z = sample_prior(rng, flow.config, temperature=temperature, count=2048)
         raw = raw_decode_batch(flow, z)
-        screened = int(valence_prescreen(*decode_tensors(flow, z)).sum())
+        types, orders = decode_tensors(flow, z)
+        screen = valence_prescreen(types, orders)
+        rows = [types[i].tobytes() + orders[i].tobytes() for i in range(len(z))]
+        distinct = {rows[i] for i in np.flatnonzero(screen)}
         valid = [m if valency_check(m) else None for m in raw]
         built.clear()
-        assert decode_batch(flow, z) == valid
-        assert len(built) == screened
-        assert 0 < sum(m is not None for m in valid) < screened < len(z)
+        got = decode_batch(flow, z)
+        assert got == valid
+        assert len(built) == len(distinct)
+        assert 0 < sum(m is not None for m in valid) < len(distinct) <= int(screen.sum()) < len(z)
+        first = {}
+        for row, mol in zip(rows, got):
+            if mol is not None:
+                assert first.setdefault(row, mol) is mol
+        if temperature == 0.12:
+            assert len(distinct) < int(screen.sum())
 
 
 def test_round_trip_with_odd_bond_type_count():

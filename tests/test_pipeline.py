@@ -36,19 +36,29 @@ from molflow.pipeline import (
     qed_descriptors,
     ring_penalty,
     sa_proxy,
+    safe_canonical,
     similarity_triple,
     train_flow,
     train_property_head,
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet, train_fusion
-from oracles import (LinearHead, is_isomorphic, reference_fit_step, reference_generate_similar,
-                     reference_make_optimizer, reference_optimize_property,
-                     reference_optimize_substructure, tape_mse, tape_value_and_grad)
+from oracles import (LinearHead, is_isomorphic, reference_fit_step, reference_generate_random,
+                     reference_generate_similar, reference_make_optimizer,
+                     reference_optimize_property, reference_optimize_substructure, tape_mse,
+                     tape_value_and_grad)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 C = CRIPPEN_CONTRIB
+
+
+def load_fixture():
+    """perfbench's fixture module: the pinned model and its fusion set."""
+    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    return fixture
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +314,7 @@ def test_ascent_decodes_every_point_as_the_per_point_loop():
     # the trajectory is decoded in one batch after the ascent; each point's
     # molecule (or None for a valency rejection) and property value must be
     # those of decoding that point alone, on the pinned model
-    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
-    fixture = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fixture)
+    fixture = load_fixture()
     flow, _ = fixture.load_model()
     mols = [rec.molecule for rec in fixture.load_geometry_set(flow.config.n_max)[:6]]
     rng = SeededRng(99)
@@ -426,6 +434,44 @@ def test_generate_random_with_check_returns_only_valid():
     assert report.cap_exhausted == (report.returned < 20)
 
 
+def test_generate_random_equals_the_per_row_reference_on_pinned_model(monkeypatch):
+    # every row built and checked on its own and every kept molecule
+    # canonicalized on its own give the same molecules and report; the call
+    # writes each distinct molecule once. At 0.7 the check exhausts its cap,
+    # and without it no row is valid
+    import molflow.pipeline as pipeline_module
+
+    fixture = load_fixture()
+    flow, _ = fixture.load_model()
+    training = {write_smiles(r.molecule) for r in fixture.load_geometry_set(flow.config.n_max)}
+    written = []
+    monkeypatch.setattr(pipeline_module, "safe_canonical",
+                        lambda m: written.append(m) or safe_canonical(m))
+    for k, (temperature, check) in enumerate([(0.12, True), (0.12, False),
+                                              (0.7, True), (0.7, False)]):
+        want_mols, want = reference_generate_random(flow, 100, check, temperature,
+                                                    SeededRng(60 + k), training)
+        written.clear()
+        mols, report = generate_random(flow, 100, check, temperature, SeededRng(60 + k), training)
+        assert mols == want_mols
+        assert report == want
+        distinct = {m for m in mols if m is not None}
+        assert len(written) == len(distinct) and set(written) == distinct
+        assert report.cap_exhausted == (temperature == 0.7 and check)
+        if temperature == 0.12:
+            assert len(distinct) < report.returned and 0 < report.novelty_pct < 100.0
+
+
+def test_generate_random_entries_are_pinned():
+    # the decode -> molecule -> canonical SMILES path on the pinned model,
+    # hashed; a byte moved anywhere on it fails here
+    flow, _ = load_fixture().load_model()
+    _, report = generate_random(flow, 300, check=True, temperature=0.12, rng=SeededRng(25))
+    digest = hashlib.sha256("\n".join(map(repr, report.entries)).encode()).hexdigest()
+    assert (report.returned, report.raw_attempts) == (300, 1024)
+    assert digest == "8423f88c0c09746a9aff226696570a59642029b190bb04e3ea6c69ac5ea6274b"
+
+
 def test_generate_similar_canonicalizes_each_accepted_molecule_once(monkeypatch):
     import molflow.pipeline as pipeline_module
 
@@ -500,9 +546,7 @@ def _recording_decodes(monkeypatch):
 def test_generate_similar_matches_per_seed_loop_on_pinned_model(monkeypatch):
     # 40 seeds drawn with replacement from the benchmark's pinned model and
     # fusion set, some of them repeated
-    spec = importlib.util.spec_from_file_location("perfbench_fixture", PERFBENCH / "fixture.py")
-    fixture = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fixture)
+    fixture = load_fixture()
     flow, sphere = fixture.load_model()
     records = fixture.load_geometry_set(flow.config.n_max)
     picks = SeededRng(40).integers(0, len(records), 40)
