@@ -365,6 +365,30 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+def fnv1a_64_batch(data: list[bytes]) -> np.ndarray:
+    """``fnv1a_64`` of each byte string, as uint64, in one numpy step per
+    byte position. The strings are sorted by length, longest first, so the
+    ones still hashing at a position are a prefix of the sorted rows; uint64
+    multiplication wraps as the 64-bit mask does."""
+    lengths = np.fromiter(map(len, data), np.int64, len(data))
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    width = int(lengths.max(initial=0))
+    # block[p, r]: byte p of sorted row r, zero past its end
+    padded = b"".join([data[k].ljust(width, b"\0") for k in order.tolist()])
+    block = np.frombuffer(padded, np.uint8).reshape(len(data), width).T.copy()
+    active = np.searchsorted(-lengths, -np.arange(width), side="left").tolist()
+    h = np.full(len(data), _FNV_OFFSET, np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for p, rows in enumerate(active):
+        head = h[:rows]
+        head ^= block[p, :rows]
+        head *= prime
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
 class SeededRng:
     """Deterministic random stream backed by the Philox counter-based generator.
 

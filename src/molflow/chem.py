@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .autodiff import fnv1a_64
+from .autodiff import fnv1a_64, fnv1a_64_batch
 
 ELEMENTS = ("C", "N", "O", "F")
 VALENCE = {"C": 4, "N": 3, "O": 2, "F": 1}
@@ -96,7 +96,11 @@ class Molecule:
         """Per bond ``(i, j)``: the length of the shortest cycle through it
         (0 for a bridge) and the bitmask of atoms reached from ``i`` without
         it, which is ``i``'s side when the bond is a bridge."""
-        return {(i, j): _shortest_cycle_through(self, i, j) for i, j, _ in self.bonds}
+        neighbors = [0] * self.num_atoms
+        for i, j, _ in self.bonds:
+            neighbors[i] |= 1 << j
+            neighbors[j] |= 1 << i
+        return {(i, j): _shortest_cycle_through(neighbors, i, j) for i, j, _ in self.bonds}
 
     @cached_property
     def cyclic_bonds(self) -> frozenset[tuple[int, int]]:
@@ -479,22 +483,27 @@ def ring_count(m: Molecule) -> int:
     return len(m.bonds) - m.num_atoms + len(connected_components(m))
 
 
-def _shortest_cycle_through(m: Molecule, i: int, j: int) -> tuple[int, int]:
-    # BFS from i avoiding the (i, j) edge itself: (cycle length or 0, the
-    # bitmask of atoms reached)
-    dist = {i: 0}
-    queue = [i]
-    while queue:
-        nxt = []
-        for cur in queue:
-            for nb, _ in m.adjacency[cur]:
-                if (min(cur, nb), max(cur, nb)) == (min(i, j), max(i, j)):
-                    continue
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    nxt.append(nb)
-        queue = nxt
-    return (dist[j] + 1 if j in dist else 0), sum(1 << a for a in dist)
+def _shortest_cycle_through(neighbors: list[int], i: int, j: int) -> tuple[int, int]:
+    """Breadth-first search from atom ``i`` over the per-atom neighbor
+    bitmasks without the (i, j) bond: (the length of the shortest cycle
+    through the bond, 0 when ``j`` is not reached; the bitmask of atoms
+    reached)."""
+    seen = 1 << i
+    frontier = neighbors[i] & ~(1 << j)
+    depth = 1
+    cycle = 0
+    while frontier:
+        seen |= frontier
+        if not cycle and frontier >> j & 1:
+            cycle = depth + 1
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= neighbors[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        depth += 1
+    return cycle, seen
 
 
 def largest_ring_size(m: Molecule) -> int:
@@ -609,36 +618,48 @@ def _path_hash(canon: tuple) -> int:
 
 MORGAN_RADIUS = 2
 MORGAN_BITS = 2048
-# distinct radius-0 and radius-1 environments a corpus repeats across its
-# molecules; the last radius, mostly unique, is hashed without the memo
-MORGAN_HASH_CACHE_SIZE = 4096
-_env_hash = lru_cache(maxsize=MORGAN_HASH_CACHE_SIZE)(_hash_tuple)
 
 
-def morgan_fingerprint(m: Molecule) -> int:
-    """Circular fingerprint: hashed atom environments for radius
-    0..``MORGAN_RADIUS``, folded to ``MORGAN_BITS`` bits.
+def _hash_distinct(pieces: list[bytes]) -> list[int]:
+    """``fnv1a_64`` of each byte string, hashing each distinct one once."""
+    distinct = list(dict.fromkeys(pieces))
+    hashes = dict(zip(distinct, fnv1a_64_batch(distinct).tolist()))
+    return [hashes[p] for p in pieces]
+
+
+def morgan_fingerprint(molecules: list[Molecule]) -> list[int]:
+    """Circular fingerprint of each molecule: hashed atom environments for
+    radius 0..``MORGAN_RADIUS``, folded to ``MORGAN_BITS`` bits.
 
     The radius-0 invariant is (element, heavy degree, total bond order,
     implicit hydrogens); each refinement hashes the previous invariant with
     the sorted (bond order, neighbor invariant) multiset, which makes the
-    result independent of atom numbering.
+    result independent of atom numbering. An invariant is ``_hash_tuple``
+    of ``("atom", ...)`` or ``("env", invariant, ((order, neighbor
+    invariant), ...))``: the byte templates below write ``_encode``'s bytes
+    of those tuples, and each radius hashes the call's distinct environments
+    in one batch.
     """
-    env = [
-        _env_hash(
-            ("atom", m.elements[i], m.degree(i), m.bond_order_sum(i), m.implicit_hydrogens(i))
-        )
-        for i in range(m.num_atoms)
-    ]
-    on = _bitset(h % MORGAN_BITS for h in env)
-    for radius in range(1, MORGAN_RADIUS + 1):
-        hash_env = _hash_tuple if radius == MORGAN_RADIUS else _env_hash
-        env = [
-            hash_env(("env", env[i], tuple(sorted((o, env[j]) for j, o in m.adjacency[i]))))
-            for i in range(m.num_atoms)
-        ]
-        on |= _bitset(h % MORGAN_BITS for h in env)
-    return on
+    sizes = [m.num_atoms for m in molecules]
+    starts = np.cumsum([0] + sizes).tolist()
+    owner = np.repeat(np.arange(len(molecules)), sizes)
+    env = _hash_distinct([
+        b"(satom,s%b,i%d,i%d,i%d,)" % (el.encode(), m.degree(i), m.bond_order_sum(i),
+                                       m.implicit_hydrogens(i))
+        for m in molecules for i, el in enumerate(m.elements)])
+    folded = [env]
+    for _ in range(MORGAN_RADIUS):
+        env = _hash_distinct([
+            b"(senv,i%d,(%b),)" % (env[base + i], b"".join(
+                b"(i%d,i%d,)," % pair
+                for pair in sorted((o, env[base + j]) for j, o in m.adjacency[i])))
+            for m, base in zip(molecules, starts) for i in range(m.num_atoms)])
+        folded.append(env)
+    on = np.zeros((len(molecules), MORGAN_BITS), bool)
+    for hashes in folded:
+        on[owner, np.array(hashes, np.uint64) % MORGAN_BITS] = True
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(on, axis=1, bitorder="little")]
 
 
 # simple paths of 0..PATH_MAX_BONDS bonds, folded to PATH_BITS bits
@@ -646,18 +667,22 @@ PATH_MAX_BONDS = 5
 PATH_BITS = 2048
 
 
-def _extend_paths(cur: int, mask: int, path_repr: tuple, n_bonds: int, adj, elements,
-                  table: set) -> None:
+def _extend_paths(start: int, cur: int, mask: int, path_repr: tuple, n_bonds: int, adj,
+                  elements, table: set) -> None:
     """Add to `table` every simple path that continues `path_repr`, which
-    ends at atom `cur`, visits the atoms of `mask` and has `n_bonds` bonds,
-    by up to ``PATH_MAX_BONDS - n_bonds`` bonds."""
+    runs from atom `start` to atom `cur`, visits the atoms of `mask` and has
+    `n_bonds` bonds, by up to ``PATH_MAX_BONDS - n_bonds`` bonds. A path is
+    added only from its lower-index end: the walk from the other end gives
+    the same atom mask and, hashed under the smaller direction, the same
+    bit."""
     for nb, order in adj[cur]:
         if mask >> nb & 1:
             continue
         rep = path_repr + (order, elements[nb])
-        table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
+        if start < nb:
+            table.add((mask | 1 << nb, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
         if n_bonds + 1 < PATH_MAX_BONDS:
-            _extend_paths(nb, mask | 1 << nb, rep, n_bonds + 1, adj, elements, table)
+            _extend_paths(start, nb, mask | 1 << nb, rep, n_bonds + 1, adj, elements, table)
 
 
 @lru_cache(maxsize=8)
@@ -673,7 +698,7 @@ def _path_table(m: Molecule) -> tuple[tuple[int, int], ...]:
     adj, elements = m.adjacency, m.elements
     for i, el in enumerate(elements):
         table.add((1 << i, _path_hash((el,)) % PATH_BITS))
-        _extend_paths(i, 1 << i, (el,), 0, adj, elements, table)
+        _extend_paths(i, i, 1 << i, (el,), 0, adj, elements, table)
     return tuple(table)
 
 

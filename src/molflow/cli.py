@@ -425,7 +425,8 @@ def cmd_export_plotdata(args, config, checkpoint, ds) -> dict:
         raise DataError(report_dir, 0, "no gen_report.csv or similar_report.csv found")
 
     _write_csv(out / "fingerprints.csv", ["smiles", "morgan_hex"],
-               [(s, to_hex(morgan_fingerprint(m), MORGAN_BITS)) for s, m in molecules])
+               [(s, to_hex(fp, MORGAN_BITS)) for (s, _), fp
+                in zip(molecules, morgan_fingerprint([m for _, m in molecules]))])
     _write_csv(out / "properties.csv",
                ["smiles", "mol_weight", "plogp", "qed_lite", "sa_proxy", "crippen_logp"],
                [(s, _fmt(molecular_weight(m)), _fmt(compute_plogp(m)),

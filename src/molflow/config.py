@@ -120,7 +120,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls.from_dict(data)
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
         data = self.to_dict()

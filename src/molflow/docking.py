@@ -81,7 +81,9 @@ def sample_epoch(table: WeightTable, rng: SeededRng, mode: str = "bernoulli") ->
     `bernoulli` includes molecule i independently with probability w_i; an
     epoch that selects nothing retries once, then falls back to everything.
     `categorical` draws len(table) molecules with replacement, with
-    probability proportional to w.
+    probability proportional to w: the draws and the stream state of
+    len(table) ``rng.choice_index(w)`` calls, from one uniform block and a
+    binary search of the running sum.
     """
     n = len(table.ids)
     if mode == "bernoulli":
@@ -91,7 +93,12 @@ def sample_epoch(table: WeightTable, rng: SeededRng, mode: str = "bernoulli") ->
                 return [int(i) for i in np.nonzero(mask)[0]]
         return list(range(n))
     if mode == "categorical":
-        return [int(rng.choice_index(table.weights)) for _ in range(n)]
+        w = np.asarray(table.weights, dtype=np.float64)
+        total = w.sum()
+        if total <= 0.0:
+            raise ValueError("weights must have positive sum")
+        r = rng.uniform(0.0, 1.0, n) * total
+        return np.minimum(np.searchsorted(np.cumsum(w), r, side="right"), n - 1).tolist()
     raise ValueError(f"unknown sampler mode {mode!r}")
 
 

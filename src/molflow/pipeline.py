@@ -267,11 +267,13 @@ class SimilarityReport:
     failures: int
 
 
-def similarity_triple(mol: Molecule, seed: Molecule) -> tuple[float, float, float]:
-    t = tanimoto(morgan_fingerprint(mol), morgan_fingerprint(seed))
-    f = fraggle_similarity(mol, seed)
-    k = maccs_similarity(mol, seed)
-    return t, f, k
+def similarity_triple(pairs: list[tuple[Molecule, Molecule]]) -> list[tuple[float, float, float]]:
+    """(tanimoto, fraggle, maccs) of each (molecule, seed) pair. The Morgan
+    fingerprints of the call's distinct molecules come from one batch."""
+    distinct = list(dict.fromkeys(m for pair in pairs for m in pair))
+    morgan = dict(zip(distinct, morgan_fingerprint(distinct)))
+    return [(tanimoto(morgan[a], morgan[b]), fraggle_similarity(a, b), maccs_similarity(a, b))
+            for a, b in pairs]
 
 
 # each round draws the next MIX_BATCH noise mixes of every pending latent, up
@@ -331,13 +333,11 @@ def generate_similar(flow_params: FlowParams, sphere_params: SphereNetParams,
     found = _search_mixes(flow_params, [encoded[id(rec)] for rec in seeds], lam,
                           [rng.spawn(f"seed{s_i}") for s_i in range(len(seeds))],
                           lambda m: None if (smi := safe_canonical(m)) is None else (m, smi))
-    rows = []
-    out: list[Molecule | None] = []
-    for rec, hit in zip(seeds, found):
-        mol, smiles = hit[1] if hit is not None else (None, None)
-        out.append(mol)
-        if mol is not None:
-            rows.append((len(rows), smiles, *similarity_triple(mol, rec.molecule)))
+    out = [hit[1][0] if hit is not None else None for hit in found]
+    # (molecule, smiles, seed molecule) of each seed that found one
+    accepted = [(*hit[1], rec.molecule) for rec, hit in zip(seeds, found) if hit is not None]
+    scores = similarity_triple([(mol, seed) for mol, _, seed in accepted])
+    rows = [(k, smiles, *score) for k, ((_, smiles, _), score) in enumerate(zip(accepted, scores))]
     report = SimilarityReport(
         seed_smiles=[r.smiles for r in seeds],
         rows=rows,
@@ -359,12 +359,8 @@ def evaluate_similarity_baseline(records: list[DatasetRecord], rng: SeededRng,
     n -= n % 2
     order = rng.permutation(len(records))[:n]
     half = n // 2
-    ts, fs, ks = [], [], []
-    for a, b in zip(order[:half], order[half:]):
-        t, f, k = similarity_triple(records[int(a)].molecule, records[int(b)].molecule)
-        ts.append(t)
-        fs.append(f)
-        ks.append(k)
+    ts, fs, ks = zip(*similarity_triple([(records[int(a)].molecule, records[int(b)].molecule)
+                                         for a, b in zip(order[:half], order[half:])]))
     return {
         "mean_tanimoto": float(np.mean(ts)),
         "mean_fraggle": float(np.mean(fs)),

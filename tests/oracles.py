@@ -28,8 +28,12 @@ from molflow.chem import (
     PADDING_TYPE,
     VALENCE,
     Molecule,
+    PATH_BITS,
     _hash_tuple,
+    _path_hash,
+    fraggle_similarity,
     from_tensors,
+    maccs_similarity,
     path_fingerprint,
     subgraph,
     tanimoto,
@@ -54,7 +58,6 @@ from molflow.pipeline import (
     attach_fragment,
     excise_fragment,
     safe_canonical,
-    similarity_triple,
 )
 from molflow.spherenet import (GeometryCache, SphereNetParams, _one_hot, encode_geometry,
                                mix_noise)
@@ -361,6 +364,53 @@ def reference_morgan_fingerprint(m: Molecule) -> int:
         ]
         on |= {h % MORGAN_BITS for h in env}
     return from_bits(on)
+
+
+def pair_similarity_triple(mol: Molecule, seed: Molecule) -> tuple[float, float, float]:
+    """(tanimoto, fraggle, maccs) of one pair, each molecule fingerprinted
+    on its own with the unbatched Morgan reference."""
+    t = tanimoto(reference_morgan_fingerprint(mol), reference_morgan_fingerprint(seed))
+    return t, fraggle_similarity(mol, seed), maccs_similarity(mol, seed)
+
+
+def dict_shortest_cycle_through(m: Molecule, i: int, j: int) -> tuple[int, int]:
+    """Breadth-first search from i over a distance dict, avoiding the (i, j)
+    edge itself: (cycle length or 0, the bitmask of atoms reached)."""
+    dist = {i: 0}
+    queue = [i]
+    while queue:
+        nxt = []
+        for cur in queue:
+            for nb, _ in m.adjacency[cur]:
+                if (min(cur, nb), max(cur, nb)) == (min(i, j), max(i, j)):
+                    continue
+                if nb not in dist:
+                    dist[nb] = dist[cur] + 1
+                    nxt.append(nb)
+        queue = nxt
+    return (dist[j] + 1 if j in dist else 0), sum(1 << a for a in dist)
+
+
+def dict_bond_walks(m: Molecule) -> dict[tuple[int, int], tuple[int, int]]:
+    """``Molecule._bond_walks`` from the distance-dict search."""
+    return {(i, j): dict_shortest_cycle_through(m, i, j) for i, j, _ in m.bonds}
+
+
+def two_direction_path_table(m: Molecule, max_bonds: int = 5) -> set[tuple[int, int]]:
+    """``(atom bitmask, bit)`` of every simple path of 0..max_bonds bonds,
+    each path added from both of its ends."""
+    table = set()
+
+    def walk(cur: int, mask: int, rep: tuple) -> None:
+        table.add((mask, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
+        if mask.bit_count() - 1 < max_bonds:
+            for nb, order in m.adjacency[cur]:
+                if not mask >> nb & 1:
+                    walk(nb, mask | 1 << nb, rep + (order, m.elements[nb]))
+
+    for i, el in enumerate(m.elements):
+        walk(i, 1 << i, (el,))
+    return table
 
 
 def brute_force_uniqueness(smiles: list[str]) -> float:
@@ -1225,7 +1275,7 @@ def reference_generate_similar(flow_params: FlowParams, sphere_params: SphereNet
                     break
         out.append(mol)
         if mol is not None:
-            rows.append((len(rows), smiles, *similarity_triple(mol, rec.molecule)))
+            rows.append((len(rows), smiles, *pair_similarity_triple(mol, rec.molecule)))
     report = SimilarityReport(
         seed_smiles=[r.smiles for r in seeds],
         rows=rows,

@@ -276,13 +276,9 @@ def test_07_3d_conditioning_direction(desk):
         umols, ureport = generate_random(desk["flow"], 500, check=True,
                                          temperature=0.12, rng=rng.spawn("uncond"))
         assert ureport.returned == 500
-        un_tani, un_frag = [], []
-        for mol, rec in zip(umols, seeds):
-            t, f, _ = similarity_triple(mol, rec.molecule)
-            un_tani.append(t)
-            un_frag.append(f)
-        un_tani = np.array(un_tani)
-        un_frag = np.array(un_frag)
+        un_scores = similarity_triple([(mol, rec.molecule) for mol, rec in zip(umols, seeds)])
+        un_tani = np.array([t for t, _, _ in un_scores])
+        un_frag = np.array([f for _, f, _ in un_scores])
 
         boot = rng.spawn("bootstrap")
         for cond_vals, un_vals, label in ((cond_frag, un_frag, "fraggle"),
@@ -324,9 +320,9 @@ def test_09_metric_oracle_equivalence():
                   "C1CCC1N", "CC(C)O", "O=C=O"]
         mols = [parse_smiles(s) for s in smiles]
         # tanimoto against explicit set arithmetic
-        for a in mols:
-            for b in mols:
-                fa, fb = morgan_fingerprint(a), morgan_fingerprint(b)
+        fps = morgan_fingerprint(mols)
+        for fa in fps:
+            for fb in fps:
                 assert tanimoto(fa, fb) == pytest.approx(
                     oracles.tanimoto_sets(oracles.set_bits(fa), oracles.set_bits(fb)), abs=1e-12)
         # fraggle against exhaustive cut enumeration

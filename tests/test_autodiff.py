@@ -2,7 +2,7 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import molflow.autodiff as ad
@@ -13,6 +13,7 @@ from molflow.autodiff import (
     adam_step,
     backward,
     fnv1a_64,
+    fnv1a_64_batch,
 )
 from molflow.dataset import synthetic_corpus, tensor_batches
 from molflow.flow import FlowConfig, fit_step, init_flow, make_optimizer, train_step
@@ -460,6 +461,19 @@ def test_fnv1a_known_vector():
     # standard FNV-1a 64-bit test vector
     assert fnv1a_64(b"") == 0xCBF29CE484222325
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=8), st.binary(min_size=250, max_size=300)),
+                max_size=12))
+@example([])
+@example([b""])
+@example([b"ab", b"", b"\xff" * 300, b"a", b"\x00" * 257])
+def test_fnv1a_batch_matches_scalar(data):
+    # empty batches, empty strings and mixed lengths over 256 bytes
+    got = fnv1a_64_batch(data)
+    assert got.dtype == np.uint64 and got.shape == (len(data),)
+    assert got.tolist() == [fnv1a_64(d) for d in data]
 
 
 def test_determinism_of_training_trajectory():

@@ -9,7 +9,6 @@ import oracles
 from oracles import is_isomorphic
 from molflow.autodiff import SeededRng
 from molflow.chem import (
-    MORGAN_HASH_CACHE_SIZE,
     N_ATOM_TYPES,
     N_BOND_TYPES,
     PADDING_TYPE,
@@ -17,7 +16,6 @@ from molflow.chem import (
     Molecule,
     SmilesError,
     STRUCTURAL_KEYS,
-    _env_hash,
     _fragment_candidates,
     _fragment_fingerprints,
     _hash_tuple,
@@ -309,16 +307,16 @@ def test_accepted_molecules_are_hydrogen_completable(rng):
 
 def test_morgan_deterministic_and_permutation_invariant():
     m = parse_smiles("CC(=O)NC1CC1")
-    fp = morgan_fingerprint(m)
-    assert fp == morgan_fingerprint(parse_smiles("CC(=O)NC1CC1"))
+    fp, again = morgan_fingerprint([m, parse_smiles("CC(=O)NC1CC1")])
+    assert fp == again
     rng = SeededRng(23)
-    for _ in range(50):
-        perm = [int(i) for i in rng.permutation(m.num_atoms)]
-        assert morgan_fingerprint(permuted(m, perm)) == fp
+    perms = [[int(i) for i in rng.permutation(m.num_atoms)] for _ in range(50)]
+    assert morgan_fingerprint([permuted(m, perm) for perm in perms]) == [fp] * 50
 
 
 def test_morgan_separates_ethane_from_ethanol():
-    assert morgan_fingerprint(parse_smiles("CC")) != morgan_fingerprint(parse_smiles("CCO"))
+    ethane, ethanol = morgan_fingerprint([parse_smiles("CC"), parse_smiles("CCO")])
+    assert ethane != ethanol
 
 
 def test_tanimoto_identity_disjoint_and_counts():
@@ -334,8 +332,7 @@ def test_tanimoto_identity_disjoint_and_counts():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_tanimoto_symmetric_and_bounded(seed):
     rng = SeededRng(seed)
-    a = morgan_fingerprint(random_molecule(rng))
-    b = morgan_fingerprint(random_molecule(rng))
+    a, b = morgan_fingerprint([random_molecule(rng), random_molecule(rng)])
     assert tanimoto(a, b) == tanimoto(b, a)
     assert 0.0 <= tanimoto(a, b) <= 1.0
 
@@ -450,10 +447,13 @@ def test_path_fingerprint_matches_uncached_reference(seed):
     assert path_fingerprint(m) == reference_path_fingerprint(m)
 
 
-def test_path_hash_cache_is_bounded():
-    info = _path_hash.cache_info()
-    assert info.maxsize == PATH_HASH_CACHE_SIZE
-    assert 0 < info.maxsize < 2**20
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_path_table_from_one_end_equals_both_ends(seed):
+    # each path is recorded from its lower-index end only; the table is the
+    # set the walk from both ends gives
+    for m in (random_molecule(SeededRng(seed)), parse_smiles("C1CC2CCC12CC1CO1")):
+        assert set(_path_table(m)) == oracles.two_direction_path_table(m)
 
 
 CHAIN_GE_5 = [name for name, _ in STRUCTURAL_KEYS].index("chain_ge_5")
@@ -462,6 +462,7 @@ CHAIN_GE_5 = [name for name, _ in STRUCTURAL_KEYS].index("chain_ge_5")
 def assert_graph_walks_match_oracles(m: Molecule) -> None:
     # fragments split from bridge sides are the flood-filled components,
     # and the path table's chain key is the longest-chain walk's
+    assert m._bond_walks == oracles.dict_bond_walks(m)
     assert set(_fragment_candidates(m)) == oracles.brute_force_fragments(m)
     assert (CHAIN_GE_5 in oracles.set_bits(structural_keys(m))) == (oracles.longest_chain(m) >= 5)
     # a fragment is an induced subgraph, so its own path walk finds exactly
@@ -504,16 +505,25 @@ def test_fragments_of_a_disconnected_graph_match_the_oracle():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_morgan_matches_unmemoized_reference(seed):
+    # one batch of random molecules, with a repeat and an atom-free molecule:
+    # the batch hashes the same bytes as hashing each environment afresh
     rng = SeededRng(seed)
-    for _ in range(3):
-        m = random_molecule(rng)
-        assert morgan_fingerprint(m) == oracles.reference_morgan_fingerprint(m)
+    mols = [random_molecule(rng) for _ in range(3)]
+    mols += [mols[0], Molecule((), ())]
+    assert morgan_fingerprint(mols) == [oracles.reference_morgan_fingerprint(m) for m in mols]
+    assert morgan_fingerprint([]) == []
+
+
+def test_morgan_batch_of_a_corpus_matches_reference():
+    mols = [r.molecule for r in synthetic_corpus(200, SeededRng(26).spawn("morgan"),
+                                                 with_geometry=False).records]
+    assert morgan_fingerprint(mols) == [oracles.reference_morgan_fingerprint(m) for m in mols]
 
 
 def test_similarity_memos_are_bounded():
-    info = _env_hash.cache_info()
-    assert info.maxsize == MORGAN_HASH_CACHE_SIZE
-    assert 0 < info.maxsize < 2**16
+    info = _path_hash.cache_info()
+    assert info.maxsize == PATH_HASH_CACHE_SIZE
+    assert 0 < info.maxsize < 2**20
     assert 0 < _path_table.cache_info().maxsize <= 8
 
 
@@ -534,6 +544,19 @@ def brute_force_cyclic_bonds(m: Molecule) -> set[tuple[int, int]]:
         if j in seen:
             out.add((i, j))
     return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_bond_walks_match_distance_dict_search(seed):
+    # random, disconnected and fused-ring molecules: the neighbor-bitmask
+    # search gives each bond's cycle length and reach of the dict search
+    rng = SeededRng(seed)
+    a, b = random_molecule(rng), random_molecule(rng)
+    joined = Molecule.build(a.elements + b.elements, list(a.bonds) + [
+        (i + a.num_atoms, j + a.num_atoms, o) for i, j, o in b.bonds])
+    for m in (a, joined, parse_smiles("C1CC2CCC12CC1CO1"), parse_smiles("C12C3C4C1C5C2C3C45")):
+        assert m._bond_walks == oracles.dict_bond_walks(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -583,8 +606,8 @@ def test_smiles_and_fingerprints_leave_no_reference_cycle():
     gc.disable()
     try:
         for m in molecules:
-            for f in (write_smiles, morgan_fingerprint, path_fingerprint):
+            for f in (write_smiles, lambda m: morgan_fingerprint([m]), path_fingerprint):
                 f(m)
-                assert gc.collect() == 0, f.__name__
+                assert gc.collect() == 0, f
     finally:
         gc.enable()

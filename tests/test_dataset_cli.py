@@ -587,7 +587,7 @@ BAD_INVOCATIONS = [
     ("prepare-data --config {root}/list.json --synthetic 5 --out {out}/o",
      2, "a config must be a JSON object, got list"),
     ("prepare-data --config {root}/malformed.json --synthetic 5 --out {out}/o",
-     2, "Expecting property name enclosed in double quotes"),
+     2, "malformed.json: Expecting property name enclosed in double quotes"),
     ("prepare-data --config {root}/wrong_type.json --synthetic 5 --out {out}/o",
      2, "epochs must be of type int, got 'ten'"),
     ("prepare-data --config {root}/out_of_range.json --synthetic 5 --out {out}/o",

@@ -120,6 +120,51 @@ def test_sampler_categorical_mode():
         sample_epoch(table, rng, mode="bogus")
 
 
+class QueuedUniform:
+    """A stand-in for SeededRng's generator whose uniform draws are given."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sampler_categorical_matches_choice_index_loop(seed):
+    # random weights with zeros, drawn as one block: index for index the
+    # choice_index loop's draws, and the same stream state afterwards
+    gen = SeededRng(seed)
+    n = int(gen.integers(1, 60))
+    weights = gen.uniform(0.0, 2.0, n) * (gen.uniform(0.0, 1.0, n) < 0.7)
+    weights[int(gen.integers(0, n))] = gen.uniform(0.1, 1.0)
+    table = WeightTable(tuple(f"m{i}" for i in range(n)), weights, 0.0, 1.0)
+    ours, loop = SeededRng(seed + 1), SeededRng(seed + 1)
+    got = sample_epoch(table, ours, mode="categorical")
+    assert got == [loop.choice_index(weights) for _ in range(n)]
+    assert all(type(i) is int for i in got)
+    assert ours.uniform(0.0, 1.0, 4).tolist() == loop.uniform(0.0, 1.0, 4).tolist()
+    # draws at 0 and at the total, where rounding can leave the running sum
+    # short of it, and draws that land on a zero weight's repeated sum
+    cumulative = np.cumsum(weights) / weights.sum()
+    draws = ([0.0, 1.0, float(np.nextafter(1.0, 0.0))] + cumulative.tolist()
+             + gen.uniform(0.0, 1.0, n).tolist())[:n]
+    fixed, loop = SeededRng(0), SeededRng(0)
+    fixed._gen, loop._gen = QueuedUniform(draws), QueuedUniform(draws)
+    assert sample_epoch(table, fixed, mode="categorical") == [
+        loop.choice_index(weights) for _ in range(n)]
+
+
+def test_sampler_categorical_refuses_zero_weights():
+    table = WeightTable(("a", "b"), np.zeros(2), 0.0, 1.0)
+    with pytest.raises(ValueError, match="positive sum"):
+        sample_epoch(table, SeededRng(85), mode="categorical")
+
+
 def test_epoch_stream_yields_epochs():
     # successive epochs drawn from one stream, as train_flow draws them; an
     # epoch whose draws all miss falls back to every molecule, never to none

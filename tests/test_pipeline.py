@@ -43,8 +43,9 @@ from molflow.pipeline import (
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet, train_fusion
-from oracles import (LinearHead, is_isomorphic, reference_fit_step, reference_generate_random,
-                     reference_generate_similar, reference_make_optimizer,
+from oracles import (LinearHead, is_isomorphic, pair_similarity_triple, reference_fit_step,
+                     reference_generate_random, reference_generate_similar,
+                     reference_make_optimizer,
                      reference_optimize_property, reference_optimize_substructure, tape_mse,
                      tape_value_and_grad)
 
@@ -182,7 +183,7 @@ def test_baseline_matches_brute_force_on_fixed_split():
     result = evaluate_similarity_baseline(recs, SeededRng(seed))
     order = [int(i) for i in SeededRng(seed).permutation(4)]
     pairs = [(order[0], order[2]), (order[1], order[3])]
-    triples = [similarity_triple(recs[a].molecule, recs[b].molecule) for a, b in pairs]
+    triples = [pair_similarity_triple(recs[a].molecule, recs[b].molecule) for a, b in pairs]
     assert result["mean_tanimoto"] == pytest.approx(np.mean([t[0] for t in triples]), abs=1e-12)
     assert result["mean_fraggle"] == pytest.approx(np.mean([t[1] for t in triples]), abs=1e-12)
     assert result["mean_maccs"] == pytest.approx(np.mean([t[2] for t in triples]), abs=1e-12)
@@ -195,14 +196,48 @@ def test_similarity_scores_and_morgan_hex_are_pinned():
     corpus = synthetic_corpus(400, SeededRng(19).spawn("pinned-similarity"), with_geometry=False)
     mols = [r.molecule for r in corpus.records]
     digest = hashlib.sha256()
-    for a, b in zip(mols[::2], mols[1::2]):
-        digest.update(repr(similarity_triple(a, b)).encode())
+    for triple in similarity_triple(list(zip(mols[::2], mols[1::2]))):
+        digest.update(repr(triple).encode())
     baseline = evaluate_similarity_baseline(corpus.records, SeededRng(19).spawn("baseline"))
     digest.update(repr(baseline).encode())
-    for m in mols:
-        digest.update(to_hex(morgan_fingerprint(m), MORGAN_BITS).encode())
+    for fp in morgan_fingerprint(mols):
+        digest.update(to_hex(fp, MORGAN_BITS).encode())
     assert len(mols) == 400 and baseline["pairs"] == 200.0
     assert digest.hexdigest() == "a8cb1f32e1d75003e96bdbe401e7b896b4232598fc586324c09b8d32f289a532"
+
+
+def test_similarity_triple_matches_per_pair_oracle():
+    # one call over pairs that repeat molecules, pair a molecule with itself
+    # and repeat whole pairs: each score is the per-pair oracle's
+    mols = [r.molecule for r in synthetic_corpus(30, SeededRng(24).spawn("triples"),
+                                                 with_geometry=False).records]
+    rng = SeededRng(25)
+    pairs = [(mols[int(a)], mols[int(b)]) for a, b in rng.integers(0, 12, (40, 2))]
+    pairs += [(m, m) for m in mols[:5]] + pairs[:3]
+    got = similarity_triple(pairs)
+    assert got == [pair_similarity_triple(a, b) for a, b in pairs]
+    assert got[40:45] == [(1.0, 1.0, 1.0)] * 5
+    assert similarity_triple([]) == []
+
+
+def test_similarity_report_and_baseline_are_pinned():
+    # the full SimilarityReport of generate_similar on the pinned model (rows
+    # with all three scores, the means and failures) and one baseline dict,
+    # hashed; perfbench's similar digest covers the SMILES only. Both values
+    # were recorded while each pair was still scored on its own
+    fixture = load_fixture()
+    flow, sphere = fixture.load_model()
+    records = fixture.load_geometry_set(flow.config.n_max)
+    seeds = [records[int(i)] for i in SeededRng(26).integers(0, len(records), 24)]
+    _, report = generate_similar(flow, sphere, seeds, 0.2, SeededRng(27))
+    assert len(report.rows) == 24 and report.failures == 0
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    assert digest == "a8a9e90b9490d21fdcb78b3f460d96147f709659fca00274d3273f7dac4d10a4"
+    corpus = synthetic_corpus(300, SeededRng(28).spawn("pinned-baseline"), with_geometry=False)
+    baseline = evaluate_similarity_baseline(corpus.records, SeededRng(29), sample_size=96)
+    assert baseline["pairs"] == 48.0
+    assert hashlib.sha256(repr(baseline).encode()).hexdigest() == (
+        "9d9fee72f5e99a80abad71b64d7857ebe627687292b47dfe6e4c07840e9c5d77")
 
 
 def test_baseline_needs_two_molecules():
