@@ -7,8 +7,9 @@ order swapped at each pair after it. Every run lasts the ``run_seconds`` of
 the change's ``BENCHMARK.json``. Prints one JSON object that can be pasted
 into a ``BENCH_<n>.json``: for each end-to-end metric and side the runs,
 their median and quartiles, the pairs the change won (ties count for
-neither side), and for each pair whether the two runs' digests agree on
-their common prefix of iterations.
+neither side), each side's share of failed operations (failed / attempted,
+over the pairs where both runs finished), and for each pair whether the two
+runs' digests agree on their common prefix of iterations.
 
 Usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
 Exits 1 when a run fails or reports ``"correct": false``.
@@ -79,11 +80,15 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             for side in SIDES:
                 entry[side] = {"runs": runs[side], **stats[side]}
         metrics[name] = entry
+    attempted = {side: sum(p[side]["result"]["attempted"] for p in good) for side in SIDES}
+    failed = {side: sum(p[side]["result"]["failed"] for p in good) for side in SIDES}
     return {
         "seeds": [p["seed"] for p in pairs],
         "first": [p["first"] for p in pairs],
-        "attempted": {side: sum(p[side]["result"]["attempted"] for p in good) for side in SIDES},
-        "failed": {side: sum(p[side]["result"]["failed"] for p in good) for side in SIDES},
+        "attempted": attempted,
+        "failed": failed,
+        "failed_share": {side: failed[side] / attempted[side] if attempted[side] else None
+                         for side in SIDES},
         "failed_runs": {side: [p["seed"] for p in pairs if not p[side]["ok"]] for side in SIDES},
         "iterations": {side: [p[side]["iterations"] for p in good] for side in SIDES},
         "digests_agree_on_common_prefix": [digests_agree(p["parent"]["digests"],

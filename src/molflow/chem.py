@@ -96,10 +96,7 @@ class Molecule:
         """Per bond ``(i, j)``: the length of the shortest cycle through it
         (0 for a bridge) and the bitmask of atoms reached from ``i`` without
         it, which is ``i``'s side when the bond is a bridge."""
-        neighbors = [0] * self.num_atoms
-        for i, j, _ in self.bonds:
-            neighbors[i] |= 1 << j
-            neighbors[j] |= 1 << i
+        neighbors = _neighbor_masks(self)
         return {(i, j): _shortest_cycle_through(neighbors, i, j) for i, j, _ in self.bonds}
 
     @cached_property
@@ -427,22 +424,17 @@ def from_tensors(types: np.ndarray, orders: np.ndarray) -> Molecule:
     return Molecule(tuple(ELEMENTS[atoms[i]] for i in keep), tuple(bonds))
 
 
-def connected_components(m: Molecule) -> list[set[int]]:
-    seen: set[int] = set()
+def connected_components(m: Molecule) -> list[int]:
+    """Atom bitmask of each connected component, ordered by lowest atom: the
+    bond walks' search from the lowest atom not yet reached, no bond left out."""
+    neighbors = _neighbor_masks(m)
     comps = []
-    for start in range(m.num_atoms):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for nb, _ in m.adjacency[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    queue.append(nb)
-        seen |= comp
+    left = (1 << m.num_atoms) - 1
+    while left:
+        start = (left & -left).bit_length() - 1
+        _, comp = _shortest_cycle_through(neighbors, start, start)
         comps.append(comp)
+        left &= ~comp
     return comps
 
 
@@ -450,8 +442,6 @@ def valency_check(m: Molecule) -> bool:
     """True iff no atom exceeds its valence capacity and the graph is one
     connected component with at least one atom. Connectivity-as-validity is
     a documented policy choice (single-molecule outputs)."""
-    if m.num_atoms == 0:
-        return False
     for i in range(m.num_atoms):
         if m.bond_order_sum(i) > VALENCE[m.elements[i]]:
             return False
@@ -483,11 +473,20 @@ def ring_count(m: Molecule) -> int:
     return len(m.bonds) - m.num_atoms + len(connected_components(m))
 
 
+def _neighbor_masks(m: Molecule) -> list[int]:
+    """Per atom, the bitmask of its bonded neighbors."""
+    neighbors = [0] * m.num_atoms
+    for i, j, _ in m.bonds:
+        neighbors[i] |= 1 << j
+        neighbors[j] |= 1 << i
+    return neighbors
+
+
 def _shortest_cycle_through(neighbors: list[int], i: int, j: int) -> tuple[int, int]:
     """Breadth-first search from atom ``i`` over the per-atom neighbor
-    bitmasks without the (i, j) bond: (the length of the shortest cycle
-    through the bond, 0 when ``j`` is not reached; the bitmask of atoms
-    reached)."""
+    bitmasks without the (i, j) bond, or none when ``j == i``: (the length of
+    the shortest cycle through the bond, 0 when ``j`` is not reached; the
+    bitmask of atoms reached, all of ``i``'s component when ``j == i``)."""
     seen = 1 << i
     frontier = neighbors[i] & ~(1 << j)
     depth = 1
@@ -586,34 +585,12 @@ def to_hex(fp: int, nbits: int) -> str:
 PATH_HASH_CACHE_SIZE = 1 << 16
 
 
-def _encode(x, out: bytearray) -> None:
-    """Append the canonical bytes of the int/str tuple `x` to `out`."""
-    if isinstance(x, tuple):
-        out += b"("
-        for item in x:
-            _encode(item, out)
-            out += b","
-        out += b")"
-    elif isinstance(x, int):
-        out += b"i%d" % x
-    elif isinstance(x, str):
-        out += b"s" + x.encode("utf-8")
-    else:
-        raise TypeError(f"unhashable piece {type(x)}")
-
-
-def _hash_tuple(obj) -> int:
-    """FNV-1a over a canonical byte serialization of nested int/str tuples."""
-
-    buf = bytearray()
-    _encode(obj, buf)
-    return fnv1a_64(bytes(buf))
-
-
 @lru_cache(maxsize=PATH_HASH_CACHE_SIZE)
 def _path_hash(canon: tuple) -> int:
-    """``_hash_tuple(("path", canon))``, memoized: molecules share paths."""
-    return _hash_tuple(("path", canon))
+    """FNV-1a of the path's bytes ``(spath,(sC,i1,sO,),)``, written as
+    Morgan's templates write theirs; memoized: molecules share paths."""
+    body = "".join(f"i{x}," if k % 2 else f"s{x}," for k, x in enumerate(canon))
+    return fnv1a_64(f"(spath,({body}),)".encode())
 
 
 MORGAN_RADIUS = 2
@@ -634,11 +611,11 @@ def morgan_fingerprint(molecules: list[Molecule]) -> list[int]:
     The radius-0 invariant is (element, heavy degree, total bond order,
     implicit hydrogens); each refinement hashes the previous invariant with
     the sorted (bond order, neighbor invariant) multiset, which makes the
-    result independent of atom numbering. An invariant is ``_hash_tuple``
-    of ``("atom", ...)`` or ``("env", invariant, ((order, neighbor
-    invariant), ...))``: the byte templates below write ``_encode``'s bytes
-    of those tuples, and each radius hashes the call's distinct environments
-    in one batch.
+    result independent of atom numbering. An invariant is FNV-1a of the bytes
+    ``(satom,sC,i<degree>,i<order sum>,i<hydrogens>,)`` or
+    ``(senv,i<invariant>,((i<order>,i<neighbor invariant>,),...),)``, written
+    by the byte templates below, and each radius hashes the call's distinct
+    environments in one batch.
     """
     sizes = [m.num_atoms for m in molecules]
     starts = np.cumsum([0] + sizes).tolist()
@@ -758,7 +735,7 @@ STRUCTURAL_KEYS: tuple[tuple[str, object], ...] = (
     ("has_double_bond", lambda m: any(o == 2 for *_, o in m.bonds)),
     ("has_triple_bond", lambda m: any(o == 3 for *_, o in m.bonds)),
     ("double_bonds_ge_2", lambda m: sum(1 for *_, o in m.bonds if o == 2) >= 2),
-    ("has_ring", lambda m: ring_count(m) >= 1),
+    ("has_ring", lambda m: bool(m.cyclic_bonds)),
     ("has_3_ring", lambda m: 3 in m.ring_sizes),
     ("has_4_ring", lambda m: 4 in m.ring_sizes),
     ("has_5_ring", lambda m: 5 in m.ring_sizes),
@@ -836,7 +813,7 @@ def _fragment_candidates(m: Molecule) -> list[int]:
     the component masks."""
     walks = m._bond_walks
     cuttable = [(i, j) for i, j, o in m.bonds if o == 1 and not walks[i, j][0]]
-    components = [sum(1 << a for a in comp) for comp in connected_components(m)]
+    components = connected_components(m)
     kept: dict[int, None] = {}
     for cuts in [(c,) for c in cuttable] + list(combinations(cuttable, 2)):
         pieces = list(components)

@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import SeededRng
-from .chem import (MORGAN_BITS, Molecule, molecular_weight, morgan_fingerprint, parse_smiles,
-                   to_hex, write_smiles)
+from .chem import (MORGAN_BITS, Molecule, SmilesError, molecular_weight, morgan_fingerprint,
+                   parse_smiles, to_hex, write_smiles)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .dataset import DataError, Dataset, ingest, synthetic_corpus, write_dataset
@@ -49,6 +49,7 @@ from .pipeline import (
     compute_qed_lite,
     crippen_logp,
     evaluate_similarity_baseline,
+    excise_fragment,
     generate_random,
     generate_similar,
     novelty_pct,
@@ -389,11 +390,18 @@ def cmd_optimize_property(args, config, checkpoint, ds) -> dict:
 
 def cmd_optimize_fragment(args, config, checkpoint, ds) -> dict:
     _, flow_params, _ = checkpoint
-    host = parse_smiles(args.host)
+    try:
+        host = parse_smiles(args.host)
+    except SmilesError as exc:
+        raise ValueError(f"--host {args.host!r}: {exc}") from exc
     atoms = args.fragment_atoms
     if max(atoms) >= host.num_atoms:
         raise UsageError(f"--fragment-atoms: index {max(atoms)} is out of range for a host "
                          f"of {host.num_atoms} atoms")
+    try:
+        excise_fragment(host, atoms)
+    except ValueError as exc:
+        raise UsageError(f"--fragment-atoms: {exc}") from exc
     rng = SeededRng(config.seed).spawn("optimize-fragment")
     result = optimize_substructure(host, atoms, flow_params, rng, lam=config.noise_fraction)
     payload = {

@@ -29,8 +29,6 @@ from molflow.chem import (
     VALENCE,
     Molecule,
     PATH_BITS,
-    _hash_tuple,
-    _path_hash,
     fraggle_similarity,
     from_tensors,
     maccs_similarity,
@@ -348,6 +346,51 @@ def longest_chain(m: Molecule) -> int:
     return best
 
 
+def _encode(x, out: bytearray) -> None:
+    """Append the canonical bytes of the int/str tuple `x` to `out`."""
+    if isinstance(x, tuple):
+        out += b"("
+        for item in x:
+            _encode(item, out)
+            out += b","
+        out += b")"
+    elif isinstance(x, int):
+        out += b"i%d" % x
+    elif isinstance(x, str):
+        out += b"s" + x.encode("utf-8")
+    else:
+        raise TypeError(f"unhashable piece {type(x)}")
+
+
+def _hash_tuple(obj) -> int:
+    """FNV-1a over a canonical byte serialization of nested int/str tuples:
+    the reference for the byte templates of the Morgan and path hashes."""
+    buf = bytearray()
+    _encode(obj, buf)
+    return ad.fnv1a_64(bytes(buf))
+
+
+def flood_fill_components(m: Molecule) -> list[set[int]]:
+    """Atom set of each connected component, by a set-based flood fill over
+    ``adjacency`` from each atom not yet reached, in atom order."""
+    seen: set[int] = set()
+    comps = []
+    for start in range(m.num_atoms):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = [start]
+        while queue:
+            cur = queue.pop()
+            for nb, _ in m.adjacency[cur]:
+                if nb not in comp:
+                    comp.add(nb)
+                    queue.append(nb)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def reference_morgan_fingerprint(m: Molecule) -> int:
     """Circular fingerprint with every atom environment hashed afresh, at
     every radius."""
@@ -402,7 +445,7 @@ def two_direction_path_table(m: Molecule, max_bonds: int = 5) -> set[tuple[int, 
     table = set()
 
     def walk(cur: int, mask: int, rep: tuple) -> None:
-        table.add((mask, _path_hash(min(rep, rep[::-1])) % PATH_BITS))
+        table.add((mask, _hash_tuple(("path", min(rep, rep[::-1]))) % PATH_BITS))
         if mask.bit_count() - 1 < max_bonds:
             for nb, order in m.adjacency[cur]:
                 if not mask >> nb & 1:

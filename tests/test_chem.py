@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import is_isomorphic
+from oracles import _hash_tuple, is_isomorphic
 from molflow.autodiff import SeededRng
 from molflow.chem import (
     N_ATOM_TYPES,
@@ -18,7 +18,6 @@ from molflow.chem import (
     STRUCTURAL_KEYS,
     _fragment_candidates,
     _fragment_fingerprints,
-    _hash_tuple,
     _path_hash,
     _path_table,
     canonical_rank,
@@ -290,7 +289,9 @@ def test_valency_rejects_disconnected():
 
 
 def test_valency_rejects_empty():
-    assert not valency_check(Molecule((), ()))
+    empty = Molecule((), ())
+    assert not valency_check(empty)
+    assert connected_components(empty) == [] == oracles.flood_fill_components(empty)
 
 
 def test_accepted_molecules_are_hydrogen_completable(rng):
@@ -460,9 +461,12 @@ CHAIN_GE_5 = [name for name, _ in STRUCTURAL_KEYS].index("chain_ge_5")
 
 
 def assert_graph_walks_match_oracles(m: Molecule) -> None:
-    # fragments split from bridge sides are the flood-filled components,
-    # and the path table's chain key is the longest-chain walk's
+    # the bitmask components are the flood-filled ones, fragments split from
+    # bridge sides are the brute-force cuts, and the path table's chain key
+    # is the longest-chain walk's
     assert m._bond_walks == oracles.dict_bond_walks(m)
+    assert connected_components(m) == [sum(1 << a for a in comp)
+                                       for comp in oracles.flood_fill_components(m)]
     assert set(_fragment_candidates(m)) == oracles.brute_force_fragments(m)
     assert (CHAIN_GE_5 in oracles.set_bits(structural_keys(m))) == (oracles.longest_chain(m) >= 5)
     # a fragment is an induced subgraph, so its own path walk finds exactly
@@ -518,6 +522,12 @@ def test_morgan_batch_of_a_corpus_matches_reference():
     mols = [r.molecule for r in synthetic_corpus(200, SeededRng(26).spawn("morgan"),
                                                  with_geometry=False).records]
     assert morgan_fingerprint(mols) == [oracles.reference_morgan_fingerprint(m) for m in mols]
+
+
+def test_path_hash_writes_the_serializer_bytes():
+    # the templated bytes hash to the full 64 bits of the tuple serializer's
+    for canon in [("C",), ("C", 1, "O"), ("N", 3, "C", 2, "C", 1, "F"), ("O", 2, "N", 1, "C")]:
+        assert _path_hash(canon) == _hash_tuple(("path", canon))
 
 
 def test_similarity_memos_are_bounded():

@@ -636,6 +636,12 @@ BAD_INVOCATIONS = [
      "--out {out}/o", 1, "--fragment-atoms"),
     ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 0,99 "
      "--out {out}/o", 1, "--fragment-atoms: index 99 is out of range for a host of 3 atoms"),
+    ("optimize-fragment --checkpoint {root}/flow.npz --host CCCO --fragment-atoms 0,3 "
+     "--out {out}/o", 1, "--fragment-atoms: fragment atoms must form a connected subgraph"),
+    ("optimize-fragment --checkpoint {root}/flow.npz --host CCO --fragment-atoms 0,1,2 "
+     "--out {out}/o", 1, "--fragment-atoms: fragment must be a proper non-empty atom subset"),
+    ("optimize-fragment --checkpoint {root}/flow.npz --host CC( --fragment-atoms 0 "
+     "--out {out}/o", 2, "--host 'CC(': unclosed branch (position 2)"),
     ("generate --checkpoint {root}/flow.npz --count 2 --temperature nan --out {out}/o",
      2, "temperature must be finite"),
     ("generate --checkpoint {root}/flow.npz --count 2 --temperature -1 --out {out}/o",
