@@ -6,13 +6,15 @@ so the set of live tensors forms an implicit acyclic tape. Calling
 and accumulates gradients into every reachable node. Leaves are tensors
 created directly from data.
 
-Each model writes its own forward in numpy and its own backward by hand;
-``node`` records one such operation, with one or two outputs, as one node
-of the tape. The same model function on plain arrays returns plain arrays,
-so the untraced path builds no tape. The generic broadcasting operations
-(``add``, ``matmul``, ``tsum``, ...) and ``Tensor``'s arithmetic operators
-live in ``tests/oracles.py``, composed into the tape that every hand-written
-backward is checked against bit for bit.
+Each model function is plain numpy: it returns its value together with a
+``backward`` closure that maps the value's gradient to the gradients of its
+parameter arrays, written by hand. ``flow.fit_step`` records a whole loss
+as one ``node`` over one leaf per parameter array, so a training step
+walks a tape of one node. The generic broadcasting operations (``add``,
+``matmul``, ``tsum``, ...), ``Tensor``'s arithmetic operators and an
+adapter from a model function to tape nodes live in ``tests/oracles.py``,
+composed into the tape that every hand-written backward is checked
+against bit for bit.
 
 Adam keeps each model's parameters in one float64 vector: ``AdamState``
 copies the arrays into ``flat`` and the model's fields become views into
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -108,35 +110,9 @@ def backward(output: Tensor, leaves: list[Tensor]) -> list[Array]:
     return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
 
 
-def traced(params):
-    """A copy of the parameter tree `params` whose arrays are Tensor leaves,
-    plus those leaves in field order.
-
-    The walk descends into dataclass fields and list items and keeps every
-    other value as it is. Each leaf wraps its array without copying it, so
-    ``leaf.data`` is the parameter array itself.
-    """
-    leaves: list[Tensor] = []
-    return _as_leaves(params, leaves), leaves
-
-
-def _as_leaves(x, leaves: list[Tensor]):
-    # not a closure: one that calls itself is a reference cycle, which would
-    # keep `leaves` and their gradients alive after the step until the
-    # cyclic garbage collector runs
-    if isinstance(x, np.ndarray):
-        leaves.append(Tensor(x))
-        return leaves[-1]
-    if isinstance(x, list):
-        return [_as_leaves(v, leaves) for v in x]
-    if is_dataclass(x) and not isinstance(x, type):
-        return replace(x, **{f.name: _as_leaves(getattr(x, f.name), leaves) for f in fields(x)})
-    return x
-
-
 def rebind(params, arrays: list[Array]) -> None:
-    """Set the arrays of the parameter tree `params`, in the order
-    ``traced`` gives its leaves, to `arrays`, in place."""
+    """Set the arrays of the parameter tree `params`, walked in field order
+    through dataclass fields and list items, to `arrays`, in place."""
     _rebind(params, iter(arrays))
 
 
@@ -163,42 +139,25 @@ def _accumulate(node: Tensor, grad: Array) -> None:
         node.grad = node.grad + grad
 
 
-def arrays(xs) -> list:
-    """Each of `xs` as an array: a Tensor's data, any other value as it is."""
-    return [x.data if isinstance(x, Tensor) else x for x in xs]
+def node(args: list[Tensor], value, backward, op: str) -> Tensor:
+    """`value`, the output of one operation on the Tensors `args`, as one
+    tape node. ``backward(g)`` maps the output's gradient to one gradient
+    per arg, each of its arg's shape; any other count or shape raises
+    ValueError, so no arg is left to the zero fill of the module's
+    ``backward``."""
+    out = Tensor(value, args, op=op)
 
+    def bwd(g):
+        grads = backward(g)
+        shapes = [getattr(ga, "shape", None) for ga in grads]
+        if shapes != [a.shape for a in args]:
+            raise ValueError(f"{op}: backward gave gradients of shapes {shapes} for inputs of "
+                             f"shapes {[a.shape for a in args]}")
+        for a, ga in zip(args, grads):
+            _accumulate(a, ga)
 
-def node(args, outputs: tuple, backward, op: str) -> tuple:
-    """The arrays `outputs` of one operation on `args`, as tape nodes when
-    an arg is a Tensor and as they are otherwise. ``backward(*output_grads)``
-    returns one gradient (or None) per arg and runs once, after every
-    output gradient is final; an output the loss does not reach gets zeros.
-    Only Tensor args receive their gradient."""
-    parents = tuple(a for a in args if isinstance(a, Tensor))
-    if not parents:
-        return outputs
-    joint = Tensor(np.empty(0), parents, op=op)
-    # The joint node's grad is the list of output gradients. Tensor.backward
-    # clears it before each pass and runs the joint node after its outputs.
-    outs = tuple(Tensor(y, (joint,), op=op) for y in outputs)
-
-    def arrive(i):
-        def bwd(g):
-            if joint.grad is None:
-                joint.grad = [None] * len(outputs)
-            joint.grad[i] = g
-        return bwd
-
-    def joint_bwd(grads):
-        for a, ga in zip(args, backward(*(np.zeros_like(y) if g is None else g
-                                          for g, y in zip(grads, outputs)))):
-            if isinstance(a, Tensor) and ga is not None:
-                _accumulate(a, ga)
-
-    for i, out in enumerate(outs):
-        out._backward = arrive(i)
-    joint._backward = joint_bwd
-    return outs
+    out._backward = bwd
+    return out
 
 
 def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:

@@ -229,45 +229,37 @@ def _sigmoid(x: Array) -> Array:
     return num
 
 
-def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
-              inverse: bool, logdet):
+def _coupling(x: Array, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
+              inverse: bool):
     """The affine coupling both tracks share. ``x[kept]`` passes through;
     ``features(x[kept])`` is the input of `mlp`, whose output's last axis
     holds [s | t] for ``x[trans]``, which becomes x*sigmoid(s)+t. Returns
-    (z, running logdet): the per-sample logdet of this layer added to the
-    running sum `logdet` of the layers before it (None before the first);
-    with `inverse` the exact inverse (numpy only) and None.
-
-    When `x`, `logdet` or a weight is a Tensor, z and the running logdet
-    are the two outputs of one tape node. Its backward takes the mlp input's
-    gradient back to ``x[kept]`` through ``features_grad``, the transpose of
-    `features`, and passes the logdet's gradient on to `logdet` unchanged."""
-    if inverse and not isinstance(x, np.ndarray):
-        raise TypeError("the inverse path is numpy-only (no gradients flow backward)")
-    args = (x, logdet, mlp.w1, mlp.b1, mlp.w2, mlp.b2)
-    xd, before, w1, b1, w2, b2 = ad.arrays(args)
-    x_kept, x_trans = xd[kept], xd[trans]
+    (z, this layer's per-sample logdet, backward); with `inverse` the exact
+    inverse and None, None. ``backward(g_z, g_ld, input_grad)`` returns
+    (g_x, the gradients of `mlp`'s four arrays); g_x, None unless
+    `input_grad`, goes back to ``x[kept]`` through ``features_grad``, the
+    transpose of `features`."""
+    w1, w2 = mlp.w1, mlp.w2
+    x_kept, x_trans = x[kept], x[trans]
     feats = features(x_kept)
-    h, st = ad.mlp_forward(feats, w1, b1, w2, b2)
+    h, st = ad.mlp_forward(feats, w1, mlp.b1, w2, mlp.b2)
     half = st.shape[-1] // 2
     s = st[..., :half].reshape(x_trans.shape)
     t = st[..., half:].reshape(x_trans.shape)
     scale = _sigmoid(s)
-    z = np.empty(xd.shape)
+    z = np.empty(x.shape)
     z[kept] = x_kept
     new = z[trans]
     if inverse:
         np.subtract(x_trans, t, out=new)
         new /= scale
-        return z, None
+        return z, None, None
     np.multiply(x_trans, scale, out=new)
     new += t
     log_scale = np.minimum(s, 0.0) - np.log1p(np.exp(-np.abs(s)))
-    layer_logdet = log_scale.sum(axis=tuple(range(1, s.ndim)))
-    running = layer_logdet if before is None else before + layer_logdet
-    want = [isinstance(a, ad.Tensor) for a in (x, mlp.w1, mlp.b1, mlp.w2, mlp.b2)]
+    logdet = log_scale.sum(axis=tuple(range(1, s.ndim)))
 
-    def backward(g_z, g_ld):
+    def backward(g_z, g_ld, input_grad):
         # y = x_trans*sigmoid(s) + t and logdet = sum(log sigmoid(s)), with
         # the products in the order of the separate mul and sigmoid nodes
         g_y = g_z[trans]
@@ -277,25 +269,25 @@ def _coupling(x, mlp: Mlp, kept: tuple, trans: tuple, features, features_grad,
         g_s += g_ld.reshape((-1,) + (1,) * (s.ndim - 1)) * _sigmoid(-s)
         rows = st.shape[:-1] + (half,)
         g_st = np.concatenate([g_s.reshape(rows), g_y.reshape(rows)], axis=-1)
-        g_feats, *g_params = ad.mlp_backward(g_st, feats, h, w1, w2, want)
+        g_feats, *g_params = ad.mlp_backward(g_st, feats, h, w1, w2, (input_grad,) + (True,) * 4)
         if g_feats is None:
-            return [None, g_ld, *g_params]
-        g_x = np.empty(xd.shape)
+            return None, g_params
+        g_x = np.empty(x.shape)
         np.add(g_z[kept], features_grad(g_feats[0]), out=g_x[kept])
         np.multiply(g_y, scale, out=g_x[trans])
-        return [g_x, g_ld, *g_params]
+        return g_x, g_params
 
-    return ad.node(args, (z, running), backward, "coupling")
+    return z, logdet, backward
 
 
-def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
-                  inverse: bool = False, logdet=None):
+def atom_coupling(x: Array, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
+                  inverse: bool = False):
     """Atom-track coupling layer `index` on a (batch, n, l) tensor: rows of
     parity `index` are kept, the others become x*sigmoid(s)+t with (s, t)
     from `mlp` over the kept rows and their neighbourhoods, where `cond` is
-    ``atom_condition`` of the discrete bonds. Returns (z, per-sample
-    logdet plus the running `logdet`); with `inverse` the exact inverse
-    (numpy only) and logdet None.
+    ``atom_condition`` of the discrete bonds. Returns ``_coupling``'s (z,
+    per-sample logdet, backward); with `inverse` the exact inverse and None,
+    None.
 
     Only the transformed rows go through `mlp`. Each one's features are
     [own row with x masked out (zeros), h1, h2]: h1 sums the kept rows over
@@ -319,21 +311,21 @@ def atom_coupling(x, mlp: Mlp, index: int, cond: list[tuple[Array, Array]],
         return np.swapaxes(by_order, 1, 2) @ g_h1.reshape(batch, -1, l)
 
     return _coupling(x, mlp, (slice(None), kept_rows), (slice(None), trans_rows),
-                     features, features_grad, inverse, logdet)
+                     features, features_grad, inverse)
 
 
-def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False, logdet=None):
+def bond_coupling(x: Array, mlp: Mlp, index: int, inverse: bool = False):
     """Bond-track coupling layer `index` on a (batch, n, n, m) tensor:
     channels of parity `index` are kept, the others become x*sigmoid(s)+t
-    with (s, t) from `mlp` over the kept channels. Returns (z, per-sample
-    logdet plus the running `logdet`); with `inverse` the exact inverse and
-    logdet None."""
+    with (s, t) from `mlp` over the kept channels. Returns ``_coupling``'s
+    (z, per-sample logdet, backward); with `inverse` the exact inverse and
+    None, None."""
     batch, n, _, m = x.shape
     kept_ch = slice(index % 2, None, 2)
     kept_shape = (batch, n, n, len(range(m)[kept_ch]))
     return _coupling(x, mlp, (..., kept_ch), (..., slice(1 - index % 2, None, 2)),
                      lambda kept: kept.reshape(batch, -1), lambda g: g.reshape(kept_shape),
-                     inverse, logdet)
+                     inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -341,31 +333,48 @@ def bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False, logdet=None):
 # ---------------------------------------------------------------------------
 
 
-def atom_flow_forward(params: FlowParams, x, orders: Array):
-    cond = atom_condition(orders, params.config.n_bond_types)
-    logdet = None
-    for i, mlp in enumerate(params.atom):
-        x, logdet = atom_coupling(x, mlp, i, cond, logdet=logdet)
-    return x, logdet
+def _stack(coupling, x: Array, mlps: list[Mlp], *cond):
+    """``coupling(x, mlps[i], i, *cond)`` for each layer i in order: (z, the
+    per-sample sum of the layers' logdets, backward), where ``backward(g_z,
+    g_ld)`` chains the layers' backwards into the gradients of every layer's
+    four arrays, in layer order."""
+    logdet, backwards = None, []
+    for i, mlp in enumerate(mlps):
+        x, layer_logdet, layer_backward = coupling(x, mlp, i, *cond)
+        logdet = layer_logdet if logdet is None else logdet + layer_logdet
+        backwards.append(layer_backward)
+
+    def backward(g_z, g_ld):
+        grads = [None] * len(backwards)
+        for i in reversed(range(len(backwards))):
+            g_z, grads[i] = backwards[i](g_z, g_ld, i > 0)
+        return [g for layer in grads for g in layer]
+
+    return x, logdet, backward
+
+
+def atom_flow_forward(params: FlowParams, x: Array, orders: Array):
+    """The atom track on (batch, n, l) `x`, conditioned on the discrete
+    bond `orders`: ``_stack``'s (z, logdet, backward) over ``params.atom``."""
+    return _stack(atom_coupling, x, params.atom, atom_condition(orders, params.config.n_bond_types))
 
 
 def atom_flow_inverse(params: FlowParams, z: Array, orders: Array) -> Array:
     cond = atom_condition(orders, params.config.n_bond_types)
     for i in reversed(range(len(params.atom))):
-        z, _ = atom_coupling(z, params.atom[i], i, cond, inverse=True)
+        z = atom_coupling(z, params.atom[i], i, cond, inverse=True)[0]
     return z
 
 
-def bond_flow_forward(params: FlowParams, x):
-    logdet = None
-    for i, mlp in enumerate(params.bond):
-        x, logdet = bond_coupling(x, mlp, i, logdet=logdet)
-    return x, logdet
+def bond_flow_forward(params: FlowParams, x: Array):
+    """The bond track on (batch, n, n, m) `x`: ``_stack``'s (z, logdet,
+    backward) over ``params.bond``."""
+    return _stack(bond_coupling, x, params.bond)
 
 
 def bond_flow_inverse(params: FlowParams, z: Array) -> Array:
     for i in reversed(range(len(params.bond))):
-        z, _ = bond_coupling(z, params.bond[i], i, inverse=True)
+        z = bond_coupling(z, params.bond[i], i, inverse=True)[0]
     return z
 
 
@@ -380,8 +389,8 @@ def encode_continuous(params: FlowParams, xa: Array, xb: Array):
     The atom track is conditioned on the discretized bond input. Returns
     (za, zb, logdet_atom, logdet_bond), all batched.
     """
-    zb, ld_b = bond_flow_forward(params, xb)
-    za, ld_a = atom_flow_forward(params, xa, discretize_bonds(xb))
+    zb, ld_b, _ = bond_flow_forward(params, xb)
+    za, ld_a, _ = atom_flow_forward(params, xa, discretize_bonds(xb))
     return za, zb, ld_a, ld_b
 
 
@@ -409,12 +418,12 @@ def encode_tensors(params: FlowParams, xa: Array, xb: Array):
 
 
 def mean_nll(params: FlowParams, xa: Array, xb: Array):
-    """Mean negative log-likelihood of dequantized (batch, ...) tensors.
-    On a traced view of `params` it is one tape node over the latents and
-    logdets of ``encode_continuous``; its backward hands each latent the
-    gradient of its Gaussian term and each logdet -1/batch per sample."""
-    outs = encode_continuous(params, xa, xb)
-    za, zb, ld_a, ld_b = ad.arrays(outs)
+    """Mean negative log-likelihood of dequantized (batch, ...) tensors, as
+    ``encode_continuous`` computes it, and its backward: ``backward(g)``
+    hands each latent the gradient of its Gaussian term and each logdet
+    -g/batch per sample, and returns the gradients of ``named_params()``."""
+    zb, ld_b, bond_backward = bond_flow_forward(params, xb)
+    za, ld_a, atom_backward = atom_flow_forward(params, xa, discretize_bonds(xb))
     k = -1.0 / len(xa)
     loss = _log_likelihood(params.config, za, zb, ld_a, ld_b).sum() * k
 
@@ -426,9 +435,9 @@ def mean_nll(params: FlowParams, xa: Array, xb: Array):
             half = z * (g_loglik * -0.5).reshape((-1,) + (1,) * (z.ndim - 1))
             return half + half
 
-        return [g_gauss(za), g_gauss(zb), g_loglik, g_loglik]
+        return atom_backward(g_gauss(za), g_loglik) + bond_backward(g_gauss(zb), g_loglik)
 
-    return ad.node(outs, (loss,), backward, "mean_nll")[0]
+    return loss, backward
 
 
 def encode_molecules(params: FlowParams, molecules: list[Molecule],
@@ -513,34 +522,34 @@ def _clip_scale(grads: list[Array], max_norm: float) -> float:
 
 def fit_step(params: ParamTree, loss_of, opt: AdamState,
              clip_norm: float | None = None) -> float:
-    """One Adam step on the scalar ``loss_of(ad.traced(params)[0])``; returns
-    the loss. `opt` is ``make_optimizer(params)``'s: the step updates its
-    vector, which the arrays of `params` view, and advances it. A field of
-    `params` that no longer holds its view raises ValueError, and a
-    non-finite loss or gradient aborts with nothing changed.
-    """
-    view, leaves = ad.traced(params)
-    if len(leaves) != len(opt.views) or any(leaf.data is not a
-                                            for leaf, a in zip(leaves, opt.views)):
+    """One Adam step on the loss ``loss_of(params)``, given as (value,
+    backward) with ``backward(g)`` giving one gradient per ``named_params()``
+    array; returns the value. `opt` is ``make_optimizer(params)``'s: the step
+    updates its vector, which the arrays of `params` view, and advances it.
+    A field of `params` that no longer holds its view, a backward with the
+    wrong count or shapes of gradients, and a non-finite loss or gradient
+    each raise with nothing changed. The loss is one tape node over one leaf
+    per array, so a step walks the tape (``Tensor.backward``) once."""
+    arrays = [a for _, a in params.named_params()]
+    if len(arrays) != len(opt.views) or any(a is not v for a, v in zip(arrays, opt.views)):
         raise ValueError("a parameter array is not the optimizer's view of it "
                          "(was a field rebound after make_optimizer?)")
-    loss = loss_of(view)
-    value = float(loss.data)
+    value, loss_backward = loss_of(params)
+    value = float(value)
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite training loss {value}")
-    grads = ad.backward(loss, leaves)
-    if [g.shape for g in grads] != opt.shapes:
-        raise ValueError("gradient shapes do not match the parameters")
-    # A new flat gradient each step, allocated while the tape is live and
-    # kept in `opt` until the next step frees it just before making its own:
-    # with one buffer for the whole fit, nothing would sit above a step's
-    # freed temporaries, so glibc would return that heap top to the system
-    # after every step and the next step would fault it back in (train_step
-    # at hidden 128: 20x the minor faults, 20% slower).
+    leaves = [ad.Tensor(v) for v in opt.views]
+    grads = ad.backward(ad.node(leaves, value, loss_backward, "loss"), leaves)
+    # A new flat gradient each step, allocated while the backward's saved
+    # arrays are live and kept in `opt` until the next step frees it just
+    # before making its own: with one buffer for the whole fit, nothing
+    # would sit above a step's freed temporaries, so glibc would return that
+    # heap top to the system after every step and the next step would fault
+    # it back in (train_step at hidden 128: 20x the minor faults, 20% slower).
     opt.grad = None
     opt.grad = np.concatenate([g.reshape(-1) for g in grads])
-    # the tape and the leaf gradients are no longer needed: free them before Adam
-    del loss, view, leaves, grads
+    # the saved arrays and the leaf gradients are no longer needed: free them before Adam
+    del loss_backward, leaves, grads
     scale = 1.0 if clip_norm is None else _clip_scale(opt.split(opt.grad), clip_norm)
     adam_step(opt.grad, opt, scale)
     return value
@@ -555,4 +564,4 @@ def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,
     cfg = params.config
     xa = dequantize(atom, cfg.noise_scale, rng)
     xb = dequantize(bond, cfg.noise_scale, rng)
-    return fit_step(params, lambda view: mean_nll(view, xa, xb), opt, clip_norm=clip_norm)
+    return fit_step(params, lambda p: mean_nll(p, xa, xb), opt, clip_norm=clip_norm)

@@ -389,9 +389,9 @@ class PropertyHead(ParamTree):
 
     def mse(self, x: np.ndarray, target: np.ndarray):
         """Mean squared error of the head on the rows of `x` against
-        `target`; one tape node when the head is a traced view."""
-        args = [self.mlp.w1, self.mlp.b1, self.mlp.w2, self.mlp.b2]
-        w1, b1, w2, b2 = ad.arrays(args)
+        `target`, and its backward: ``backward(g)`` gives the gradients of
+        ``named_params()``."""
+        w1, b1, w2, b2 = self.mlp.w1, self.mlp.b1, self.mlp.w2, self.mlp.b2
         h, y = ad.mlp_forward(x, w1, b1, w2, b2)
         diff = y.reshape(-1) - target
         scale = 1.0 / len(x)
@@ -404,7 +404,7 @@ class PropertyHead(ParamTree):
                                         (False,) + (True,) * 4)
             return grads
 
-        return ad.node(args, (loss,), backward, "mse")[0]
+        return loss, backward
 
     def named_params(self):
         return self.mlp.named("head")
@@ -441,7 +441,7 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
         for k in range(0, len(train), HEAD_BATCH):
             idx = train[perm[k:k + HEAD_BATCH]]
             target = (values[idx] - mu) / sd
-            fit_step(head, lambda view: view.mse(latents[idx], target), opt)
+            fit_step(head, lambda h: h.mse(latents[idx], target), opt)
     # denormalize into the head by folding mu/sd into the output layer
     head.mlp.w2 *= sd
     head.mlp.b2 *= sd
@@ -627,8 +627,9 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     """Epoch loop over the corpus with optional docking-weighted selection.
 
     Every `probe_every` epochs a fixed batch of prior samples is decoded and
-    raw validity recorded; the parameters snapshot with the best probe
-    validity is restored at the end (sample quality and exact
+    raw validity recorded; the parameters snapshot of the earliest probe
+    with the highest validity is restored at the end, so when every probe
+    reads 0.0 the first probed epoch is restored (sample quality and exact
     likelihood are not perfectly aligned for contractive couplings, so the
     probe guards against late-training drift).
     """

@@ -138,11 +138,12 @@ def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
     matrices sum messages by receiver and atoms by molecule. A molecule
     without edges gets zero incident messages.
 
-    On a view of `params` with Tensor arrays the output is one tape node.
-    Its backward carries each gather's gradient back as a product with the
-    gather's 0/1 matrix, and sums the gradients of a tensor read in several
-    places in the order the composed tape of ``tests/oracles.py`` does, so
-    the two agree bit for bit."""
+    Returns (output, backward); ``backward(g)`` gives the gradients of
+    ``named_params()`` for the output gradient `g`. It carries each
+    gather's gradient back as a product with the gather's 0/1 matrix, and
+    sums the gradients of a tensor read in several places in the order the
+    composed tape of ``tests/oracles.py`` does, so the two agree bit for
+    bit."""
     sizes = [c.v0.shape[0] for c in caches]
     offsets = np.cumsum([0] + sizes[:-1])
     n_atoms = sum(sizes)
@@ -157,9 +158,8 @@ def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
     full = np.concatenate([c.full for c in caches])
     radial = np.concatenate([c.radial for c in caches])
     v0 = np.concatenate([c.v0 for c in caches])
-    args = [a for _, a in params.named_params()]
     # embedding, then (w1, b1, w2, b2) of input, g_e, g_v, g_u per block, output
-    embedding, *weights = ad.arrays(args)
+    embedding, *weights = [a for _, a in params.named_params()]
     nets = [weights[i:i + 4] for i in range(0, len(weights), 4)]
     blocks = [nets[i:i + 3] for i in range(1, len(nets) - 1, 3)]
 
@@ -214,25 +214,25 @@ def encode_batch(params: SphereNetParams, caches: list[GeometryCache]):
                                       (False,) + every[1:])
         return [v0.T @ g_v0, *g_input, *g_blocks, *g_out]
 
-    return ad.node(args, (out,), backward, "encode_batch")[0]
+    return out, backward
 
 
 def encode_geometry(g: Geometry, params: SphereNetParams) -> Array:
     """Geometry -> joint-representation vector of the flow latent length."""
     if g.num_atoms < 1:
         raise ValueError("geometry must contain at least one atom")
-    return encode_batch(params, [GeometryCache.from_geometry(g, params.config)]).reshape(-1)
+    return encode_batch(params, [GeometryCache.from_geometry(g, params.config)])[0].reshape(-1)
 
 
-def fusion_loss(z_m: Array, u_star):
+def fusion_loss(z_m: Array, u_star: Array):
     """Euclidean distance between the flow latent `z_m`, a constant, and
-    the encoder output; for (B, d) batches, the mean of the B row
-    distances. One tape node when `u_star` is a Tensor."""
+    the encoder output `u_star`; for (B, d) batches, the mean of the B row
+    distances. Returns (loss, backward); ``backward(g)`` gives the gradient
+    of `u_star`."""
     shape_z, shape_u = np.shape(z_m), np.shape(u_star)
     if shape_z != shape_u:
         raise ValueError(f"length mismatch {shape_z} vs {shape_u}")
-    (u,) = ad.arrays([u_star])
-    diff = z_m - u
+    diff = z_m - u_star
     dist = np.sqrt((diff * diff).sum(axis=-1))
     scale = 1.0 / int(np.prod(shape_z[:-1]))
     loss = dist.sum() * scale
@@ -240,9 +240,9 @@ def fusion_loss(z_m: Array, u_star):
     def backward(g):
         # d|diff|/du = -diff/|diff|, with diff*diff's two factors summed
         half = diff * ((g * scale) * 0.5 / dist)[..., None]
-        return [-(half + half)]
+        return -(half + half)
 
-    return ad.node([u_star], (loss,), backward, "fusion_loss")[0]
+    return loss, backward
 
 
 def mix_noise(u_star: Array, lam: float, rng: SeededRng) -> Array:
@@ -303,8 +303,10 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
             idx = perm[start:start + batch_size]
             batch = [caches[i] for i in idx]
 
-            def batch_loss(view: SphereNetParams):
-                return fusion_loss(targets[idx], encode_batch(view, batch))
+            def batch_loss(p: SphereNetParams):
+                u, encode_backward = encode_batch(p, batch)
+                loss, loss_backward = fusion_loss(targets[idx], u)
+                return loss, lambda g: encode_backward(loss_backward(g))
 
             losses.append(fit_step(params, batch_loss, opt))
         epoch_losses.append(float(np.mean(losses)))

@@ -8,11 +8,15 @@ The reference tape lives here too: generic broadcasting primitives on
 ``molflow.autodiff.Tensor`` (``add``, ``matmul``, ``mlp``, ``tsum``, ...)
 and ``Tensor``'s arithmetic operators, which importing this module installs.
 Each model's hand-written backward in ``src/`` is compared with the same
-model composed of these primitives.
+model composed of these primitives. ``node`` is the adapter between the
+two: it records a model function's (value, backward) as tape nodes
+(``coupling_node``, ``params_node`` and ``fusion_node`` wrap it), and
+``from_tape`` turns a composed model back into a (value, backward)
+function that can be patched in for the hand-written one.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.special import lpmv
@@ -58,7 +62,7 @@ from molflow.pipeline import (
     safe_canonical,
 )
 from molflow.spherenet import (GeometryCache, SphereNetParams, _one_hot, encode_geometry,
-                               mix_noise)
+                               fusion_loss, mix_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +253,136 @@ for _name, _value in {
     setattr(ad.Tensor, _name, _value)
 
 
+# ---------------------------------------------------------------------------
+# traced parameter trees, and the adapters between src/'s (value,
+# backward) functions and tape nodes
+# ---------------------------------------------------------------------------
+
+
+def traced(params):
+    """A copy of the parameter tree `params` whose arrays are Tensor leaves,
+    plus those leaves in field order.
+
+    The walk descends into dataclass fields and list items and keeps every
+    other value as it is. Each leaf wraps its array without copying it, so
+    ``leaf.data`` is the parameter array itself.
+    """
+    leaves: list[ad.Tensor] = []
+    return _as_leaves(params, leaves), leaves
+
+
+def _as_leaves(x, leaves: list):
+    # not a closure: one that calls itself is a reference cycle, which would
+    # keep `leaves` and their gradients alive after the step until the
+    # cyclic garbage collector runs
+    if isinstance(x, np.ndarray):
+        leaves.append(ad.Tensor(x))
+        return leaves[-1]
+    if isinstance(x, list):
+        return [_as_leaves(v, leaves) for v in x]
+    if is_dataclass(x) and not isinstance(x, type):
+        return replace(x, **{f.name: _as_leaves(getattr(x, f.name), leaves) for f in fields(x)})
+    return x
+
+
+def _untraced(x):
+    """The parameter tree `x` with each Tensor replaced by its data."""
+    if isinstance(x, ad.Tensor):
+        return x.data
+    if isinstance(x, list):
+        return [_untraced(v) for v in x]
+    if is_dataclass(x) and not isinstance(x, type):
+        return replace(x, **{f.name: _untraced(getattr(x, f.name)) for f in fields(x)})
+    return x
+
+
+def node(args, outputs: tuple, backward, op: str) -> tuple:
+    """The arrays `outputs` of one operation on `args`, as tape nodes when
+    an arg is a Tensor and as they are otherwise. ``backward(*output_grads)``
+    returns one gradient (or None) per arg and runs once, after every
+    output gradient is final; an output the loss does not reach gets zeros.
+    Only Tensor args receive their gradient."""
+    parents = tuple(a for a in args if isinstance(a, ad.Tensor))
+    if not parents:
+        return outputs
+    joint = ad.Tensor(np.empty(0), parents, op=op)
+    # The joint node's grad is the list of output gradients. Tensor.backward
+    # clears it before each pass and runs the joint node after its outputs.
+    outs = tuple(ad.Tensor(y, (joint,), op=op) for y in outputs)
+
+    def arrive(i):
+        def bwd(g):
+            if joint.grad is None:
+                joint.grad = [None] * len(outputs)
+            joint.grad[i] = g
+        return bwd
+
+    def joint_bwd(grads):
+        for a, ga in zip(args, backward(*(np.zeros_like(y) if g is None else g
+                                          for g, y in zip(grads, outputs)))):
+            if isinstance(a, ad.Tensor) and ga is not None:
+                ad._accumulate(a, ga)
+
+    for i, out in enumerate(outs):
+        out._backward = arrive(i)
+    joint._backward = joint_bwd
+    return outs
+
+
+def coupling_node(coupling, x, mlp: Mlp, *args):
+    """``coupling(x, mlp, *args)`` (flow.atom_coupling or bond_coupling) on
+    an input and weights that may be Tensors: the two outputs z and the
+    layer's logdet of one ``node``, whose backward is the coupling's."""
+    weights = (mlp.w1, mlp.b1, mlp.w2, mlp.b2)
+    z, logdet, backward = coupling(_data(x), Mlp(*map(_data, weights)), *args)
+
+    def node_backward(g_z, g_ld):
+        g_x, g_weights = backward(g_z, g_ld, isinstance(x, ad.Tensor))
+        return [g_x, *g_weights]
+
+    return node((x, *weights), (z, logdet), node_backward, "coupling")
+
+
+def params_node(fn, params, *args):
+    """``fn(params, *args)``, a (value, backward) function whose backward
+    gives one gradient per ``named_params()`` array, on a parameter tree
+    whose arrays may be Tensors: one ``node``."""
+    value, backward = fn(_untraced(params), *args)
+    return node([a for _, a in params.named_params()], (value,), backward, fn.__name__)[0]
+
+
+def fusion_node(z_m, u_star):
+    """spherenet.fusion_loss on a `u_star` that may be a Tensor: one
+    ``node``."""
+    loss, backward = fusion_loss(z_m, _data(u_star))
+    return node([u_star], (loss,), lambda g: [backward(g)], "fusion_loss")[0]
+
+
+def from_tape(tape_fn):
+    """``tape_fn(view, *args)``, composed of tape nodes on a traced view of
+    a parameter tree, as a function of the tree that returns (value,
+    backward) like src/'s model functions: ``backward(g)`` walks the tape
+    from the output with gradient `g` and gives one gradient per array."""
+    def fn(params, *args):
+        view, leaves = traced(params)
+        out = tape_fn(view, *args)
+
+        def backward(g):
+            seed = node([out], (np.zeros(()),), lambda _: [_as_f64(g)], "seed")[0]
+            return ad.backward(seed, leaves)
+
+        return out.data, backward
+
+    return fn
+
+
 def traced_value_and_grad(value_and_grad):
     """A function of one Tensor, for ``gradient_check``, whose value and
     gradient come from the numpy function ``value_and_grad(x)``."""
     def f(x):
         value, grad = value_and_grad(x.data)
-        return ad.node([x], (np.array(value),), lambda g: [g * grad.reshape(x.shape)],
-                       "value_and_grad")[0]
+        return node([x], (np.array(value),), lambda g: [g * grad.reshape(x.shape)],
+                    "value_and_grad")[0]
     return f
 
 
@@ -939,14 +1066,16 @@ def permuted_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     return index_gather(concat([kept, new_trans], axis=3), order, axis=3), logdet
 
 
-def _running(logdet, layer_logdet):
+def running(logdet, layer_logdet):
+    """The running logdet of a stack: `layer_logdet` added to the sum
+    `logdet` of the layers before it (None before the first)."""
     return layer_logdet if logdet is None else logdet + layer_logdet
 
 
-def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False, logdet=None):
+def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False):
     """atom_coupling composed of slice gathers, concat, the fused mlp node,
-    sigmoid, log_sigmoid, assemble and the running logdet's add: about a
-    dozen tape nodes per layer."""
+    sigmoid, log_sigmoid and assemble, about a dozen tape nodes per layer:
+    (z, the layer's logdet)."""
     batch, n, l = x.shape
     kept_rows, trans_rows = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     by_order, adj_sum = cond[index % 2]
@@ -966,13 +1095,13 @@ def composed_atom_coupling(x, mlp: Mlp, index: int, cond, inverse: bool = False,
         logdet = None
     else:
         new = x_trans * scale + t
-        logdet = _running(logdet, tsum(log_sigmoid(s_raw), axis=(1, 2)))
+        logdet = tsum(log_sigmoid(s_raw), axis=(1, 2))
     return assemble([x_kept, new], [kept_rows, trans_rows], axis=1), logdet
 
 
-def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False, logdet=None):
+def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False):
     """bond_coupling composed of slice gathers, reshapes, the fused mlp node,
-    sigmoid, log_sigmoid, assemble and the running logdet's add."""
+    sigmoid, log_sigmoid and assemble: (z, the layer's logdet)."""
     batch, n, _, m = x.shape
     kept_ch, trans_ch = slice(index % 2, None, 2), slice(1 - index % 2, None, 2)
     n_trans = len(range(m)[trans_ch])
@@ -988,7 +1117,7 @@ def composed_bond_coupling(x, mlp: Mlp, index: int, inverse: bool = False, logde
         logdet = None
     else:
         new_trans = trans * scale + t
-        logdet = _running(logdet, tsum(log_sigmoid(s_raw), axis=(1, 2, 3)))
+        logdet = tsum(log_sigmoid(s_raw), axis=(1, 2, 3))
     return assemble([kept, new_trans], [kept_ch, trans_ch], axis=3), logdet
 
 
@@ -997,11 +1126,13 @@ def composed_encode_continuous(params: FlowParams, xa: np.ndarray, xb: np.ndarra
     logdet_atom, logdet_bond)."""
     zb, ld_b = xb, None
     for i, mlp in enumerate(params.bond):
-        zb, ld_b = composed_bond_coupling(zb, mlp, i, logdet=ld_b)
+        zb, ld = composed_bond_coupling(zb, mlp, i)
+        ld_b = running(ld_b, ld)
     cond = atom_condition(discretize_bonds(xb), params.config.n_bond_types)
     za, ld_a = xa, None
     for i, mlp in enumerate(params.atom):
-        za, ld_a = composed_atom_coupling(za, mlp, i, cond, logdet=ld_a)
+        za, ld = composed_atom_coupling(za, mlp, i, cond)
+        ld_a = running(ld_a, ld)
     return za, zb, ld_a, ld_b
 
 
@@ -1418,14 +1549,15 @@ def reference_make_optimizer(params, lr: float = 1e-3, rates=None) -> ListAdamSt
 
 def reference_fit_step(params, loss_of, opt: ListAdamState, clip_norm: float | None = None) -> float:
     """fit_step as a clip and an Adam update per array, each array then moved
-    to arr + rate * (new - arr) when `opt` has rates, and written back."""
-    view, leaves = ad.traced(params)
-    loss = loss_of(view)
-    value = float(loss.data)
+    to arr + rate * (new - arr) when `opt` has rates, and written back; the
+    gradients reach the leaves of ``traced(params)`` through one ``node``."""
+    leaves = traced(params)[1]
+    value, backward = loss_of(params)
+    value = float(value)
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite training loss {value}")
-    grads = ad.backward(loss, leaves)
-    del loss, view
+    grads = ad.backward(node(leaves, (value,), backward, "loss")[0], leaves)
+    del backward
     if clip_norm is not None:
         grads = clip_gradients(grads, clip_norm)
     arrays = [leaf.data for leaf in leaves]

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (LinearHead, gradient_check, is_isomorphic, local_spherical,
-                     random_rigid_motion, reshape, traced_value_and_grad, tsum)
+from oracles import (LinearHead, coupling_node, fusion_node, gradient_check, is_isomorphic,
+                     local_spherical, params_node, random_rigid_motion, reshape,
+                     traced_value_and_grad, tsum)
 from molflow.autodiff import SeededRng
 from molflow.chem import (
     Molecule,
@@ -54,8 +55,7 @@ from molflow.pipeline import (
     uniqueness_pct,
     novelty_pct,
 )
-from molflow.spherenet import (GeometryCache, encode_batch, encode_geometry, fusion_loss,
-                               init_spherenet)
+from molflow.spherenet import GeometryCache, encode_batch, encode_geometry, init_spherenet
 
 
 @contextmanager
@@ -123,14 +123,15 @@ def test_03_gradient_fidelity():
 
         # atom coupling layer (scale, translation, and logdet path)
         def atom_fn(x):
-            z, logdet = atom_coupling(reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
+            z, logdet = coupling_node(atom_coupling, reshape(x, (1, 2, 2)), params.atom[0], 0,
+                                      cond)
             return tsum(z * z) + tsum(logdet)
 
         check(atom_fn, (2, 2))
 
         # bond coupling layer
         def bond_fn(x):
-            z, logdet = bond_coupling(reshape(x, (1, 2, 2, 2)), params.bond[1], 1)
+            z, logdet = coupling_node(bond_coupling, reshape(x, (1, 2, 2, 2)), params.bond[1], 1)
             return tsum(z * z) + tsum(logdet)
 
         check(bond_fn, (2, 2, 2))
@@ -142,7 +143,7 @@ def test_03_gradient_fidelity():
             saved = mlp.w1
             mlp.w1 = w
             try:
-                z, logdet = atom_coupling(rng_point, mlp, 0, cond)
+                z, logdet = coupling_node(atom_coupling, rng_point, mlp, 0, cond)
                 return tsum(z * z) + tsum(logdet)
             finally:
                 mlp.w1 = saved
@@ -186,7 +187,7 @@ def test_03_gradient_fidelity():
                     saved = leaves[_name]()
                     setters[_name](w)
                     try:
-                        out = encode_batch(sphere, _batch)
+                        out = params_node(encode_batch, sphere, _batch)
                         return tsum(out * out)
                     finally:
                         setters[_name](saved)
@@ -199,7 +200,7 @@ def test_03_gradient_fidelity():
 
         # fusion loss
         target = rng.normal((5,))
-        check(lambda u: fusion_loss(target, u), (5,))
+        check(lambda u: fusion_node(target, u), (5,))
 
 
 def test_04_rigid_motion_invariance(desk, corpus):

@@ -21,8 +21,8 @@ from molflow.geom3d import build_geometry
 from molflow.spherenet import (GeometryCache, SphereNetConfig, encode_batch, fusion_loss,
                                init_spherenet)
 from oracles import (ListAdamState, _masked_sigmoid_np, add, assemble, concat, gather,
-                     gradient_check, index_gather, log_sigmoid, matmul, mlp, reference_adam_step,
-                     reshape, sigmoid, sqrt, take_rows, tanh, tsum)
+                     gradient_check, index_gather, log_sigmoid, matmul, mlp, node,
+                     reference_adam_step, reshape, sigmoid, sqrt, take_rows, tanh, tsum)
 
 
 def test_matmul_hand_arithmetic():
@@ -189,7 +189,7 @@ def _square_and_row_sum(x, calls):
         calls.append((g_square.copy(), g_sum.copy()))
         return [2.0 * xd * g_square + g_sum[:, None]]
 
-    return ad.node((x,), (xd * xd, xd.sum(axis=1)), backward, "square_and_row_sum")
+    return node((x,), (xd * xd, xd.sum(axis=1)), backward, "square_and_row_sum")
 
 
 def test_two_outputs_backward_runs_once_on_final_gradients():
@@ -390,6 +390,15 @@ def test_constant_operands_are_not_tape_nodes():
     assert concat([x, const], axis=1).parents == (x,)
 
 
+def _fusion_loss_of(caches, targets):
+    """train_fusion's loss of a batch: fusion_loss composed with encode_batch."""
+    def loss_of(p):
+        u, encode_backward = encode_batch(p, caches)
+        loss, loss_backward = fusion_loss(targets, u)
+        return loss, lambda g: encode_backward(loss_backward(g))
+    return loss_of
+
+
 def test_fit_step_changes_no_gradient_the_tape_holds(monkeypatch):
     snapshots = {}
     real_backward = ad.backward
@@ -409,13 +418,10 @@ def test_fit_step_changes_no_gradient_the_tape_holds(monkeypatch):
                                (("C",), [[0.0, 0, 0]]))]
     targets = SeededRng(85).normal((2, 5))
 
-    def loss_of(view):
-        return fusion_loss(targets, encode_batch(view, caches))
-
     opt = make_optimizer(params, lr=1e-2, rates=np.full(len(params.named_params()), 0.5))
     for clip in (None, 1e-3):
         snapshots.clear()
-        fit_step(params, loss_of, opt, clip_norm=clip)
+        fit_step(params, _fusion_loss_of(caches, targets), opt, clip_norm=clip)
         assert len(snapshots) > 20
         for node, grad in snapshots.values():
             assert np.array_equal(node.grad, grad), node.op
@@ -434,8 +440,7 @@ def test_fit_step_leaves_no_reference_cycle():
                                           cfg)]
     steps = [lambda: train_step(flow_params, atoms, bonds, make_optimizer(flow_params),
                                 rng.spawn("step")),
-             lambda: fit_step(sphere, lambda view: fusion_loss(np.ones((1, 5)),
-                                                              encode_batch(view, caches)),
+             lambda: fit_step(sphere, _fusion_loss_of(caches, np.ones((1, 5))),
                               make_optimizer(sphere))]
     gc.collect()
     gc.disable()

@@ -29,11 +29,12 @@ from molflow.flow import (
     sample_prior,
     train_step,
 )
-from oracles import (composed_atom_coupling, composed_bond_coupling, is_isomorphic,
-                     onehot_from_tensors, raw_decode_batch, reference_decode_continuous,
-                     reference_encode_continuous, reference_fit_step, reference_flow_encode,
-                     reference_make_optimizer, reshape, scatter_discretize_bonds,
-                     tape_mean_nll, tsum, within_valence)
+from oracles import (composed_atom_coupling, composed_bond_coupling, coupling_node, from_tape,
+                     is_isomorphic, onehot_from_tensors, raw_decode_batch,
+                     reference_decode_continuous, reference_encode_continuous,
+                     reference_fit_step, reference_flow_encode, reference_make_optimizer,
+                     reshape, running, scatter_discretize_bonds, tape_mean_nll, traced, tsum,
+                     within_valence)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,7 +103,7 @@ def test_zero_initialized_coupling_halves_the_transformed_coordinates():
     params = init_flow(cfg, SeededRng(6))  # zero_last: s == 0, t == 0
     rng = SeededRng(7)
     x = rng.uniform(0.0, 1.0, (3, 9, 9, 4))
-    z, logdet = bond_coupling(x, params.bond[0], 0)
+    z, logdet, _ = bond_coupling(x, params.bond[0], 0)
     kept = [0, 2]
     assert np.array_equal(z[..., kept], x[..., kept])        # identity half untouched
     assert np.allclose(z[..., [1, 3]], 0.5 * x[..., [1, 3]])  # sigma(0) = 0.5
@@ -115,7 +116,7 @@ def test_zero_initialized_inverse_doubles():
     params = init_flow(cfg, SeededRng(8))
     rng = SeededRng(9)
     z = rng.normal((2, 9, 9, 4))
-    x, _ = bond_coupling(z, params.bond[0], 0, inverse=True)
+    x, _, _ = bond_coupling(z, params.bond[0], 0, inverse=True)
     assert np.allclose(x[..., [1, 3]], 2.0 * z[..., [1, 3]])
     assert np.array_equal(x[..., [0, 2]], z[..., [0, 2]])
 
@@ -126,8 +127,8 @@ def test_coupling_round_trip_random_layer():
     rng = SeededRng(12)
     cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (4, 9, 9, 4))), 4)
     x = rng.uniform(0, 1, (4, 9, 5))
-    z, _ = atom_coupling(x, params.atom[2], 2, cond)
-    back, _ = atom_coupling(z, params.atom[2], 2, cond, inverse=True)
+    z, _, _ = atom_coupling(x, params.atom[2], 2, cond)
+    back, _, _ = atom_coupling(z, params.atom[2], 2, cond, inverse=True)
     assert np.abs(back - x).max() < 1e-12
 
 
@@ -152,12 +153,11 @@ def test_coupling_kernels_match_reference_stack():
         deq = SeededRng(42)
         xa = dequantize(atoms, cfg.noise_scale, deq)
         xb = dequantize(bonds, cfg.noise_scale, deq)
-        view, leaves = ad.traced(params)
-        return list(encode(params, xa, xb)) + ad.backward(nll(view, xa, xb), leaves)
+        return list(encode(params, xa, xb)) + nll(params, xa, xb)[1](np.ones(()))
 
     got = run(encode_continuous, mean_nll)
-    want = run(reference_encode_continuous,
-               lambda view, xa, xb: tape_mean_nll(view, xa, xb, reference_encode_continuous))
+    want = run(reference_encode_continuous, from_tape(
+        lambda view, xa, xb: tape_mean_nll(view, xa, xb, reference_encode_continuous)))
     names = ["za", "zb", "logdet_atom", "logdet_bond"] + [n for n, _ in params.named_params()]
     for name, a, b in zip(names, got, want):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
@@ -197,20 +197,21 @@ def test_fused_couplings_match_composed_tape_bit_for_bit(case, track):
     mlps = (params.atom if track == "atom" else params.bond)[:2]
     x = xa if track == "atom" else xb
     cond = atom_condition(discretize_bonds(xb), cfg.n_bond_types)
-    fused = {"atom": lambda x, mlp, i, ld: atom_coupling(x, mlp, i, cond, logdet=ld),
-             "bond": lambda x, mlp, i, ld: bond_coupling(x, mlp, i, logdet=ld)}[track]
-    composed = {"atom": lambda x, mlp, i, ld: composed_atom_coupling(x, mlp, i, cond, logdet=ld),
-                "bond": lambda x, mlp, i, ld: composed_bond_coupling(x, mlp, i, logdet=ld)}[track]
+    fused = {"atom": lambda x, mlp, i: coupling_node(atom_coupling, x, mlp, i, cond),
+             "bond": lambda x, mlp, i: coupling_node(bond_coupling, x, mlp, i)}[track]
+    composed = {"atom": lambda x, mlp, i: composed_atom_coupling(x, mlp, i, cond),
+                "bond": lambda x, mlp, i: composed_bond_coupling(x, mlp, i)}[track]
     rng = SeededRng(47)
     weights = {"z": rng.normal(x.shape), "logdet": rng.normal((x.shape[0],))}
 
     def run(coupling, traced_input, reads):
-        view, leaves = ad.traced(mlps)
+        view, leaves = traced(mlps)
         z = Tensor(x) if traced_input else x
         leaves += [z] if traced_input else []
         logdet = None
         for i, mlp in enumerate(view):
-            z, logdet = coupling(z, mlp, i, logdet)
+            z, layer_logdet = coupling(z, mlp, i)
+            logdet = running(logdet, layer_logdet)
         outputs = {"z": z, "logdet": logdet}
         loss = sum(tsum(outputs[r] * weights[r]) for r in reads)
         return [z.data, logdet.data] + ad.backward(loss, leaves)
@@ -239,7 +240,7 @@ def test_train_steps_match_composed_couplings_bit_for_bit(monkeypatch):
         return losses, [arr.copy() for _, arr in params.named_params()]
 
     fused = steps()
-    monkeypatch.setattr(flow_module, "mean_nll", tape_mean_nll)
+    monkeypatch.setattr(flow_module, "mean_nll", from_tape(tape_mean_nll))
     composed = steps()
     assert fused[0] == composed[0]
     assert all(_same_bits(a, b) for a, b in zip(fused[1], composed[1]))
@@ -301,21 +302,54 @@ def test_fit_step_changes_nothing_on_a_non_finite_gradient():
         train_step(params, atom, bond, opt, SeededRng(139))
     before = (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step)
 
-    def nan_gradient_loss(view):
+    def nan_gradient_loss(p):
         # a finite loss whose gradient is NaN in the last array's last element
-        args = [a for _, a in view.named_params()]
-
         def backward(g):
-            grads = [np.zeros(a.shape) for a in args]
+            grads = [np.zeros(a.shape) for _, a in p.named_params()]
             grads[-1].reshape(-1)[-1] = np.nan
             return grads
 
-        return ad.node(args, (np.array(1.0),), backward, "nan")[0]
+        return 1.0, backward
 
     for clip in (None, 1.0):
         with pytest.raises(ValueError, match="non-finite"):
             flow_module.fit_step(params, nan_gradient_loss, opt, clip_norm=clip)
         assert (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step) == before
+
+
+@pytest.mark.parametrize("malformed", ["one gradient short", "one gradient over",
+                                       "a flattened gradient", "a missing gradient"])
+def test_fit_step_refuses_a_malformed_backward(malformed):
+    # without the check a missed array would get the tape's zero fill, and
+    # a flattened one would join the flat gradient as if it fit
+    cfg = small_config()
+    atom = np.zeros((2, 2, 2)); atom[:, :, 0] = 1.0
+    bond = np.zeros((2, 2, 2, 2)); bond[:, :, :, 0] = 1.0
+    params = init_flow(cfg, SeededRng(140), zero_last=False)
+    opt = make_optimizer(params, lr=1e-2)
+    train_step(params, atom, bond, opt, SeededRng(141))
+    before = (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step,
+              opt.grad.tobytes())
+
+    def malformed_loss(p):
+        def backward(g):
+            grads = [np.ones(a.shape) for _, a in p.named_params()]
+            if malformed == "one gradient short":
+                del grads[3]
+            elif malformed == "one gradient over":
+                grads.append(np.ones(1))
+            elif malformed == "a flattened gradient":
+                grads[0] = grads[0].reshape(-1)
+            else:
+                grads[0] = None
+            return grads
+
+        return 1.0, backward
+
+    with pytest.raises(ValueError, match="backward gave gradients of shapes"):
+        flow_module.fit_step(params, malformed_loss, opt)
+    assert (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step,
+            opt.grad.tobytes()) == before
 
 
 def test_atom_network_x_rows_get_zero_gradient():
@@ -329,11 +363,10 @@ def test_atom_network_x_rows_get_zero_gradient():
                                                    with_geometry=False).records, cfg.n_max)
     opt = make_optimizer(params, lr=1e-2)
     train_step(params, atoms, bonds, opt, rng.spawn("step"))
-    view, leaves = ad.traced(params)
     deq = rng.spawn("grad")
-    loss = mean_nll(view, dequantize(atoms, cfg.noise_scale, deq),
-                    dequantize(bonds, cfg.noise_scale, deq))
-    grads = dict(zip([n for n, _ in params.named_params()], ad.backward(loss, leaves)))
+    _, backward = mean_nll(params, dequantize(atoms, cfg.noise_scale, deq),
+                           dequantize(bonds, cfg.noise_scale, deq))
+    grads = dict(zip([n for n, _ in params.named_params()], backward(np.ones(()))))
     for i, mlp in enumerate(params.atom):
         assert not grads[f"flow.atom.{i}.w1"][: cfg.n_atom_types].any()
         assert grads[f"flow.atom.{i}.w1"][cfg.n_atom_types:].any()
@@ -637,7 +670,7 @@ def test_gradient_check_full_coupling_layer():
     cond = atom_condition(discretize_bonds(rng.uniform(0, 1, (1, 2, 2, 2))), 2)
 
     def f(x):
-        z, logdet = atom_coupling(reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
+        z, logdet = coupling_node(atom_coupling, reshape(x, (1, 2, 2)), params.atom[0], 0, cond)
         return tsum(z * z) + tsum(logdet)
 
     for _ in range(10):
@@ -665,7 +698,7 @@ def _param_trees():
 
 def test_traced_leaves_follow_named_params():
     for params in _param_trees():
-        view, leaves = ad.traced(params)
+        view, leaves = traced(params)
         named = params.named_params()
         assert type(view) is type(params)
         assert len(leaves) == len(named)

@@ -43,8 +43,8 @@ from molflow.pipeline import (
     uniqueness_pct,
 )
 from molflow.spherenet import SphereNetConfig, init_spherenet, train_fusion
-from oracles import (LinearHead, is_isomorphic, pair_similarity_triple, reference_fit_step,
-                     reference_generate_random, reference_generate_similar,
+from oracles import (LinearHead, from_tape, is_isomorphic, pair_similarity_triple,
+                     reference_fit_step, reference_generate_random, reference_generate_similar,
                      reference_make_optimizer,
                      reference_optimize_property, reference_optimize_substructure, tape_mse,
                      tape_value_and_grad)
@@ -296,7 +296,7 @@ def test_property_head_equals_the_tape_bit_for_bit(monkeypatch):
         value, grad = head.value_and_grad(z)
         tape_value, tape_grad = tape_value_and_grad(head, z)
         assert value == tape_value and grad.tobytes() == tape_grad.tobytes()
-    monkeypatch.setattr(PropertyHead, "mse", tape_mse)
+    monkeypatch.setattr(PropertyHead, "mse", from_tape(tape_mse))
     assert run()[1:] == (r2, arrays)
 
 

@@ -21,9 +21,9 @@ from molflow.spherenet import (
     mix_noise,
     train_fusion,
 )
-from oracles import (DenseGeometryCache, onehot_encode_batch, random_rigid_motion,
-                     reference_encode, reference_fit_step, reference_make_optimizer,
-                     tape_fusion_loss)
+from oracles import (DenseGeometryCache, from_tape, fusion_node, onehot_encode_batch,
+                     random_rigid_motion, reference_encode, reference_fit_step,
+                     reference_make_optimizer, tape_fusion_loss, traced)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,8 +69,8 @@ def test_relabeling_invariance_of_encoding(rng):
 
 
 def test_fusion_loss_zero_and_345():
-    assert fusion_loss(np.ones(4), np.ones(4)).item() == 0.0
-    assert fusion_loss(np.zeros(2), np.array([3.0, 4.0])).item() == pytest.approx(5.0)
+    assert fusion_loss(np.ones(4), np.ones(4))[0] == 0.0
+    assert fusion_loss(np.zeros(2), np.array([3.0, 4.0]))[0] == pytest.approx(5.0)
 
 
 def test_fusion_loss_length_mismatch():
@@ -83,7 +83,7 @@ def test_fusion_loss_gradient_matches_finite_differences():
 
     rng = SeededRng(62)
     target = rng.normal((12,))
-    assert gradient_check(lambda u: fusion_loss(target, u), rng.normal((12,))) < 1e-5
+    assert gradient_check(lambda u: fusion_node(target, u), rng.normal((12,))) < 1e-5
 
 
 def test_dimension_contract_with_flow_decode():
@@ -248,15 +248,15 @@ def test_encode_batch_equals_the_onehot_encoder_bit_for_bit(pinned_fusion_set):
         sphere = (pinned if n_blocks == cfg.n_blocks
                   else init_spherenet(replace(cfg, n_blocks=n_blocks), SeededRng(93)))
         for k, batch in enumerate(batches):
-            assert np.array_equal(encode_batch(sphere, batch), onehot_encode_batch(sphere, batch))
+            u, encode_backward = encode_batch(sphere, batch)
+            assert np.array_equal(u, onehot_encode_batch(sphere, batch))
             targets = SeededRng(90).spawn(f"t{k}").normal((len(batch), cfg.out_dim))
-            losses, grads = [], []
-            for encode, loss_of in ((encode_batch, fusion_loss),
-                                    (onehot_encode_batch, tape_fusion_loss)):
-                view, leaves = ad.traced(sphere)
-                loss = loss_of(targets, encode(view, batch))
-                losses.append(loss.item())
-                grads.append(ad.backward(loss, leaves))
+            loss, loss_backward = fusion_loss(targets, u)
+            losses, grads = [loss], [encode_backward(loss_backward(np.ones(())))]
+            view, leaves = traced(sphere)
+            tape_loss = tape_fusion_loss(targets, onehot_encode_batch(view, batch))
+            losses.append(tape_loss.item())
+            grads.append(ad.backward(tape_loss, leaves))
             assert losses[0] == losses[1]
             assert len(grads[0]) == len(sphere.named_params()) == 9 + 12 * n_blocks
             for (name, _), new, old in zip(sphere.named_params(), *grads):
@@ -274,7 +274,7 @@ def test_train_fusion_equals_the_onehot_encoder_run_bit_for_bit(pinned_models_an
         return repr(result.epoch_losses), [a.tobytes() for _, a in params.named_params()]
 
     losses, arrays = run()
-    monkeypatch.setattr(spherenet, "encode_batch", onehot_encode_batch)
+    monkeypatch.setattr(spherenet, "encode_batch", from_tape(onehot_encode_batch))
     assert run() == (losses, arrays)
 
 
@@ -309,21 +309,21 @@ def test_encode_batch_matches_per_molecule_reference_with_an_edge_free_molecule(
     nine = [c for c in caches if c.v0.shape[0] == 9][:5]
     assert len(nine) == 5
     batch = nine[:2] + [single] + nine[2:]
-    out = encode_batch(sphere, batch)
+    out = encode_batch(sphere, batch)[0]
     assert out.shape == (len(batch), sphere.config.out_dim)
     assert np.abs(out - _reference_rows(sphere, batch)).max() < 1e-12
     # a batch of one is encode_geometry's path
-    assert np.abs(encode_batch(sphere, [single])[0] - out[2]).max() < 1e-12
+    assert np.abs(encode_batch(sphere, [single])[0][0] - out[2]).max() < 1e-12
 
 
 def test_encode_batch_rows_follow_a_permuted_batch(pinned_fusion_set):
     sphere, caches = pinned_fusion_set
     batch = caches[:16]
-    out = encode_batch(sphere, batch)
+    out = encode_batch(sphere, batch)[0]
     ref = _reference_rows(sphere, batch)
     assert np.abs(out - ref).max() < 1e-12
     perm = [int(i) for i in SeededRng(76).permutation(len(batch))]
-    moved = encode_batch(sphere, [batch[i] for i in perm])
+    moved = encode_batch(sphere, [batch[i] for i in perm])[0]
     assert np.abs(moved - ref[perm]).max() < 1e-12
     assert np.abs(moved - out[perm]).max() < 1e-12
 
@@ -332,5 +332,5 @@ def test_fusion_loss_of_a_batch_is_the_mean_row_distance():
     rng = SeededRng(77)
     z = rng.normal((4, 6))
     u = rng.normal((4, 6))
-    rows = [fusion_loss(z[i], u[i]).item() for i in range(4)]
-    assert fusion_loss(z, u).item() == pytest.approx(np.mean(rows), rel=1e-14)
+    rows = [fusion_loss(z[i], u[i])[0] for i in range(4)]
+    assert fusion_loss(z, u)[0] == pytest.approx(np.mean(rows), rel=1e-14)

@@ -1,8 +1,10 @@
 """Tier-1 pins the training bits: a short fit of each trained model, run in a
 child process with one BLAS thread, gives the same parameter and loss bytes.
+And it checks the thread-count contract: a short train-flow and generate at
+one and at two BLAS threads write the same report bytes.
 
 Checkpoint bytes depend on the BLAS thread count (a matrix product's sums
-are split by thread), so the child sets ``OPENBLAS_NUM_THREADS=1`` in its
+are split by thread), so each child sets ``OPENBLAS_NUM_THREADS`` in its
 own environment only. A change that means to move training bits updates
 ``PINNED`` and says so."""
 
@@ -11,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from molflow.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,10 +75,45 @@ PINNED = {
 }
 
 
-def test_short_fits_give_the_pinned_parameter_and_loss_bytes():
+def run_child(script: str, threads: int, *args: str) -> str:
+    """The stdout of ``python -c script *args`` at `threads` BLAS threads."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == PINNED
+    return proc.stdout
+
+
+def test_short_fits_give_the_pinned_parameter_and_loss_bytes():
+    assert json.loads(run_child(CHILD, 1)) == PINNED
+
+
+# train-flow on a 40-molecule corpus at the default widths, then generate
+# from its checkpoint; argv: config, dataset, output directory
+TRAIN_AND_GENERATE = """
+import sys
+
+from molflow.cli import main
+
+config, data, out = sys.argv[1:]
+assert main(["train-flow", "--config", config, "--data", data, "--out", out + "/flow.npz"]) == 0
+assert main(["generate", "--checkpoint", out + "/flow.npz", "--count", "200", "--data", data,
+             "--out", out + "/gen"]) == 0
+"""
+
+
+def test_reports_match_across_blas_thread_counts(tmp_path):
+    # the README's contract: checkpoints may differ across thread counts,
+    # the report files must not
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 11, "epochs": 3, "probe_every": 2,
+                                  "probe_count": 50}))
+    assert main(["prepare-data", "--config", str(config), "--synthetic", "40",
+                 "--no-geometry", "--out", str(tmp_path / "data")]) == 0
+    data = str(tmp_path / "data" / "dataset.smi")
+    for threads in (1, 2):
+        run_child(TRAIN_AND_GENERATE, threads, str(config), data, str(tmp_path / f"t{threads}"))
+    for name in ("gen_report.csv", "gen_summary.json"):
+        one, two = ((tmp_path / f"t{k}" / "gen" / name).read_bytes() for k in (1, 2))
+        assert one == two, name

@@ -59,3 +59,25 @@ def test_src_imports_only_at_module_level():
                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                      for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
     assert not nested, f"imports inside functions in src/: {nested}"
+
+
+def test_outside_autodiff_only_fit_step_names_tensor():
+    # model functions are plain numpy and return their own backward; the
+    # tape appears outside autodiff.py only where fit_step records a loss
+    # as one node
+    def names_tensor(node: ast.AST) -> bool:
+        return ((isinstance(node, ast.Name) and node.id == "Tensor")
+                or (isinstance(node, ast.Attribute) and node.attr == "Tensor")
+                or (isinstance(node, ast.alias) and "Tensor" in (node.name, node.asname)))
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        inside_fit_step = {id(node) for func in tree.body
+                           if isinstance(func, ast.FunctionDef) and func.name == "fit_step"
+                           and path.name == "flow.py" for node in ast.walk(func)}
+        found += [f"{path.name}:{getattr(node, 'lineno', '?')}" for node in ast.walk(tree)
+                  if names_tensor(node) and id(node) not in inside_fit_step]
+    assert not found, f"Tensor named outside flow.fit_step: {found}"
