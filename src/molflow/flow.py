@@ -555,6 +555,24 @@ def fit_step(params: ParamTree, loss_of, opt: AdamState,
     return value
 
 
+def fit(epochs: int, pool, shuffle: SeededRng, batch_size: int, step,
+        after_epoch=None) -> list[float]:
+    """The epoch loop of every trainer: each epoch calls ``step`` on consecutive
+    `batch_size` slices of the indices ``np.asarray(pool())`` reordered by
+    ``shuffle``, then ``after_epoch(epoch)``; returns each epoch's mean step."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    means = []
+    for epoch in range(epochs):
+        idx = np.asarray(pool())
+        idx = idx[shuffle.permutation(len(idx))]
+        means.append(float(np.mean([step(idx[k:k + batch_size])
+                                    for k in range(0, len(idx), batch_size)])))
+        if after_epoch is not None:
+            after_epoch(epoch)
+    return means
+
+
 def train_step(params: FlowParams, atom: Array, bond: Array, opt: AdamState,
                rng: SeededRng, clip_norm: float | None = None) -> float:
     """One ``fit_step`` on mean negative log-likelihood over the batch

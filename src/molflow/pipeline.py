@@ -43,6 +43,7 @@ from .flow import (
     apply_mlp,
     decode_batch,
     encode_molecules,
+    fit,
     fit_step,
     make_optimizer,
     mlp_init,
@@ -435,13 +436,8 @@ def train_property_head(latents: np.ndarray, values: np.ndarray, rng: SeededRng,
     opt = make_optimizer(head, lr=HEAD_LR)
     mu, sd = float(values[train].mean()), float(values[train].std())
     sd = sd if sd > 0 else 1.0
-    shuffle = rng.spawn("shuffle")
-    for _ in range(epochs):
-        perm = shuffle.permutation(len(train))
-        for k in range(0, len(train), HEAD_BATCH):
-            idx = train[perm[k:k + HEAD_BATCH]]
-            target = (values[idx] - mu) / sd
-            fit_step(head, lambda h: h.mse(latents[idx], target), opt)
+    fit(epochs, lambda: train, rng.spawn("shuffle"), HEAD_BATCH,
+        lambda idx: fit_step(head, lambda h: h.mse(latents[idx], (values[idx] - mu) / sd), opt))
     # denormalize into the head by folding mu/sd into the output layer
     head.mlp.w2 *= sd
     head.mlp.b2 *= sd
@@ -635,6 +631,8 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     """
     if probe_every < 1:
         raise ValueError(f"probe_every must be at least 1, got {probe_every}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     if weight_table is not None and len(weight_table.ids) != len(records):
         raise ValueError(f"weight table has {len(weight_table.ids)} entries "
                          f"for {len(records)} records")
@@ -646,28 +644,23 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
     sampler_rng = rng.spawn("sampler")
     probe_z = sample_prior(rng.spawn("probe"), cfg, temperature=probe_temperature,
                            count=probe_count)
-    epoch_nll: list[float] = []
     probe_history: list[tuple[int, float]] = []
-    best = (-1.0, -1, None)
-    for epoch in range(epochs):
-        if weight_table is not None:
-            selected = sample_epoch(weight_table, sampler_rng, sampler_mode)
-        else:
-            selected = list(range(len(records)))
-        idx = np.asarray(selected)[order_rng.permutation(len(selected))]
-        losses = []
-        for k in range(0, len(idx), batch_size):
-            chunk = idx[k:k + batch_size]
-            losses.append(train_step(params, atoms[chunk], bonds[chunk], opt,
-                                     step_rng, clip_norm=clip_norm))
-        epoch_nll.append(float(np.mean(losses)))
+    best = [-1.0, -1, None]
+    pool = ((lambda: range(len(records))) if weight_table is None
+            else lambda: sample_epoch(weight_table, sampler_rng, sampler_mode))
+
+    def step(chunk):
+        return train_step(params, atoms[chunk], bonds[chunk], opt, step_rng, clip_norm=clip_norm)
+
+    def probe(epoch):
         if (epoch + 1) % probe_every == 0 or epoch == epochs - 1:
             v = sum(m is not None for m in decode_batch(params, probe_z)) / probe_count
             probe_history.append((epoch, v))
             if v > best[0]:
-                best = (v, epoch, opt.flat.copy())
-    if best[2] is not None:
-        opt.flat[...] = best[2]
+                best[:] = v, epoch, opt.flat.copy()
+
+    epoch_nll = fit(epochs, pool, order_rng, batch_size, step, probe)
+    opt.flat[...] = best[2]
     return FlowTrainResult(
         epoch_nll=epoch_nll,
         probe_history=probe_history,

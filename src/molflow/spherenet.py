@@ -29,7 +29,7 @@ from .autodiff import SeededRng, adam_step  # noqa: F401
 from .chem import ELEMENTS
 from .dataset import DatasetRecord
 from .flow import (NON_NEGATIVE, POSITIVE, FlowParams, Mlp, ParamTree, check_ranges,
-                   encode_molecules, fit_step, make_optimizer, mlp_init)
+                   encode_molecules, fit, fit_step, make_optimizer, mlp_init)
 from .geom3d import Geometry, edge_feature_matrix
 
 Array = np.ndarray
@@ -294,20 +294,11 @@ def train_fusion(records: list[DatasetRecord], flow_params: FlowParams,
     lrs = [lr if n.startswith("sphere.output") else lr * encoder_lr_scale
            for n, _ in params.named_params()]
     opt = make_optimizer(params, lr=1.0, rates=lrs)
-    shuffle = rng.spawn("shuffle")
-    epoch_losses: list[float] = []
-    for _ in range(epochs):
-        perm = shuffle.permutation(len(records))
-        losses: list[float] = []
-        for start in range(0, len(records), batch_size):
-            idx = perm[start:start + batch_size]
-            batch = [caches[i] for i in idx]
 
-            def batch_loss(p: SphereNetParams):
-                u, encode_backward = encode_batch(p, batch)
-                loss, loss_backward = fusion_loss(targets[idx], u)
-                return loss, lambda g: encode_backward(loss_backward(g))
+    def batch_loss(p: SphereNetParams, idx):
+        u, encode_backward = encode_batch(p, [caches[i] for i in idx])
+        loss, loss_backward = fusion_loss(targets[idx], u)
+        return loss, lambda g: encode_backward(loss_backward(g))
 
-            losses.append(fit_step(params, batch_loss, opt))
-        epoch_losses.append(float(np.mean(losses)))
-    return FusionResult(epoch_losses)
+    return FusionResult(fit(epochs, lambda: range(len(records)), rng.spawn("shuffle"), batch_size,
+                            lambda idx: fit_step(params, lambda p: batch_loss(p, idx), opt)))

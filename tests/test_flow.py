@@ -317,6 +317,35 @@ def test_fit_step_changes_nothing_on_a_non_finite_gradient():
         assert (opt.flat.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step) == before
 
 
+def test_fit_steps_through_shuffled_slices_then_calls_the_epoch_hook():
+    pool = [10, 11, 12, 13, 14, 15, 16]
+    events = []
+
+    def step(chunk):
+        events.append(("step", chunk.copy()))
+        return float(chunk[0])
+
+    means = flow_module.fit(2, lambda: pool, SeededRng(142), 3, step,
+                            lambda epoch: events.append(("epoch", epoch)))
+    # each epoch is one permutation of the pool, drawn in turn from the stream
+    stream = SeededRng(142)
+    orders = [np.asarray(pool)[stream.permutation(7)] for _ in range(2)]
+    assert [kind for kind, _ in events] == ["step"] * 3 + ["epoch"] + ["step"] * 3 + ["epoch"]
+    for epoch, order in enumerate(orders):
+        chunks = [chunk for _, chunk in events[4 * epoch:4 * epoch + 3]]
+        assert [len(chunk) for chunk in chunks] == [3, 3, 1]
+        np.testing.assert_array_equal(np.concatenate(chunks), order)
+        assert events[4 * epoch + 3] == ("epoch", epoch)
+        assert means[epoch] == float(np.mean([chunk[0] for chunk in chunks]))
+    assert flow_module.fit(0, lambda: pool, SeededRng(142), 3, step) == []
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_fit_refuses_a_batch_size_below_one(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        flow_module.fit(1, lambda: range(4), SeededRng(143), batch_size, lambda chunk: 0.0)
+
+
 @pytest.mark.parametrize("malformed", ["one gradient short", "one gradient over",
                                        "a flattened gradient", "a missing gradient"])
 def test_fit_step_refuses_a_malformed_backward(malformed):

@@ -649,6 +649,26 @@ def test_train_flow_rejects_weight_table_of_other_length():
                        probe_count=4)
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_train_flow_refuses_a_batch_size_below_one(batch_size):
+    # a negative size used to train nothing and report a NaN epoch
+    rng = SeededRng(144)
+    records = synthetic_corpus(6, rng.spawn("c"), with_geometry=False).records
+    flow = init_flow(FlowConfig(atom_hidden=8, bond_hidden=8), rng.spawn("i"))
+    with pytest.raises(ValueError, match="batch_size"):
+        train_flow(flow, records, epochs=1, rng=rng.spawn("t"), batch_size=batch_size,
+                   probe_count=4)
+
+
+def test_train_flow_refuses_zero_epochs():
+    # no epoch means no probe, and the -1 it used to report is not a validity
+    rng = SeededRng(145)
+    records = synthetic_corpus(6, rng.spawn("c"), with_geometry=False).records
+    flow = init_flow(FlowConfig(atom_hidden=8, bond_hidden=8), rng.spawn("i"))
+    with pytest.raises(ValueError, match="epochs"):
+        train_flow(flow, records, epochs=0, rng=rng.spawn("t"), probe_count=4)
+
+
 def test_train_flow_with_weight_table_is_deterministic():
     from molflow.docking import DockingRecord, compute_weights
 

@@ -147,6 +147,19 @@ def test_train_fusion_zero_epochs_keeps_params():
     assert changed in ([], ["sphere.output.b2"])
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_fusion_refuses_a_batch_size_below_one(batch_size):
+    # a negative size used to train nothing and report a NaN epoch
+    rng = SeededRng(146)
+    corpus = synthetic_corpus(4, rng.spawn("c"), with_geometry=True)
+    flow_cfg = FlowConfig(atom_hidden=8, bond_hidden=8)
+    flow = init_flow(flow_cfg, rng.spawn("f"))
+    sphere = init_spherenet(SphereNetConfig(hidden=8, out_dim=flow_cfg.d_total), rng.spawn("s"))
+    with pytest.raises(ValueError, match="batch_size"):
+        train_fusion(corpus.records, flow, sphere, epochs=1, rng=rng.spawn("t"),
+                     batch_size=batch_size)
+
+
 def test_train_fusion_zero_encoder_rate_trains_only_the_output_block():
     rng = SeededRng(75)
     corpus = synthetic_corpus(8, rng.spawn("c"), with_geometry=True)

@@ -81,3 +81,20 @@ def test_outside_autodiff_only_fit_step_names_tensor():
         found += [f"{path.name}:{getattr(node, 'lineno', '?')}" for node in ast.walk(tree)
                   if names_tensor(node) and id(node) not in inside_fit_step]
     assert not found, f"Tensor named outside flow.fit_step: {found}"
+
+
+def test_no_loop_in_src_calls_fit_step_or_train_step():
+    # flow.fit is the one epoch loop: a trainer hands it a step and cuts no
+    # minibatches of its own
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def calls_a_step(node: ast.AST) -> bool:
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None)) in ("fit_step", "train_step"))
+
+    found = sorted({f"{path.name}:{call.lineno}"
+                    for path in SRC.glob("*.py")
+                    for loop in ast.walk(ast.parse(path.read_text())) if isinstance(loop, loops)
+                    for call in ast.walk(loop) if calls_a_step(call)})
+    assert not found, f"a loop outside flow.fit calls fit_step or train_step: {found}"
