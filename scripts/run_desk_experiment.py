@@ -9,8 +9,6 @@ similarity (the 3D-conditioning effect) and the generation metrics, then
 the wall time of each stage and its share of the run.
 
 Usage: python scripts/run_desk_experiment.py --out runs/desk [--seed N]
-At the defaults two runs took 61 and 69 s on a shared 2-vCPU x86_64 host
-with one BLAS thread; the stage table shows where the time goes.
 """
 
 import argparse

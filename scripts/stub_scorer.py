@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Reference external scorer speaking the wire protocol on stdin/stdout.
 
-Request: a line "SMILES <smiles>", optionally followed by "XYZ <n>" and n
-coordinate lines. Response: one line "SCORE <decimal>".
+Request: one line "SMILES <smiles>". Response: one line "SCORE <decimal>".
 
 Modes:
   --synthetic     score with the in-package synthetic oracle (default)

@@ -39,7 +39,6 @@ from .docking import (
     ScoreCache,
     ScorerConfig,
     ScorerError,
-    WeightTable,
     compute_weights,
     score_batch,
 )
@@ -206,36 +205,38 @@ def cmd_dock_weights(args, config, checkpoint, ds) -> dict:
         reasons = Counter(result.failures.values())
         reason = min(reasons, key=lambda r: (-reasons[r], r), default="unparseable")
         raise ScorerError(reason, "no molecule could be scored")
-    table = compute_weights(result.records, floor=config.weight_floor)
+    weights = compute_weights(result.records, floor=config.weight_floor)
+    alphas = [rec.alpha for rec in result.records]
     rows = [
-        (rec.molecule_id, _fmt(rec.energy), _fmt(rec.alpha), _fmt(table.weights[i]))
-        for i, rec in enumerate(result.records)
+        (rec.molecule_id, _fmt(rec.energy), _fmt(rec.alpha), _fmt(w))
+        for rec, w in zip(result.records, weights)
     ]
     _write_csv(out / "weights.csv", ["smiles", "energy", "alpha", "weight"], rows)
     _write_json(out / "dock_summary.json", {
         "config": config.to_dict(),
         "scored": len(result.records),
         "failures": result.failures,
-        "alpha_min": table.alpha_min,
-        "alpha_max": table.alpha_max,
+        "alpha_min": float(np.min(alphas)),
+        "alpha_max": float(np.max(alphas)),
     })
     return {"scored": len(result.records), "failures": len(result.failures)}
 
 
-def _read_weight_table(path: Path, records) -> WeightTable:
+def _read_weight_table(path: Path, records) -> np.ndarray:
     """Each record's weight from a dock-weights `weights.csv`, used as the
     file gives it (looked up by SMILES)."""
-    by_smiles = dict(_read_csv(path, {"smiles", "alpha", "weight"},
-                               lambda row: (row["smiles"],
-                                            (float(row["alpha"]), float(row["weight"])))))
+    def read(row):
+        float(row["alpha"])  # a non-numeric alpha is a bad cell as well
+        return row["smiles"], float(row["weight"])
+
+    by_smiles = dict(_read_csv(path, {"smiles", "alpha", "weight"}, read))
     missing = [r.smiles for r in records if r.smiles not in by_smiles]
     if missing:
         raise DataError(path, 0, f"{len(missing)} records lack weights")
-    alphas, weights = zip(*(by_smiles[r.smiles] for r in records))
+    weights = [by_smiles[r.smiles] for r in records]
     if not all(0.0 <= w <= 1.0 for w in weights):
         raise DataError(path, 0, "weights must lie in [0, 1]")
-    return WeightTable(tuple(str(i) for i in range(len(records))), np.array(weights),
-                       min(alphas), max(alphas))
+    return np.array(weights)
 
 
 def cmd_train_flow(args, config, checkpoint, ds) -> dict:
@@ -399,22 +400,23 @@ def cmd_optimize_fragment(args, config, checkpoint, ds) -> dict:
         raise UsageError(f"--fragment-atoms: index {max(atoms)} is out of range for a host "
                          f"of {host.num_atoms} atoms")
     try:
-        excise_fragment(host, atoms)
+        pieces = excise_fragment(host, atoms)
     except ValueError as exc:
         raise UsageError(f"--fragment-atoms: {exc}") from exc
     rng = SeededRng(config.seed).spawn("optimize-fragment")
-    result = optimize_substructure(host, atoms, flow_params, rng, lam=config.noise_fraction)
+    result = optimize_substructure(pieces, flow_params, rng, lam=config.noise_fraction)
+    replaced = result.molecule is not None
     payload = {
         "config": config.to_dict(),
         "seed": config.seed,
         "host": write_smiles(host),
         "fragment_atoms": sorted(atoms),
-        "replaced": result.replaced_ok,
+        "replaced": replaced,
         "candidates_tried": result.candidates_tried,
-        "result": write_smiles(result.molecule) if result.molecule else None,
+        "result": write_smiles(result.molecule) if replaced else None,
     }
     _write_json(Path(args.out) / "fragment_summary.json", payload)
-    return {"ok": result.replaced_ok, "tried": result.candidates_tried}
+    return {"ok": replaced, "tried": result.candidates_tried}
 
 
 def cmd_export_plotdata(args, config, checkpoint, ds) -> dict:

@@ -42,16 +42,9 @@ class DockingRecord:
         return -self.energy
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    ids: tuple[str, ...]
-    weights: np.ndarray
-    alpha_min: float
-    alpha_max: float
-
-
-def compute_weights(records: list[DockingRecord], floor: float = 0.01) -> WeightTable:
-    """Min-max normalized selection weights, clamped below at `floor`.
+def compute_weights(records: list[DockingRecord], floor: float = 0.01) -> np.ndarray:
+    """Each record's min-max normalized selection weight, clamped below at
+    `floor`, as one float64 vector in record order.
 
     w_i = (alpha_i - alpha_min) / (alpha_max - alpha_min); when every alpha
     is equal, all weights are 1. Adding a constant to every energy leaves
@@ -61,39 +54,36 @@ def compute_weights(records: list[DockingRecord], floor: float = 0.01) -> Weight
         raise ValueError("need at least one docking record")
     if not 0.0 <= floor <= 0.1:
         raise ValueError("floor must lie in [0, 0.1]")
-    ids = tuple(r.molecule_id for r in records)
-    if len(set(ids)) != len(ids):
+    if len({r.molecule_id for r in records}) != len(records):
         raise ValueError("molecule ids must be unique")
     alphas = np.array([r.alpha for r in records])
     if not np.all(np.isfinite(alphas)):
         raise ValueError("non-finite binding energy")
-    a_min, a_max = float(alphas.min()), float(alphas.max())
+    a_min, a_max = alphas.min(), alphas.max()
     if a_max == a_min:
-        weights = np.ones_like(alphas)
-    else:
-        weights = np.maximum((alphas - a_min) / (a_max - a_min), floor)
-    return WeightTable(ids, weights, a_min, a_max)
+        return np.ones_like(alphas)
+    return np.maximum((alphas - a_min) / (a_max - a_min), floor)
 
 
-def sample_epoch(table: WeightTable, rng: SeededRng, mode: str = "bernoulli") -> list[int]:
+def sample_epoch(weights: np.ndarray, rng: SeededRng, mode: str = "bernoulli") -> list[int]:
     """Indices of the molecules selected for one training epoch.
 
     `bernoulli` includes molecule i independently with probability w_i; an
     epoch that selects nothing retries once, then falls back to everything.
-    `categorical` draws len(table) molecules with replacement, with
+    `categorical` draws len(weights) molecules with replacement, with
     probability proportional to w: the draws and the stream state of
-    len(table) ``rng.choice_index(w)`` calls, from one uniform block and a
+    len(weights) ``rng.choice_index(w)`` calls, from one uniform block and a
     binary search of the running sum.
     """
-    n = len(table.ids)
+    w = np.asarray(weights, dtype=np.float64)
+    n = len(w)
     if mode == "bernoulli":
         for _ in range(2):
-            mask = rng.uniform(0.0, 1.0, n) < table.weights
+            mask = rng.uniform(0.0, 1.0, n) < w
             if mask.any():
                 return [int(i) for i in np.nonzero(mask)[0]]
         return list(range(n))
     if mode == "categorical":
-        w = np.asarray(table.weights, dtype=np.float64)
         total = w.sum()
         if total <= 0.0:
             raise ValueError("weights must have positive sum")
@@ -141,16 +131,6 @@ class ScorerConfig:
     parallelism: int = 4
 
 
-def _scorer_request(molecule: Molecule, coords=None) -> str:
-    lines = [f"SMILES {write_smiles(molecule)}"]
-    if coords is not None:
-        coords = np.asarray(coords)
-        lines.append(f"XYZ {len(coords)}")
-        for el, (x, y, z) in zip(molecule.elements, coords):
-            lines.append(f"{el} {float(x)!r} {float(y)!r} {float(z)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_score(stdout: str) -> float:
     for line in stdout.splitlines():
         fields = line.split()
@@ -162,17 +142,17 @@ def _parse_score(stdout: str) -> float:
     raise ScorerError("unparseable", f"no SCORE line in output {stdout!r}")
 
 
-def external_score(molecule: Molecule, config: ScorerConfig, coords=None) -> float:
+def external_score(molecule: Molecule, config: ScorerConfig) -> float:
     """Score one molecule through the external process.
 
-    The request goes to the child's standard input as a SMILES line plus an
-    optional XYZ block; the child answers with one line "SCORE <decimal>".
+    The request goes to the child's standard input as one line
+    "SMILES <smiles>"; the child answers with one line "SCORE <decimal>".
     A timeout or a non-zero exit is retried up to `config.retries` times,
     so the scorer runs at most `config.retries + 1` times; the last such
     failure is raised. A program that cannot be started (missing, not
     executable) or an unparseable answer is raised at once.
     """
-    request = _scorer_request(molecule, coords)
+    request = f"SMILES {write_smiles(molecule)}\n"
     last: ScorerError | None = None
     for _ in range(config.retries + 1):
         try:

@@ -35,7 +35,7 @@ from .chem import (
     write_smiles,
 )
 from .dataset import DatasetRecord, tensor_batches
-from .docking import WeightTable, sample_epoch
+from .docking import sample_epoch
 from .flow import (
     FlowParams,
     Mlp,
@@ -571,15 +571,14 @@ def attach_fragment(remainder: Molecule, attachments: list[tuple[int, int]],
 
 @dataclass
 class SubstructureResult:
-    molecule: Molecule | None
+    molecule: Molecule | None   # None when no noise mix fits
     candidates_tried: int
-    replaced_ok: bool
 
 
-def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params: FlowParams,
+def optimize_substructure(pieces: ExcisedFragment, flow_params: FlowParams,
                           rng: SeededRng, lam: float = 0.2) -> SubstructureResult:
-    """Replace a connected substructure with a structurally similar
-    generated fragment.
+    """Replace a connected substructure, excised from its host by
+    ``excise_fragment``, with a structurally similar generated fragment.
 
     The excised fragment's flow latent seeds similar generation
     (``_search_mixes`` on a batch of one). Candidates are attached under
@@ -587,7 +586,6 @@ def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params:
     `candidates_tried` counts the noise mixes tried, the accepted one
     included (MAX_MIXES when none fits).
     """
-    pieces = excise_fragment(host, fragment_atoms)
     (u_star,), _ = encode_molecules(flow_params, [pieces.fragment], [rng.spawn("embed")])
 
     def merged_ok(cand: Molecule) -> Molecule | None:
@@ -596,8 +594,8 @@ def optimize_substructure(host: Molecule, fragment_atoms: set[int], flow_params:
 
     (hit,) = _search_mixes(flow_params, [u_star], lam, [rng.spawn("mix")], merged_ok)
     if hit is None:
-        return SubstructureResult(None, MAX_MIXES, False)
-    return SubstructureResult(hit[1], hit[0], True)
+        return SubstructureResult(None, MAX_MIXES)
+    return SubstructureResult(hit[1], hit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +614,12 @@ class FlowTrainResult:
 def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
                rng: SeededRng, lr: float = 2e-3, batch_size: int = 100,
                clip_norm: float | None = 500.0,
-               weight_table: WeightTable | None = None,
+               weight_table: np.ndarray | None = None,
                sampler_mode: str = "bernoulli",
                probe_every: int = 5, probe_count: int = 400,
                probe_temperature: float = 0.12) -> FlowTrainResult:
-    """Epoch loop over the corpus with optional docking-weighted selection.
+    """Epoch loop over the corpus with optional docking-weighted selection:
+    `weight_table` holds one ``compute_weights`` weight per record.
 
     Every `probe_every` epochs a fixed batch of prior samples is decoded and
     raw validity recorded; the parameters snapshot of the earliest probe
@@ -633,8 +632,10 @@ def train_flow(params: FlowParams, records: list[DatasetRecord], epochs: int,
         raise ValueError(f"probe_every must be at least 1, got {probe_every}")
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
-    if weight_table is not None and len(weight_table.ids) != len(records):
-        raise ValueError(f"weight table has {len(weight_table.ids)} entries "
+    if not records:
+        raise ValueError("no records to train on")
+    if weight_table is not None and len(weight_table) != len(records):
+        raise ValueError(f"weight table has {len(weight_table)} entries "
                          f"for {len(records)} records")
     cfg = params.config
     atoms, bonds = tensor_batches(records, cfg.n_max)

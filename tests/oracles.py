@@ -1475,8 +1475,8 @@ def reference_optimize_substructure(host: Molecule, fragment_atoms: set[int],
             continue
         merged = attach_fragment(pieces.remainder, pieces.attachments, cand)
         if merged is not None and safe_canonical(merged) is not None:
-            return SubstructureResult(merged, tried, True)
-    return SubstructureResult(None, MAX_MIXES, False)
+            return SubstructureResult(merged, tried)
+    return SubstructureResult(None, MAX_MIXES)
 
 
 # ---------------------------------------------------------------------------

@@ -299,16 +299,16 @@ def test_07_3d_conditioning_direction(desk):
 def test_08_docking_weight_statistics():
     with criterion(8, "weight-sampler statistics match the min-max rule"):
         floor = 0.01
-        table = compute_weights(
+        weights = compute_weights(
             [DockingRecord("a", -2.0), DockingRecord("b", -4.0), DockingRecord("c", -6.0)],
             floor=floor,
         )
-        assert np.allclose(table.weights, [floor, 0.5, 1.0])
+        assert np.allclose(weights, [floor, 0.5, 1.0])
         rng = SeededRng(209)
         n = 10_000
         counts = np.zeros(3)
         for _ in range(n):
-            for idx in sample_epoch(table, rng):
+            for idx in sample_epoch(weights, rng):
                 counts[idx] += 1
         for idx, w in enumerate((floor, 0.5, 1.0)):
             sigma = np.sqrt(n * w * (1 - w))

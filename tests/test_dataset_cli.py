@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -380,6 +381,21 @@ def test_cli_scorer_failure_is_exit_3(tmp_path, capsys):
     code = cli(["dock-weights", "--config", cfg, "--data", str(data),
                 "--out", str(tmp_path / "dock")])
     assert code == 3
+
+
+def test_cli_dock_summary_alpha_bounds_match_weights_csv(tmp_path, capsys):
+    # alpha_min and alpha_max in dock_summary.json are the extremes of the
+    # alpha column that weights.csv writes
+    data = tmp_path / "d.smi"
+    data.write_text("C\nCCO\nC1CC1\nNCCO\n")
+    assert cli(["dock-weights", "--config", write_config(tmp_path), "--data", str(data),
+                "--out", str(tmp_path / "dock")]) == 0
+    with (tmp_path / "dock" / "weights.csv").open() as fh:
+        alphas = [float(row["alpha"]) for row in csv.DictReader(fh)]
+    summary = json.loads((tmp_path / "dock" / "dock_summary.json").read_text())
+    assert len(alphas) == summary["scored"] == 4
+    assert (summary["alpha_min"], summary["alpha_max"]) == (min(alphas), max(alphas))
+    assert summary["alpha_min"] < summary["alpha_max"]
 
 
 def test_cli_pipeline_and_determinism(tmp_path, capsys):
@@ -823,7 +839,7 @@ def test_cli_optimize_fragment_without_a_fitting_mix_exits_0(bad_inputs, tmp_pat
     from molflow.pipeline import MAX_MIXES, SubstructureResult
 
     monkeypatch.setattr(cli_module, "optimize_substructure",
-                        lambda *a, **k: SubstructureResult(None, MAX_MIXES, False))
+                        lambda *a, **k: SubstructureResult(None, MAX_MIXES))
     capsys.readouterr()
     assert cli(["optimize-fragment", "--checkpoint", str(bad_inputs / "flow.npz"), "--host",
                 "CCO", "--fragment-atoms", "2", "--out", str(tmp_path / "frag")]) == 0
@@ -895,7 +911,7 @@ def test_cli_train_flow_uses_weights_file_unchanged(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "train_flow", fake_train_flow)
     assert cli(["train-flow", "--config", write_config(tmp_path), "--data", str(data),
                 "--weights", str(weights), "--out", str(tmp_path / "flow.npz")]) == 0
-    assert seen[0].weights.tolist() == [0.01, 0.1, 1.0]
+    assert seen[0].tolist() == [0.01, 0.1, 1.0]
 
 
 def test_cli_train_fusion_config_differs_from_checkpoint(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from molflow.autodiff import SeededRng
 from molflow.chem import ELEMENTS, to_tensors, valency_check
 from molflow.flow import dequantize, encode_tensors
-from molflow.pipeline import optimize_substructure
+from molflow.pipeline import excise_fragment, optimize_substructure
 from molflow.spherenet import encode_geometry
 from oracles import is_isomorphic, raw_decode_batch
 
@@ -61,7 +61,8 @@ def test_substructure_replacement_on_desk_model(desk):
     if host.num_atoms < 4:
         pytest.skip("fixture molecule too small")
     fragment = {host.num_atoms - 1}
-    result = optimize_substructure(host, fragment, desk["flow"], SeededRng(302), lam=0.2)
-    if result.replaced_ok:
+    result = optimize_substructure(excise_fragment(host, fragment), desk["flow"],
+                                   SeededRng(302), lam=0.2)
+    if result.molecule is not None:
         assert valency_check(result.molecule)
     assert result.candidates_tried <= 100

@@ -15,7 +15,6 @@ from molflow.docking import (
     ScoreCache,
     ScorerConfig,
     ScorerError,
-    WeightTable,
     compute_weights,
     external_score,
     sample_epoch,
@@ -36,19 +35,19 @@ def records(alphas):
 
 
 def test_weights_min_max_with_floor():
-    table = compute_weights(records([2.0, 4.0, 6.0]), floor=0.01)
-    assert np.allclose(table.weights, [0.01, 0.5, 1.0])
-    assert (table.alpha_min, table.alpha_max) == (2.0, 6.0)
+    weights = compute_weights(records([2.0, 4.0, 6.0]), floor=0.01)
+    assert weights.dtype == np.float64
+    assert np.allclose(weights, [0.01, 0.5, 1.0])
 
 
 def test_weights_all_equal_alpha():
-    table = compute_weights(records([3.0, 3.0, 3.0]))
-    assert np.array_equal(table.weights, [1.0, 1.0, 1.0])
+    weights = compute_weights(records([3.0, 3.0, 3.0]))
+    assert np.array_equal(weights, [1.0, 1.0, 1.0])
 
 
 def test_weight_of_max_alpha_is_one():
-    table = compute_weights(records([1.0, 9.0]))
-    assert table.weights[table.ids.index("m1")] == 1.0
+    weights = compute_weights(records([1.0, 9.0]))
+    assert weights[1] == 1.0
 
 
 def test_weights_require_unique_ids():
@@ -69,7 +68,7 @@ def test_weights_floor_domain():
 def test_weights_invariant_to_energy_shift(shift, energies):
     base = compute_weights([DockingRecord(f"m{i}", e) for i, e in enumerate(energies)])
     shifted = compute_weights([DockingRecord(f"m{i}", e + shift) for i, e in enumerate(energies)])
-    assert np.allclose(base.weights, shifted.weights, atol=1e-9)
+    assert np.allclose(base, shifted, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -78,46 +77,45 @@ def test_weights_invariant_to_energy_shift(shift, energies):
 
 
 def test_sampler_full_weights_select_everything():
-    table = compute_weights(records([5.0, 5.0, 5.0]))
+    weights = compute_weights(records([5.0, 5.0, 5.0]))
     rng = SeededRng(80)
     for _ in range(20):
-        assert sample_epoch(table, rng) == [0, 1, 2]
+        assert sample_epoch(weights, rng) == [0, 1, 2]
 
 
 def test_sampler_inclusion_frequency_within_binomial_bounds():
     # the w=1 companion keeps every epoch non-empty, so no fallback noise
-    table = WeightTable(("a", "b"), np.array([0.5, 1.0]), 0.0, 1.0)
+    weights = np.array([0.5, 1.0])
     rng = SeededRng(81)
     n = 10_000
-    hits = sum(0 in sample_epoch(table, rng) for _ in range(n))
+    hits = sum(0 in sample_epoch(weights, rng) for _ in range(n))
     sigma = (n * 0.5 * 0.5) ** 0.5
     assert abs(hits - n * 0.5) <= 3 * sigma
 
 
 def test_sampler_floor_molecule_still_appears():
-    table = compute_weights(records([2.0, 4.0, 6.0]), floor=0.01)
+    weights = compute_weights(records([2.0, 4.0, 6.0]), floor=0.01)
     rng = SeededRng(82)
-    assert any(0 in sample_epoch(table, rng) for _ in range(2000))
+    assert any(0 in sample_epoch(weights, rng) for _ in range(2000))
 
 
 def test_sampler_empty_epoch_falls_back_to_everything():
-    table = WeightTable(("a", "b"), np.array([1e-12, 1e-12]), 0.0, 1.0)
     rng = SeededRng(83)
-    assert sample_epoch(table, rng) == [0, 1]
+    assert sample_epoch(np.array([1e-12, 1e-12]), rng) == [0, 1]
 
 
 def test_sampler_categorical_mode():
-    table = compute_weights(records([2.0, 4.0, 6.0]))
+    weights = compute_weights(records([2.0, 4.0, 6.0]))
     rng = SeededRng(84)
-    draws = sample_epoch(table, rng, mode="categorical")
+    draws = sample_epoch(weights, rng, mode="categorical")
     assert len(draws) == 3 and all(0 <= d < 3 for d in draws)
     counts = np.zeros(3)
     for _ in range(3000):
-        for d in sample_epoch(table, rng, mode="categorical"):
+        for d in sample_epoch(weights, rng, mode="categorical"):
             counts[d] += 1
     assert counts[2] > counts[1] > counts[0]
     with pytest.raises(ValueError):
-        sample_epoch(table, rng, mode="bogus")
+        sample_epoch(weights, rng, mode="bogus")
 
 
 class QueuedUniform:
@@ -142,9 +140,8 @@ def test_sampler_categorical_matches_choice_index_loop(seed):
     n = int(gen.integers(1, 60))
     weights = gen.uniform(0.0, 2.0, n) * (gen.uniform(0.0, 1.0, n) < 0.7)
     weights[int(gen.integers(0, n))] = gen.uniform(0.1, 1.0)
-    table = WeightTable(tuple(f"m{i}" for i in range(n)), weights, 0.0, 1.0)
     ours, loop = SeededRng(seed + 1), SeededRng(seed + 1)
-    got = sample_epoch(table, ours, mode="categorical")
+    got = sample_epoch(weights, ours, mode="categorical")
     assert got == [loop.choice_index(weights) for _ in range(n)]
     assert all(type(i) is int for i in got)
     assert ours.uniform(0.0, 1.0, 4).tolist() == loop.uniform(0.0, 1.0, 4).tolist()
@@ -155,22 +152,21 @@ def test_sampler_categorical_matches_choice_index_loop(seed):
              + gen.uniform(0.0, 1.0, n).tolist())[:n]
     fixed, loop = SeededRng(0), SeededRng(0)
     fixed._gen, loop._gen = QueuedUniform(draws), QueuedUniform(draws)
-    assert sample_epoch(table, fixed, mode="categorical") == [
+    assert sample_epoch(weights, fixed, mode="categorical") == [
         loop.choice_index(weights) for _ in range(n)]
 
 
 def test_sampler_categorical_refuses_zero_weights():
-    table = WeightTable(("a", "b"), np.zeros(2), 0.0, 1.0)
     with pytest.raises(ValueError, match="positive sum"):
-        sample_epoch(table, SeededRng(85), mode="categorical")
+        sample_epoch(np.zeros(2), SeededRng(85), mode="categorical")
 
 
 def test_epoch_stream_yields_epochs():
     # successive epochs drawn from one stream, as train_flow draws them; an
     # epoch whose draws all miss falls back to every molecule, never to none
-    table = WeightTable(("a", "b", "c"), np.full(3, 1e-3), 0.0, 1.0)
+    weights = np.full(3, 1e-3)
     rng = SeededRng(85)
-    epochs = [sample_epoch(table, rng) for _ in range(5)]
+    epochs = [sample_epoch(weights, rng) for _ in range(5)]
     assert all(epoch and set(epoch) <= {0, 1, 2} for epoch in epochs)
 
 
@@ -206,12 +202,6 @@ def test_synthetic_score_deterministic():
 def test_external_score_echo():
     cfg = ScorerConfig(STUB + ["--energy", "-7.25"], timeout=30.0, retries=0)
     assert external_score(parse_smiles("CC"), cfg) == -7.25
-
-
-def test_external_score_with_xyz_block():
-    cfg = ScorerConfig(STUB + ["--energy", "-1.5"], timeout=30.0, retries=0)
-    coords = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-    assert external_score(parse_smiles("CC"), cfg, coords=coords) == -1.5
 
 
 def test_external_score_matches_synthetic_oracle_exactly():

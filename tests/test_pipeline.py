@@ -538,13 +538,14 @@ def test_noise_mix_sampling_is_pinned():
     _, report = generate_similar(flow, sphere, seeds, 0.5, SeededRng(3005))
     assert [row[1] for row in report.rows] == ["CCC", "CC"]
     host = parse_smiles("CC(C)CO")
-    found = optimize_substructure(host, {3, 4}, flow, SeededRng(18), lam=0.5)
+    found = optimize_substructure(excise_fragment(host, {3, 4}), flow, SeededRng(18), lam=0.5)
     # candidates_tried is the position of the mix that fits
     assert (write_smiles(found.molecule), found.candidates_tried) == ("CC(C)C#C", 41)
     # a flow that never fits draws all 100 mixes
     other = init_flow(cfg, SeededRng(2), zero_last=False)
-    missed = optimize_substructure(host, {3, 4}, other, SeededRng(2002), lam=0.2)
-    assert (missed.molecule, missed.candidates_tried, missed.replaced_ok) == (None, 100, False)
+    missed = optimize_substructure(excise_fragment(host, {3, 4}), other, SeededRng(2002),
+                                   lam=0.2)
+    assert (missed.molecule, missed.candidates_tried) == (None, 100)
 
 
 def test_optimize_substructure_matches_one_mix_at_a_time():
@@ -558,7 +559,8 @@ def test_optimize_substructure_matches_one_mix_at_a_time():
         for smiles, atoms in hosts:
             for lam in (0.2, 0.5):
                 host = parse_smiles(smiles)
-                got = optimize_substructure(host, atoms, flow, SeededRng(18 + flow_seed), lam)
+                got = optimize_substructure(excise_fragment(host, atoms), flow,
+                                            SeededRng(18 + flow_seed), lam)
                 want = reference_optimize_substructure(host, atoms, flow,
                                                        SeededRng(18 + flow_seed), lam)
                 assert got == want
@@ -637,16 +639,24 @@ def test_moving_average_window():
 
 
 def test_train_flow_rejects_weight_table_of_other_length():
-    from molflow.docking import DockingRecord, compute_weights
-
+    # one weight per record: a vector one entry short or one entry long is
+    # refused before any training
     rng = SeededRng(104)
     records = synthetic_corpus(10, rng.spawn("c"), with_geometry=False).records
     flow = init_flow(FlowConfig(atom_hidden=8, bond_hidden=8), rng.spawn("i"))
     for n in (len(records) - 1, len(records) + 1):
-        table = compute_weights([DockingRecord(str(i), -1.0 - i) for i in range(n)])
-        with pytest.raises(ValueError, match="weight table"):
-            train_flow(flow, records, epochs=1, rng=rng.spawn("t"), weight_table=table,
-                       probe_count=4)
+        message = f"weight table has {n} entries for {len(records)} records"
+        with pytest.raises(ValueError, match=message):
+            train_flow(flow, records, epochs=1, rng=rng.spawn("t"),
+                       weight_table=np.full(n, 0.5), probe_count=4)
+
+
+def test_train_flow_refuses_empty_records():
+    # it used to fail inside tensor_batches' np.stack ("need at least one
+    # array to stack")
+    flow = init_flow(FlowConfig(atom_hidden=8, bond_hidden=8), SeededRng(146))
+    with pytest.raises(ValueError, match="no records"):
+        train_flow(flow, [], epochs=1, rng=SeededRng(147), probe_count=4)
 
 
 @pytest.mark.parametrize("batch_size", [0, -5])

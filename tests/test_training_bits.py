@@ -31,7 +31,6 @@ import numpy as np
 from molflow.autodiff import SeededRng
 from molflow.chem import molecular_weight
 from molflow.dataset import synthetic_corpus
-from molflow.docking import WeightTable
 from molflow.flow import FlowConfig, encode_molecules, init_flow
 from molflow.pipeline import train_flow, train_property_head
 from molflow.spherenet import SphereNetConfig, init_spherenet, train_fusion
@@ -45,8 +44,7 @@ def digest(params):
 rng = SeededRng(23)
 records = synthetic_corpus(60, rng.spawn("corpus"), with_geometry=True).records
 flow = init_flow(FlowConfig(atom_hidden=16, bond_hidden=16), rng.spawn("flow"))
-weights = WeightTable(tuple(r.smiles for r in records), np.linspace(0.05, 1.0, len(records)),
-                      0.0, 1.0)
+weights = np.linspace(0.05, 1.0, len(records))
 trained = train_flow(flow, records, epochs=3, rng=rng.spawn("train"), batch_size=20,
                      clip_norm=1.0, weight_table=weights, probe_every=3, probe_count=50)
 sphere = init_spherenet(SphereNetConfig(hidden=16, out_dim=flow.config.d_total),
